@@ -1,7 +1,7 @@
 # Observability gate, end to end:
 #  - --telemetry-out emits well-formed gauge samples and the file (plus
 #    the --flight-out dump and the report itself) is byte-identical
-#    across --jobs values,
+#    across --jobs values, also when cells share a seed and a size,
 #  - arming the recorder/sampler leaves the report byte-identical to a
 #    plain run,
 #  - a clear message rejects a non-positive --metrics-interval at the
@@ -67,6 +67,32 @@ endif()
 if(NOT flight1 MATCHES "\"kind\":\"msg_send\"")
   message(FATAL_ERROR "flight dump missing events:\n${flight1}")
 endif()
+
+# --- sink drain order: cells sharing a seed and a size ---
+# fig4 and fig5 pinned to one seed deposit cells whose telemetry series
+# have equal seeds and equal lengths; with --jobs 2 the two scenarios
+# finish in either order, so the files only match across --jobs if the
+# sinks break that tie on content.
+set(tie_args --scenario fig4_pools_lan --scenario fig5_pools_wan --seed 7
+    --machines 200 --clients 4 --time-scale 0.05 --stable)
+foreach(jobs 1 2)
+  execute_process(COMMAND ${SIM} ${tie_args} --jobs ${jobs}
+                  --telemetry-out ${work}/tie_tele${jobs}.jsonl
+                  --flight-out ${work}/tie_flight${jobs}.jsonl
+                  OUTPUT_VARIABLE tie${jobs} RESULT_VARIABLE tie${jobs}_rc)
+  if(NOT tie${jobs}_rc EQUAL 0)
+    message(FATAL_ERROR "fig4+fig5 --jobs ${jobs} run failed "
+            "(rc=${tie${jobs}_rc}):\n${tie${jobs}}")
+  endif()
+endforeach()
+foreach(kind tele flight)
+  file(READ ${work}/tie_${kind}1.jsonl tie_${kind}1)
+  file(READ ${work}/tie_${kind}2.jsonl tie_${kind}2)
+  if(NOT tie_${kind}1 STREQUAL tie_${kind}2)
+    message(FATAL_ERROR "fig4+fig5 --seed 7: the ${kind} file differs "
+            "between --jobs 1 and --jobs 2")
+  endif()
+endforeach()
 
 # --- --metrics-interval validation: flag and config-file key ---
 execute_process(COMMAND ${SIM} ${base_args} --metrics-interval 0

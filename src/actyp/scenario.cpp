@@ -86,8 +86,6 @@ void SimScenario::Build() {
   if (config_.profile) {
     profile::StageProfiler::Config profiler_config;
     profiler_config.ring_capacity = config_.profile_ring_capacity;
-    profiler_config.sampling = config_.profile_sampling;
-    profiler_config.reservoir_capacity = config_.profile_reservoir_capacity;
     profiler_ = std::make_unique<profile::StageProfiler>(profiler_config);
   }
   profile::StageProfiler* profiler = profiler_.get();
@@ -517,8 +515,6 @@ void SimScenario::BuildMultiSite() {
     if (config_.profile) {
       profile::StageProfiler::Config profiler_config;
       profiler_config.ring_capacity = config_.profile_ring_capacity;
-      profiler_config.sampling = config_.profile_sampling;
-      profiler_config.reservoir_capacity = config_.profile_reservoir_capacity;
       site->profiler =
           std::make_unique<profile::StageProfiler>(profiler_config);
     }
@@ -894,8 +890,6 @@ profile::StageProfiler* SimScenario::MergedProfiler() const {
     profile::StageProfiler::Config merged_config;
     merged_config.ring_capacity =
         config_.profile_ring_capacity * sites_.size();
-    merged_config.sampling = config_.profile_sampling;
-    merged_config.reservoir_capacity = config_.profile_reservoir_capacity;
     merged_profiler_ =
         std::make_unique<profile::StageProfiler>(merged_config);
   }

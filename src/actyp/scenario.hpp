@@ -129,13 +129,6 @@ struct ScenarioConfig {
   // report output) byte-identical to the unprofiled seed path.
   bool profile = true;
   std::size_t profile_ring_capacity = 4096;
-  // Per-stage latency sampling: kRing keeps the exact histogram + span
-  // ring (the default); kReservoir adds a seeded fixed-size Algorithm-R
-  // reservoir per stage and computes p50/p95/p99 from it — unbiased
-  // at any load, memory bounded by reservoir_capacity. Both modes draw
-  // from a private fixed-seed RNG, so the sim replay is untouched.
-  profile::SamplingMode profile_sampling = profile::SamplingMode::kRing;
-  std::size_t profile_reservoir_capacity = 1024;
 
   // Flight recorder (src/obs/): when true each shard owns a bounded
   // ring of structured events — message send/receive/drop, timer

@@ -19,14 +19,19 @@
 
 namespace actyp {
 
+// common/seed_sink.hpp: profile::TraceSink, obs::TelemetrySink and
+// obs::FlightSink are SeedSinks of spans, gauge samples and events.
+template <typename T>
+class SeedSink;
+
 namespace profile {
 class MetricsStreamer;
-class TraceSink;
+struct MetricCell;
+struct SpanRecord;
 }  // namespace profile
 
 namespace obs {
-class FlightSink;
-class TelemetrySink;
+struct FlightEvent;
 }  // namespace obs
 
 // Overrides applied uniformly to a scenario's sweep: pin a dimension
@@ -90,7 +95,7 @@ struct ScenarioRunOptions {
   // writes the Chrome trace file after the run. Cells running on
   // ThreadPool workers add in completion order — the sink re-orders
   // deterministically on drain.
-  profile::TraceSink* trace_sink = nullptr;
+  SeedSink<profile::SpanRecord>* trace_sink = nullptr;
   // --metrics-interval wiring: when streamer is set and the interval is
   // positive, every cell arms a periodic sim-clock flush that emits one
   // incremental snapshot cell per interval (scaled by --time-scale,
@@ -103,15 +108,14 @@ struct ScenarioRunOptions {
   // chunk boundary. Chunked advancement never reorders events, so the
   // report stays byte-identical, and samples are keyed by cell seed, so
   // the series is byte-identical for any --jobs / --cell-jobs.
-  obs::TelemetrySink* telemetry_sink = nullptr;
+  SeedSink<profile::MetricCell>* telemetry_sink = nullptr;
   double telemetry_interval_s = 0;
   // --flight-out wiring: when set, each cell builds its scenario with
   // the flight recorder enabled and deposits the merged event snapshot
   // here after its run.
-  obs::FlightSink* flight_sink = nullptr;
-  // --profile-sampling: "" keeps the scenario default (ring); "ring" or
-  // "reservoir" overrides the profiler's per-stage sampling mode.
-  std::string profile_sampling;
+  SeedSink<obs::FlightEvent>* flight_sink = nullptr;
+
+  bool operator==(const ScenarioRunOptions&) const = default;
 };
 
 // One measured cell of a scenario sweep: ordered string labels

@@ -175,22 +175,4 @@ Status WriteFlightJsonlFile(const std::vector<FlightEvent>& events,
   return Status::Ok();
 }
 
-void FlightSink::Add(std::uint64_t seed, std::vector<FlightEvent> events) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cells_.emplace_back(seed, std::move(events));
-}
-
-std::vector<std::pair<std::uint64_t, std::vector<FlightEvent>>>
-FlightSink::Take() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::sort(cells_.begin(), cells_.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second.size() < b.second.size();
-            });
-  auto out = std::move(cells_);
-  cells_.clear();
-  return out;
-}
-
 }  // namespace actyp::obs

@@ -20,15 +20,15 @@
 // Record() away entirely.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "common/seed_sink.hpp"
 #include "common/sim_time.hpp"
 #include "common/status.hpp"
 
@@ -71,11 +71,9 @@ struct FlightEvent {
   std::string node;
   std::string detail;
 
-  [[nodiscard]] bool operator==(const FlightEvent& other) const {
-    return t == other.t && kind == other.kind && shard == other.shard &&
-           seq == other.seq && id == other.id && node == other.node &&
-           detail == other.detail;
-  }
+  // Member-wise order: how a FlightSink orders two cells that share a
+  // seed.
+  friend auto operator<=>(const FlightEvent&, const FlightEvent&) = default;
 };
 
 class FlightRecorder {
@@ -133,22 +131,8 @@ void WriteFlightJsonl(const std::vector<FlightEvent>& events,
 [[nodiscard]] Status WriteFlightJsonlFile(
     const std::vector<FlightEvent>& events, const std::string& path);
 
-// FlightSink: thread-safe deposit box for per-cell flight dumps, the
-// flight analogue of profile::TraceSink. Sweep cells running on
-// ThreadPool workers Add() their merged event streams keyed by cell
-// seed; Take() returns them sorted by (seed, stream) so the --flight-out
-// file is byte-identical for any --jobs value.
-class FlightSink {
- public:
-  void Add(std::uint64_t seed, std::vector<FlightEvent> events);
-  // Sorted (seed ascending, then content) snapshots; clears the sink.
-  [[nodiscard]] std::vector<
-      std::pair<std::uint64_t, std::vector<FlightEvent>>>
-  Take();
-
- private:
-  std::vector<std::pair<std::uint64_t, std::vector<FlightEvent>>> cells_;
-  std::mutex mu_;
-};
+// Per-cell flight dumps from sweep cells, keyed by cell seed (see
+// common/seed_sink.hpp for the drain order).
+using FlightSink = SeedSink<FlightEvent>;
 
 }  // namespace actyp::obs

@@ -1,7 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <algorithm>
-
 #include "actyp/scenario.hpp"
 
 namespace actyp::obs {
@@ -69,25 +67,6 @@ profile::MetricCell TelemetrySample(SimScenario& scenario, SimTime t) {
       static_cast<double>(group != nullptr ? group->TotalJournalOps()
                                            : 0));
   return cell;
-}
-
-void TelemetrySink::Add(std::uint64_t seed,
-                        std::vector<profile::MetricCell> samples) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cells_.emplace_back(seed, std::move(samples));
-}
-
-std::vector<std::pair<std::uint64_t, std::vector<profile::MetricCell>>>
-TelemetrySink::Take() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::sort(cells_.begin(), cells_.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second.size() < b.second.size();
-            });
-  auto out = std::move(cells_);
-  cells_.clear();
-  return out;
 }
 
 }  // namespace actyp::obs

@@ -13,11 +13,7 @@
 // --telemetry-out.
 #pragma once
 
-#include <cstdint>
-#include <mutex>
-#include <utility>
-#include <vector>
-
+#include "common/seed_sink.hpp"
 #include "common/sim_time.hpp"
 #include "profile/metrics_exporter.hpp"
 
@@ -32,21 +28,8 @@ namespace actyp::obs {
 [[nodiscard]] profile::MetricCell TelemetrySample(SimScenario& scenario,
                                                   SimTime t);
 
-// TelemetrySink: thread-safe deposit box for per-cell sample series,
-// the telemetry analogue of profile::TraceSink. Sweep cells Add()
-// their series keyed by cell seed; Take() returns them sorted by seed
-// so the --telemetry-out file is byte-identical for any --jobs value.
-class TelemetrySink {
- public:
-  void Add(std::uint64_t seed, std::vector<profile::MetricCell> samples);
-  [[nodiscard]] std::vector<
-      std::pair<std::uint64_t, std::vector<profile::MetricCell>>>
-  Take();
-
- private:
-  std::vector<std::pair<std::uint64_t, std::vector<profile::MetricCell>>>
-      cells_;
-  std::mutex mu_;
-};
+// Per-cell sample series from sweep cells, keyed by cell seed (see
+// common/seed_sink.hpp for the drain order).
+using TelemetrySink = SeedSink<profile::MetricCell>;
 
 }  // namespace actyp::obs

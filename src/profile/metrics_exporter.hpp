@@ -16,6 +16,7 @@
 // from benches and tests without dragging the registry in.
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -36,6 +37,10 @@ struct MetricCell {
   std::string scenario;
   std::vector<std::pair<std::string, std::string>> labels;
   std::vector<std::pair<std::string, double>> values;
+
+  // Member-wise order: how a TelemetrySink orders two cells that share
+  // a seed.
+  friend auto operator<=>(const MetricCell&, const MetricCell&) = default;
 };
 
 // One cell as the exporter's jsonl line (no trailing newline) — for

@@ -35,16 +35,6 @@ std::optional<Stage> StageFromName(std::string_view name) {
   return std::nullopt;
 }
 
-std::optional<SamplingMode> SamplingModeFromName(std::string_view name) {
-  if (name == "ring") return SamplingMode::kRing;
-  if (name == "reservoir") return SamplingMode::kReservoir;
-  return std::nullopt;
-}
-
-std::string_view SamplingModeName(SamplingMode mode) {
-  return mode == SamplingMode::kRing ? "ring" : "reservoir";
-}
-
 LatencyHistogram::LatencyHistogram() : LatencyHistogram(Geometry{}) {}
 
 LatencyHistogram::LatencyHistogram(const Geometry& geometry)
@@ -153,20 +143,10 @@ double LatencyHistogram::Quantile(double q) const {
   return max_;
 }
 
-namespace {
-// Fixed seed for the reservoir stream: every profiler samples the same
-// way, independent of scenario seeds and worker counts.
-constexpr std::uint64_t kReservoirSeed = 0x5a3d1e5a3d1eULL;
-}  // namespace
-
 StageProfiler::StageProfiler() : StageProfiler(Config{}) {}
 
 StageProfiler::StageProfiler(const Config& config)
-    : ring_capacity_(std::max<std::size_t>(config.ring_capacity, 1)),
-      sampling_(config.sampling),
-      reservoir_capacity_(
-          std::max<std::size_t>(config.reservoir_capacity, 1)),
-      reservoir_rng_(kReservoirSeed) {
+    : ring_capacity_(std::max<std::size_t>(config.ring_capacity, 1)) {
   histograms_.fill(LatencyHistogram(config.geometry));
   ring_.reserve(std::min<std::size_t>(ring_capacity_, 4096));
 }
@@ -177,7 +157,6 @@ void StageProfiler::Record(Stage stage, std::uint64_t request_id,
   if (t_exit < t_enter) return;
   const double seconds = ToSeconds(t_exit - t_enter);
   histograms_[static_cast<std::size_t>(stage)].Add(seconds);
-  if (sampling_ == SamplingMode::kReservoir) ReservoirAdd(stage, seconds);
   ++recorded_;
   const SpanRecord record{request_id, stage, t_enter, t_exit};
   if (ring_.size() < ring_capacity_) {
@@ -189,45 +168,16 @@ void StageProfiler::Record(Stage stage, std::uint64_t request_id,
 }
 #endif
 
-void StageProfiler::ReservoirAdd(Stage stage, double seconds) {
-  const auto index = static_cast<std::size_t>(stage);
-  std::vector<double>& reservoir = reservoirs_[index];
-  const std::uint64_t seen = ++reservoir_seen_[index];
-  if (reservoir.size() < reservoir_capacity_) {
-    reservoir.push_back(seconds);
-    return;
-  }
-  const std::uint64_t slot = reservoir_rng_.NextBounded(seen);
-  if (slot < reservoir_capacity_) reservoir[slot] = seconds;
-}
-
 void StageProfiler::Reset() {
   for (auto& histogram : histograms_) histogram.Reset();
   ring_.clear();
   ring_next_ = 0;
   recorded_ = 0;
-  for (auto& reservoir : reservoirs_) reservoir.clear();
-  reservoir_seen_.fill(0);
-  // Reseed so the post-reset sample depends only on post-reset spans —
-  // MergedProfiler rebuilds (Reset + Merge per site) on every access
-  // and must produce the same reservoir each time.
-  reservoir_rng_.Seed(kReservoirSeed);
 }
 
 void StageProfiler::Merge(const StageProfiler& other) {
   for (std::size_t i = 0; i < kStageCount; ++i) {
     histograms_[i].Merge(other.histograms_[i]);
-  }
-  // Fold the other profiler's retained samples through the same
-  // insertion path, in their retained order. When either side has
-  // overflowed its capacity this is an approximation of a uniform
-  // sample over the union (the retained points are each representative
-  // of many), but it is deterministic: merge order is fixed by the
-  // caller (site rank), never by worker scheduling.
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    for (const double seconds : other.reservoirs_[i]) {
-      ReservoirAdd(static_cast<Stage>(i), seconds);
-    }
   }
   recorded_ += other.recorded_;
 }
@@ -243,17 +193,6 @@ void StageProfiler::AbsorbRing(const StageProfiler& other) {
   }
 }
 
-namespace {
-// Nearest-rank quantile over a sorted sample.
-double SampleQuantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size());
-  auto index = static_cast<std::size_t>(std::ceil(rank));
-  index = std::clamp<std::size_t>(index, 1, sorted.size());
-  return sorted[index - 1];
-}
-}  // namespace
-
 StageSummary StageProfiler::Summary(Stage stage) const {
   const LatencyHistogram& histogram =
       histograms_[static_cast<std::size_t>(stage)];
@@ -264,23 +203,7 @@ StageSummary StageProfiler::Summary(Stage stage) const {
   summary.p95_s = histogram.Quantile(0.95);
   summary.p99_s = histogram.Quantile(0.99);
   summary.max_s = histogram.max();
-  // Reservoir mode: quantiles from the uniform sample's order
-  // statistics instead of histogram-bucket interpolation (count, mean,
-  // and max stay exact — the histogram counters see every span).
-  const std::vector<double>& reservoir =
-      reservoirs_[static_cast<std::size_t>(stage)];
-  if (sampling_ == SamplingMode::kReservoir && !reservoir.empty()) {
-    std::vector<double> sorted = reservoir;
-    std::sort(sorted.begin(), sorted.end());
-    summary.p50_s = SampleQuantile(sorted, 0.50);
-    summary.p95_s = SampleQuantile(sorted, 0.95);
-    summary.p99_s = SampleQuantile(sorted, 0.99);
-  }
   return summary;
-}
-
-const std::vector<double>& StageProfiler::Reservoir(Stage stage) const {
-  return reservoirs_[static_cast<std::size_t>(stage)];
 }
 
 const LatencyHistogram& StageProfiler::histogram(Stage stage) const {

@@ -24,9 +24,9 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/sim_time.hpp"
 
 namespace actyp::profile {
@@ -90,6 +90,13 @@ struct SpanRecord {
   Stage stage = Stage::kClientIssue;
   SimTime t_enter = 0;
   SimTime t_exit = 0;
+
+  // Total order (t_enter, t_exit, stage, request_id): time order within
+  // a trace, and how a TraceSink orders two cells that share a seed.
+  friend bool operator<(const SpanRecord& a, const SpanRecord& b) {
+    return std::tie(a.t_enter, a.t_exit, a.stage, a.request_id) <
+           std::tie(b.t_enter, b.t_exit, b.stage, b.request_id);
+  }
 };
 
 // Streaming latency histogram with geometric buckets: fixed memory,
@@ -141,26 +148,6 @@ class LatencyHistogram {
   double max_ = 0;
 };
 
-// How the profiler keeps raw span durations for quantile estimation.
-// kRing reports quantiles straight from the streaming histograms (the
-// default; the span ring is a recent-history debugging aid). kReservoir
-// additionally keeps an Algorithm-R uniform sample of durations per
-// stage and derives p50/p95/p99 from its order statistics — on
-// mega-scale runs where the ring holds only the most recent spans, the
-// reservoir stays representative of the whole measurement window.
-// Reservoir draws come from a private fixed-seed generator owned by
-// the profiler, never from simulation streams, so flipping the mode
-// cannot perturb a run.
-enum class SamplingMode : std::uint8_t {
-  kRing = 0,
-  kReservoir,
-};
-
-// Parses "ring" / "reservoir" (the --profile-sampling values).
-[[nodiscard]] std::optional<SamplingMode> SamplingModeFromName(
-    std::string_view name);
-[[nodiscard]] std::string_view SamplingModeName(SamplingMode mode);
-
 // Per-stage digest the reports consume.
 struct StageSummary {
   std::uint64_t count = 0;
@@ -176,9 +163,6 @@ class StageProfiler {
   struct Config {
     std::size_t ring_capacity = 4096;
     LatencyHistogram::Geometry geometry;
-    SamplingMode sampling = SamplingMode::kRing;
-    // Durations retained per stage in reservoir mode.
-    std::size_t reservoir_capacity = 1024;
   };
 
   StageProfiler();  // default config
@@ -214,10 +198,6 @@ class StageProfiler {
   [[nodiscard]] StageSummary Summary(Stage stage) const;
   [[nodiscard]] const LatencyHistogram& histogram(Stage stage) const;
 
-  [[nodiscard]] SamplingMode sampling() const { return sampling_; }
-  // The retained duration sample for `stage` (empty in ring mode).
-  [[nodiscard]] const std::vector<double>& Reservoir(Stage stage) const;
-
   // Spans recorded since the last Reset (including any the ring has
   // since overwritten).
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
@@ -226,22 +206,11 @@ class StageProfiler {
   [[nodiscard]] std::vector<SpanRecord> RingSnapshot() const;
 
  private:
-  // Algorithm R: keep the first `reservoir_capacity_` durations, then
-  // replace a uniformly-chosen slot with decreasing probability.
-  void ReservoirAdd(Stage stage, double seconds);
-
   std::size_t ring_capacity_;
   std::array<LatencyHistogram, kStageCount> histograms_;
   std::vector<SpanRecord> ring_;
   std::size_t ring_next_ = 0;
   std::uint64_t recorded_ = 0;
-  SamplingMode sampling_ = SamplingMode::kRing;
-  std::size_t reservoir_capacity_ = 1024;
-  std::array<std::vector<double>, kStageCount> reservoirs_;
-  std::array<std::uint64_t, kStageCount> reservoir_seen_{};
-  // Private fixed-seed stream: reservoir choices are a reporting
-  // concern, drawing from a sim stream would perturb replay.
-  Rng reservoir_rng_;
 };
 
 }  // namespace actyp::profile

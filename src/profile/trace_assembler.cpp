@@ -10,15 +10,6 @@
 namespace actyp::profile {
 namespace {
 
-// Total order on spans: time, then stage, then request — used both for
-// in-trace ordering and for the deterministic cross-cell tie-breaks.
-bool SpanEarlier(const SpanRecord& a, const SpanRecord& b) {
-  if (a.t_enter != b.t_enter) return a.t_enter < b.t_enter;
-  if (a.t_exit != b.t_exit) return a.t_exit < b.t_exit;
-  if (a.stage != b.stage) return a.stage < b.stage;
-  return a.request_id < b.request_id;
-}
-
 // Slowness rank: longer traces first, request id breaking ties.
 bool Slower(const RequestTrace& a, const RequestTrace& b) {
   const SimDuration da = a.end - a.start;
@@ -28,7 +19,7 @@ bool Slower(const RequestTrace& a, const RequestTrace& b) {
 }
 
 void FinishTrace(RequestTrace* trace) {
-  std::sort(trace->spans.begin(), trace->spans.end(), SpanEarlier);
+  std::sort(trace->spans.begin(), trace->spans.end());
   trace->start = trace->spans.front().t_enter;
   trace->end = trace->spans.front().t_exit;
   for (const SpanRecord& span : trace->spans) {
@@ -74,7 +65,7 @@ AssembledTraces TraceAssembler::Assemble(
       request_spans.push_back(span);
     }
   }
-  std::sort(out.background.begin(), out.background.end(), SpanEarlier);
+  std::sort(out.background.begin(), out.background.end());
 
   // Group on request_id by sorting, then close a trace at each id edge.
   std::sort(request_spans.begin(), request_spans.end(),
@@ -82,7 +73,7 @@ AssembledTraces TraceAssembler::Assemble(
               if (a.request_id != b.request_id) {
                 return a.request_id < b.request_id;
               }
-              return SpanEarlier(a, b);
+              return a < b;
             });
   for (const SpanRecord& span : request_spans) {
     if (out.requests.empty() ||
@@ -138,49 +129,6 @@ TailReport TraceAssembler::Tail(const std::vector<RequestTrace>& traces,
     }
   }
   return report;
-}
-
-// --- TraceSink -------------------------------------------------------------
-
-void TraceSink::Add(std::uint64_t seed, std::vector<SpanRecord> spans) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cells_.push_back(TraceCell{seed, std::move(spans)});
-}
-
-std::size_t TraceSink::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cells_.size();
-}
-
-std::vector<TraceCell> TraceSink::Take() {
-  std::vector<TraceCell> cells;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cells.swap(cells_);
-  }
-  // Cells arrive in ThreadPool completion order; re-impose a total
-  // order that only depends on cell content, so the trace file is
-  // byte-identical whatever --jobs was. Two cells identical under this
-  // comparator are interchangeable in the output.
-  std::sort(cells.begin(), cells.end(),
-            [](const TraceCell& a, const TraceCell& b) {
-              if (a.seed != b.seed) return a.seed < b.seed;
-              if (a.spans.size() != b.spans.size()) {
-                return a.spans.size() < b.spans.size();
-              }
-              for (std::size_t i = 0; i < a.spans.size(); ++i) {
-                const SpanRecord& sa = a.spans[i];
-                const SpanRecord& sb = b.spans[i];
-                if (sa.t_enter != sb.t_enter) return sa.t_enter < sb.t_enter;
-                if (sa.t_exit != sb.t_exit) return sa.t_exit < sb.t_exit;
-                if (sa.stage != sb.stage) return sa.stage < sb.stage;
-                if (sa.request_id != sb.request_id) {
-                  return sa.request_id < sb.request_id;
-                }
-              }
-              return false;
-            });
-  return cells;
 }
 
 // --- Chrome trace-event writer ---------------------------------------------
@@ -242,7 +190,7 @@ void WriteChromeTrace(const std::vector<TraceCell>& cells,
                   "cell " + std::to_string(ci) + " seed " +
                       std::to_string(cell.seed));
 
-    const AssembledTraces assembled = TraceAssembler::Assemble(cell.spans);
+    const AssembledTraces assembled = TraceAssembler::Assemble(cell.items);
     const std::vector<RequestTrace>& traces = assembled.requests;
     std::vector<std::size_t> rank(traces.size());
     std::iota(rank.begin(), rank.end(), 0);
@@ -319,7 +267,7 @@ void WriteChromeTrace(const std::vector<TraceCell>& cells,
                 if (a.request_id != b.request_id) {
                   return a.request_id < b.request_id;
                 }
-                return SpanEarlier(a, b);
+                return a < b;
               });
     for (const SpanRecord& span : background) {
       if (!lane_open || span.request_id != lane_id) {
@@ -383,7 +331,7 @@ std::vector<TraceCell> FilterTraceCells(std::vector<TraceCell> cells,
                                         const TraceFilter& filter) {
   if (!filter.active()) return cells;
   for (TraceCell& cell : cells) {
-    const AssembledTraces assembled = TraceAssembler::Assemble(cell.spans);
+    const AssembledTraces assembled = TraceAssembler::Assemble(cell.items);
     std::vector<SpanRecord> kept;
     for (const RequestTrace& trace : assembled.requests) {
       if (filter.request_id && trace.request_id != *filter.request_id) {
@@ -406,7 +354,7 @@ std::vector<TraceCell> FilterTraceCells(std::vector<TraceCell> cells,
         if (span.stage == *filter.stage) kept.push_back(span);
       }
     }
-    cell.spans = std::move(kept);
+    cell.items = std::move(kept);
   }
   return cells;
 }

@@ -27,12 +27,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/seed_sink.hpp"
 #include "common/status.hpp"
 #include "profile/stage_profiler.hpp"
 
@@ -91,29 +91,11 @@ class TraceAssembler {
       const std::vector<RequestTrace>& traces, double slow_fraction = 0.05);
 };
 
-// One sweep cell's span capture, keyed by the cell's seed.
-struct TraceCell {
-  std::uint64_t seed = 0;
-  std::vector<SpanRecord> spans;
-};
-
-// Collects per-cell span snapshots from sweep cells that may run on
-// ThreadPool workers in any order, and returns them deterministically:
-// Take() sorts by (seed, span content), so two cells that happen to
-// share a seed still order the same way every run.
-class TraceSink {
- public:
-  void Add(std::uint64_t seed, std::vector<SpanRecord> spans);
-
-  [[nodiscard]] std::size_t size() const;
-
-  // Drains the sink in deterministic order.
-  [[nodiscard]] std::vector<TraceCell> Take();
-
- private:
-  mutable std::mutex mu_;
-  std::vector<TraceCell> cells_;
-};
+// One sweep cell's span capture, keyed by the cell's seed, and the
+// sink that collects them from sweep cells running on ThreadPool
+// workers (see common/seed_sink.hpp for the drain order).
+using TraceCell = SeedCell<SpanRecord>;
+using TraceSink = SeedSink<SpanRecord>;
 
 // --trace-filter: restricts which request traces --trace-out keeps.
 // Every set criterion must hold: an exact request id, a stage the
@@ -129,6 +111,7 @@ struct TraceFilter {
     return request_id.has_value() || stage.has_value() ||
            min_duration_s > 0;
   }
+  bool operator==(const TraceFilter&) const = default;
 
   // Parses a comma-separated spec of "request=<id>", "stage=<name>"
   // (snake_case StageName), and "min-dur=<seconds>" terms, any subset.

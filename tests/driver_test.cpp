@@ -1,15 +1,26 @@
-// Smoke tests for the unified scenario driver substrate: every paper
-// figure and ablation must be registered by name, runs must honor the
-// driver overrides, and the JSON report emission must be parseable.
+// Tests for the unified scenario driver: every paper figure and
+// ablation must be registered by name, runs must honor the driver
+// overrides, the JSON report emission must be parseable, and actyp_sim's
+// option table must read every flag and config key through one
+// validated path.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "actyp/scenario_registry.hpp"
+#include "chaos/chaos_plan.hpp"
+#include "chaos/trial.hpp"
+#include "chaos/workload_regime.hpp"
+#include "common/config.hpp"
+#include "sim_options.hpp"
 
 namespace actyp {
 namespace {
@@ -397,6 +408,215 @@ TEST(ReportEmitters, TableContainsTitleHeadersAndNote) {
   EXPECT_NE(table.find("clients"), std::string::npos);
   EXPECT_NE(table.find("mean_s"), std::string::npos);
   EXPECT_NE(table.find("shape check: synthetic"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// actyp_sim's option table: flags and config keys share one parser.
+// ---------------------------------------------------------------------
+
+using driver::ApplySimConfig;
+using driver::ParseSimArgs;
+using driver::SimArgs;
+
+Status ParseKeys(const std::string& text, SimArgs* args) {
+  const auto config = Config::Parse(text);
+  if (!config.ok()) return config.status();
+  return ApplySimConfig(*config, "test.conf", args);
+}
+
+TEST(SimOptions, NonFiniteNumbersAreRejected) {
+  for (const std::vector<std::string>& argv :
+       {std::vector<std::string>{"--loss", "nan"},
+        std::vector<std::string>{"--time-scale", "inf"},
+        std::vector<std::string>{"--time-scale", "1e999"},
+        std::vector<std::string>{"--churn-rate", "-inf"}}) {
+    SimArgs args;
+    const Status status = ParseSimArgs(argv, &args);
+    EXPECT_FALSE(status.ok()) << argv[0] << " " << argv[1];
+    EXPECT_EQ(cli::ExitCode(status), 2) << argv[0];
+  }
+  SimArgs args;
+  const Status status = ParseKeys("loss = nan\n", &args);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(cli::ExitCode(status), 2);
+  EXPECT_EQ(status.message(),
+            "invalid value 'nan' for loss: must be a non-negative number, "
+            "at most 1");
+}
+
+TEST(SimOptions, DurationsMustFitSimDuration) {
+  SimArgs args;
+  EXPECT_TRUE(ParseSimArgs({"--quiesce", "9e12"}, &args).ok());
+  const Status status = ParseSimArgs({"--quiesce", "1e13"}, &args);
+  EXPECT_EQ(cli::ExitCode(status), 2);
+  EXPECT_NE(status.message().find("at most 9.2e+12"), std::string::npos)
+      << status.message();
+}
+
+TEST(SimOptions, UnknownKeysAndSectionsAreRejected) {
+  SimArgs args;
+  Status status = ParseKeys("scenario = fig6_pool_size\nmachnes = 200\n",
+                            &args);
+  EXPECT_EQ(cli::ExitCode(status), 2);
+  EXPECT_NE(status.message().find("unknown key 'machnes'"),
+            std::string::npos)
+      << status.message();
+
+  status = ParseKeys("[faults]\n1 = loss start=2 end=4 p=0.1\n", &args);
+  EXPECT_EQ(cli::ExitCode(status), 2);
+  EXPECT_NE(status.message().find("unknown section [faults]"),
+            std::string::npos)
+      << status.message();
+
+  // Flag-only options are not keys, and key-only options are not flags.
+  EXPECT_EQ(cli::ExitCode(ParseKeys("no-profile = true\n", &args)), 2);
+  EXPECT_EQ(cli::ExitCode(ParseSimArgs({"--profile"}, &args)), 2);
+}
+
+TEST(SimOptions, BoolKeysAreStrict) {
+  SimArgs args;
+  const Status status = ParseKeys("stable = yess\n", &args);
+  EXPECT_EQ(cli::ExitCode(status), 2);
+  EXPECT_EQ(status.message(),
+            "invalid value 'yess' for stable: must be true or false");
+  EXPECT_FALSE(args.run.stable);
+  ASSERT_TRUE(ParseKeys("stable = yes\njson = TRUE\n", &args).ok());
+  EXPECT_TRUE(args.run.stable);
+  EXPECT_TRUE(args.json);
+}
+
+TEST(SimOptions, BadValueReadsTheSameAsFlagOrKey) {
+  SimArgs by_flag;
+  SimArgs by_key;
+  const Status flag = ParseSimArgs({"--metrics-interval", "-2"}, &by_flag);
+  const Status key = ParseKeys("metrics-interval = -2\n", &by_key);
+  EXPECT_EQ(cli::ExitCode(flag), 2);
+  EXPECT_EQ(cli::ExitCode(key), 2);
+  EXPECT_EQ(flag.message(), key.message());
+  EXPECT_NE(flag.message().find("must be a positive"), std::string::npos)
+      << flag.message();
+}
+
+// The differential oracle: every option with both forms, given one value
+// as a flag and as a key, must parse to identical options — and the
+// value must have changed something.
+TEST(SimOptions, FlagAndKeyFormsParseIdentically) {
+  const std::map<std::string, std::string> samples = {
+      {"scenario", "fig6_pool_size"},
+      {"json", "true"},
+      {"seed", "7"},
+      {"machines", "200"},
+      {"clients", "4"},
+      {"time-scale", "0.25"},
+      {"loss", "0.05"},
+      {"churn-rate", "2"},
+      {"replicas", "2"},
+      {"sync-period", "0.35"},
+      {"retry-max", "2"},
+      {"retry-backoff", "0.5"},
+      {"quiesce", "1.5"},
+      {"regime", chaos::WorkloadRegime{}.Serialize()},
+      {"jobs", "3"},
+      {"cell-jobs", "2"},
+      {"stable", "true"},
+      {"profile-ring-capacity", "512"},
+      {"metrics-out", "metrics.jsonl"},
+      {"metrics-format", "prom"},
+      {"metrics-interval", "0.5"},
+      {"telemetry-out", "telemetry.jsonl"},
+      {"telemetry-interval", "0.5"},
+      {"flight-out", "flight.jsonl"},
+      {"trace-out", "trace.json"},
+      {"trace-top", "3"},
+      {"trace-filter", "stage=pool_select,min-dur=0.01"},
+  };
+  SimArgs table_args;
+  std::size_t checked = 0;
+  for (const cli::Option& option : driver::SimOptions(&table_args)) {
+    if (option.forms != cli::Forms::kBoth) continue;
+    const auto sample = samples.find(option.name);
+    ASSERT_NE(sample, samples.end()) << "no sample for " << option.name;
+    std::vector<std::string> argv = {"--" + option.name};
+    if (!option.metavar.empty()) argv.push_back(sample->second);
+    SimArgs by_flag;
+    SimArgs by_key;
+    ASSERT_TRUE(ParseSimArgs(argv, &by_flag).ok()) << option.name;
+    ASSERT_TRUE(
+        ParseKeys(option.name + " = " + sample->second + "\n", &by_key).ok())
+        << option.name;
+    EXPECT_TRUE(by_flag == by_key) << option.name;
+    EXPECT_FALSE(by_flag == SimArgs{}) << option.name << " changed nothing";
+    ++checked;
+  }
+  EXPECT_EQ(checked, samples.size());
+
+  // The one pair spelled differently in the two forms.
+  SimArgs no_profile;
+  SimArgs profile_false;
+  ASSERT_TRUE(ParseSimArgs({"--no-profile"}, &no_profile).ok());
+  ASSERT_TRUE(ParseKeys("profile = false\n", &profile_false).ok());
+  EXPECT_TRUE(no_profile == profile_false);
+  EXPECT_FALSE(no_profile.run.profile);
+}
+
+TEST(SimOptions, FlagsAfterConfigOverrideTheFile) {
+  const std::string path = ::testing::TempDir() + "driver_test_seed.conf";
+  std::ofstream(path) << "scenario = fig6_pool_size, all\nseed = 7\n";
+  SimArgs before;
+  ASSERT_TRUE(ParseSimArgs({"--seed", "9", "--config", path}, &before).ok());
+  EXPECT_EQ(before.run.seed, 7u);
+  SimArgs after;
+  ASSERT_TRUE(ParseSimArgs({"--config", path, "--seed", "9"}, &after).ok());
+  EXPECT_EQ(after.run.seed, 9u);
+  EXPECT_EQ(after.scenarios, std::vector<std::string>{"fig6_pool_size"});
+  EXPECT_TRUE(after.all);
+
+  SimArgs missing;
+  EXPECT_EQ(cli::ExitCode(ParseSimArgs({"--config", path + ".missing"},
+                                     &missing)),
+            1);
+  std::remove(path.c_str());
+}
+
+TEST(SimOptions, InRepoConfigsAreAccepted) {
+  // examples/experiment.conf, fault plan included.
+  std::ifstream file(std::string(ACTYP_SOURCE_DIR) +
+                     "/examples/experiment.conf");
+  std::ostringstream text;
+  text << file.rdbuf();
+  SimArgs example;
+  ASSERT_TRUE(ParseKeys(text.str(), &example).ok());
+  EXPECT_EQ(example.scenarios, std::vector<std::string>{"fig4_pools_lan"});
+  EXPECT_EQ(example.run.time_scale, 0.25);
+  EXPECT_NE(example.run.fault_plan_text.find("crash"), std::string::npos);
+
+  // A chaos repro bundle replays its trial.
+  chaos::TrialParams params;
+  params.time_scale = 0.2;
+  const chaos::ChaosTrial trial =
+      chaos::ChaosPlanGenerator(chaos::ChaosRanges{},
+                                chaos::ActiveWindowSeconds(params))
+          .Generate(11);
+  SimArgs bundle;
+  ASSERT_TRUE(ParseKeys(chaos::ReproBundleText(trial, params), &bundle).ok());
+  EXPECT_EQ(bundle.scenarios, std::vector<std::string>{"chaos_cell"});
+  EXPECT_EQ(bundle.run.seed, trial.seed);
+  EXPECT_EQ(bundle.run.regime_text, trial.regime.Serialize());
+  EXPECT_EQ(bundle.run.fault_plan_text, trial.plan.Serialize());
+  EXPECT_TRUE(bundle.run.stable);
+  EXPECT_TRUE(bundle.json);
+}
+
+TEST(SimOptions, HelpListsEveryOption) {
+  const std::string help = driver::SimHelp();
+  SimArgs args;
+  for (const cli::Option& option : driver::SimOptions(&args)) {
+    const std::string lead = option.forms == cli::Forms::kKeyOnly
+                                 ? "  " + option.name + " = "
+                                 : "  --" + option.name;
+    EXPECT_NE(help.find(lead), std::string::npos) << option.name;
+  }
+  EXPECT_EQ(help.find("profile-sampling"), std::string::npos);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 // Observability tests: flight-recorder ring semantics, determinism of
 // the merged flight stream across repeat runs and LP worker counts,
-// byte-identity of the simulation with the recorder on vs off,
-// reservoir-vs-ring quantile agreement, and telemetry sample-stream
-// determinism (including the sampled Measure overload leaving the run
-// byte-identical to the unsampled one).
+// byte-identity of the simulation with the recorder on vs off, the
+// histogram percentiles against exact quantiles, and telemetry
+// sample-stream determinism (including the sampled Measure overload
+// leaving the run byte-identical to the unsampled one).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "actyp/scenario.hpp"
+#include "common/rng.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "profile/metrics_exporter.hpp"
@@ -172,68 +177,41 @@ TEST(Flight, MergedStreamIdenticalAcrossCellJobs) {
   EXPECT_EQ(lines, Jsonl(two.FlightSnapshot()));
 }
 
-TEST(Sampling, ReservoirQuantilesAgreeWithRing) {
-  // Under capacity the reservoir holds every duration, so its order
-  // statistics are exact; the histogram interpolates within ~15%-wide
-  // geometric buckets. The two must agree to bucket resolution.
-  profile::StageProfiler::Config ring_config;
-  profile::StageProfiler::Config reservoir_config;
-  reservoir_config.sampling = profile::SamplingMode::kReservoir;
-  reservoir_config.reservoir_capacity = 4096;
-  profile::StageProfiler ring(ring_config);
-  profile::StageProfiler reservoir(reservoir_config);
-  for (int i = 1; i <= 1000; ++i) {
-    const SimTime exit = Millis(i);
-    ring.Record(profile::Stage::kPoolSelect, i, 0, exit);
-    reservoir.Record(profile::Stage::kPoolSelect, i, 0, exit);
-  }
+// Record() compiles away under ACTYP_PROFILE_OFF, leaving nothing to check.
 #if !defined(ACTYP_PROFILE_OFF)
-  const auto from_ring = ring.Summary(profile::Stage::kPoolSelect);
-  const auto from_res = reservoir.Summary(profile::Stage::kPoolSelect);
-  EXPECT_EQ(from_ring.count, from_res.count);
-  EXPECT_DOUBLE_EQ(from_ring.mean_s, from_res.mean_s);
-  EXPECT_NEAR(from_res.p50_s, from_ring.p50_s, 0.16 * from_ring.p50_s);
-  EXPECT_NEAR(from_res.p95_s, from_ring.p95_s, 0.16 * from_ring.p95_s);
-  EXPECT_NEAR(from_res.p99_s, from_ring.p99_s, 0.16 * from_ring.p99_s);
-  // Exact order statistics from the full sample.
-  EXPECT_DOUBLE_EQ(from_res.p50_s, 0.5);
-  ASSERT_EQ(
-      reservoir.Reservoir(profile::Stage::kPoolSelect).size(), 1000u);
-#endif
-}
-
-TEST(Sampling, ReservoirIsDeterministic) {
-  profile::StageProfiler::Config config;
-  config.sampling = profile::SamplingMode::kReservoir;
-  config.reservoir_capacity = 64;
-  profile::StageProfiler first(config);
-  profile::StageProfiler second(config);
-  for (int i = 1; i <= 5000; ++i) {
-    first.Record(profile::Stage::kQmAdmit, i, 0, Millis(i));
-    second.Record(profile::Stage::kQmAdmit, i, 0, Millis(i));
+TEST(Quantiles, HistogramIsWithinOneBucketOfExactNearestRank) {
+  // The oracle for the per-stage percentiles: the histogram sees every
+  // span, and its interpolated p50/p95/p99 must land within one
+  // geometric bucket (16 per decade, about 15.5% wide) of the exact
+  // nearest-rank quantiles of the recorded durations.
+  profile::StageProfiler profiler;
+  Rng rng(7);
+  std::vector<double> durations;
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    // Log-uniform from 100 us to 10 s, so the three quantiles fall in
+    // different decades.
+    const auto exit =
+        static_cast<SimTime>(std::pow(10.0, 2.0 + 5.0 * rng.NextDouble()));
+    profiler.Record(profile::Stage::kPoolSelect, i, 0, exit);
+    durations.push_back(ToSeconds(exit));
   }
-  EXPECT_EQ(first.Reservoir(profile::Stage::kQmAdmit),
-            second.Reservoir(profile::Stage::kQmAdmit));
-#if !defined(ACTYP_PROFILE_OFF)
-  EXPECT_EQ(first.Reservoir(profile::Stage::kQmAdmit).size(), 64u);
-  // Reset rebuilds an identical reservoir from an identical replay:
-  // the private RNG reseeds, so merged-view rebuilds are idempotent.
-  first.Reset();
-  for (int i = 1; i <= 5000; ++i) {
-    first.Record(profile::Stage::kQmAdmit, i, 0, Millis(i));
+  std::sort(durations.begin(), durations.end());
+  const auto nearest_rank = [&durations](double q) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(durations.size())));
+    return durations[std::clamp<std::size_t>(rank, 1, durations.size()) - 1];
+  };
+  const double bucket = std::pow(10.0, 1.0 / 16) - 1;
+  const auto summary = profiler.Summary(profile::Stage::kPoolSelect);
+  EXPECT_EQ(summary.count, durations.size());
+  for (const auto& [q, estimate] :
+       {std::pair{0.50, summary.p50_s}, std::pair{0.95, summary.p95_s},
+        std::pair{0.99, summary.p99_s}}) {
+    const double exact = nearest_rank(q);
+    EXPECT_NEAR(estimate, exact, bucket * exact) << "q=" << q;
   }
-  EXPECT_EQ(first.Reservoir(profile::Stage::kQmAdmit),
-            second.Reservoir(profile::Stage::kQmAdmit));
+}
 #endif
-}
-
-TEST(Sampling, ModeNamesRoundTrip) {
-  EXPECT_EQ(profile::SamplingModeFromName("ring"),
-            profile::SamplingMode::kRing);
-  EXPECT_EQ(profile::SamplingModeFromName("reservoir"),
-            profile::SamplingMode::kReservoir);
-  EXPECT_FALSE(profile::SamplingModeFromName("histogram").has_value());
-}
 
 TEST(Telemetry, SampledMeasureDoesNotPerturbTheRun) {
   ScenarioConfig config = SmallConfig();

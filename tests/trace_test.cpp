@@ -7,12 +7,15 @@
 // monitor_sweep stages through a replicated scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "actyp/scenario.hpp"
+#include "common/seed_sink.hpp"
+#include "obs/flight_recorder.hpp"
 #include "profile/metrics_exporter.hpp"
 #include "profile/stage_profiler.hpp"
 #include "profile/trace_assembler.hpp"
@@ -212,8 +215,8 @@ TEST(TraceSinkTest, TakeOrdersCellsIndependentlyOfAddOrder) {
   ASSERT_EQ(rhs.size(), 3u);
   for (std::size_t i = 0; i < lhs.size(); ++i) {
     EXPECT_EQ(lhs[i].seed, rhs[i].seed) << "cell " << i;
-    ASSERT_EQ(lhs[i].spans.size(), rhs[i].spans.size());
-    EXPECT_EQ(lhs[i].spans[0].request_id, rhs[i].spans[0].request_id);
+    ASSERT_EQ(lhs[i].items.size(), rhs[i].items.size());
+    EXPECT_EQ(lhs[i].items[0].request_id, rhs[i].items[0].request_id);
   }
   EXPECT_EQ(lhs[0].seed, 100u);
   EXPECT_EQ(lhs[2].seed, 300u);
@@ -221,23 +224,66 @@ TEST(TraceSinkTest, TakeOrdersCellsIndependentlyOfAddOrder) {
   EXPECT_EQ(forward.size(), 0u);
 }
 
+// Item-wise equality through operator<, the only order the sinks use.
+template <typename T>
+bool SameItems(const std::vector<T>& a, const std::vector<T>& b) {
+  return !std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                       b.end()) &&
+         !std::lexicographical_compare(b.begin(), b.end(), a.begin(),
+                                       a.end());
+}
+
+// Three cells sharing a seed (a sweep can reuse seeds across scenarios)
+// must drain in (size, content) order whatever order they were added
+// in. `early` and `late` have equal sizes and early < late.
+template <typename T>
+void ExpectEqualSeedsDrainByContent(const std::vector<T>& small,
+                                    const std::vector<T>& early,
+                                    const std::vector<T>& late) {
+  ASSERT_LT(small.size(), early.size());
+  ASSERT_EQ(early.size(), late.size());
+  SeedSink<T> forward;
+  SeedSink<T> reverse;
+  for (const auto* cell : {&small, &early, &late}) forward.Add(42, *cell);
+  for (const auto* cell : {&late, &early, &small}) reverse.Add(42, *cell);
+  for (const auto& cells : {forward.Take(), reverse.Take()}) {
+    ASSERT_EQ(cells.size(), 3u);
+    EXPECT_TRUE(SameItems(cells[0].items, small));
+    EXPECT_TRUE(SameItems(cells[1].items, early));
+    EXPECT_TRUE(SameItems(cells[2].items, late));
+  }
+}
+
 TEST(TraceSinkTest, EqualSeedsOrderByContent) {
-  // Two cells sharing a seed (a sweep can reuse seeds across regimes)
-  // must still drain the same way regardless of completion order.
-  std::vector<SpanRecord> small = {Span(1, Stage::kReply, 0, 5)};
-  std::vector<SpanRecord> large = {Span(1, Stage::kReply, 0, 5),
-                                   Span(2, Stage::kReply, 6, 9)};
-  TraceSink forward, reverse;
-  forward.Add(42, small);
-  forward.Add(42, large);
-  reverse.Add(42, large);
-  reverse.Add(42, small);
-  const std::vector<TraceCell> lhs = forward.Take();
-  const std::vector<TraceCell> rhs = reverse.Take();
-  ASSERT_EQ(lhs.size(), 2u);
-  EXPECT_EQ(lhs[0].spans.size(), rhs[0].spans.size());
-  EXPECT_EQ(lhs[1].spans.size(), rhs[1].spans.size());
-  EXPECT_EQ(lhs[0].spans.size(), 1u);  // smaller cell first
+  // Span rings (TraceSink).
+  ExpectEqualSeedsDrainByContent<SpanRecord>(
+      {Span(1, Stage::kReply, 0, 5)},
+      {Span(1, Stage::kReply, 0, 5), Span(2, Stage::kReply, 6, 9)},
+      {Span(1, Stage::kReply, 0, 5), Span(3, Stage::kReply, 6, 9)});
+
+  // Flight-event streams (FlightSink).
+  const obs::FlightEvent send{10, obs::FlightKind::kMsgSend, 0, 1, 7, "qm0",
+                              "query"};
+  obs::FlightEvent recv = send;
+  recv.kind = obs::FlightKind::kMsgRecv;
+  obs::FlightEvent drop = send;
+  drop.kind = obs::FlightKind::kMsgDropLoss;
+  ExpectEqualSeedsDrainByContent<obs::FlightEvent>({send}, {send, recv},
+                                                   {send, drop});
+
+  // Telemetry series (TelemetrySink): same seed label and gauge names,
+  // different readings.
+  const auto sample = [](double t, double completed) {
+    MetricCell cell;
+    cell.scenario = "telemetry";
+    cell.labels.emplace_back("seed", "42");
+    cell.values.emplace_back("t_s", t);
+    cell.values.emplace_back("completed", completed);
+    return cell;
+  };
+  ExpectEqualSeedsDrainByContent<MetricCell>(
+      {sample(1, 3)}, {sample(1, 3), sample(2, 5)},
+      {sample(1, 3), sample(2, 8)});
 }
 
 // ---------------------------------------------------------------------
@@ -499,7 +545,7 @@ TEST(TraceFilterTest, FiltersCellsByAllSetCriteria) {
   cell.seed = 9;
   // Request 1: 500 us with a pool_select hop. Request 2: 80 us, no
   // pool_select. One background monitor sweep.
-  cell.spans = {
+  cell.items = {
       Span(1, Stage::kClientIssue, 0, 500),
       Span(1, Stage::kPoolSelect, 50, 200),
       Span(2, Stage::kClientIssue, 0, 80),
@@ -514,8 +560,8 @@ TEST(TraceFilterTest, FiltersCellsByAllSetCriteria) {
   ASSERT_EQ(kept.size(), 1u);
   // Request 2 (no pool_select) and the non-matching background span
   // are dropped; request 1 keeps all of its spans.
-  EXPECT_EQ(kept[0].spans.size(), 2u);
-  for (const SpanRecord& span : kept[0].spans) {
+  EXPECT_EQ(kept[0].items.size(), 2u);
+  for (const SpanRecord& span : kept[0].items) {
     EXPECT_EQ(span.request_id, 1u);
   }
 
@@ -523,14 +569,14 @@ TEST(TraceFilterTest, FiltersCellsByAllSetCriteria) {
   by_duration.min_duration_s = 100e-6;
   kept = FilterTraceCells({cell}, by_duration);
   ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].spans.size(), 2u);  // only request 1 is slow enough
+  EXPECT_EQ(kept[0].items.size(), 2u);  // only request 1 is slow enough
 
   TraceFilter by_id;
   by_id.request_id = 2;
   kept = FilterTraceCells({cell}, by_id);
   ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].spans.size(), 2u);
-  for (const SpanRecord& span : kept[0].spans) {
+  EXPECT_EQ(kept[0].items.size(), 2u);
+  for (const SpanRecord& span : kept[0].items) {
     EXPECT_EQ(span.request_id, 2u);
   }
 
@@ -539,13 +585,13 @@ TEST(TraceFilterTest, FiltersCellsByAllSetCriteria) {
   by_background.stage = Stage::kMonitorSweep;
   kept = FilterTraceCells({cell}, by_background);
   ASSERT_EQ(kept.size(), 1u);
-  ASSERT_EQ(kept[0].spans.size(), 1u);
-  EXPECT_EQ(kept[0].spans[0].stage, Stage::kMonitorSweep);
+  ASSERT_EQ(kept[0].items.size(), 1u);
+  EXPECT_EQ(kept[0].items[0].stage, Stage::kMonitorSweep);
 
   // An inactive filter passes everything through untouched.
   kept = FilterTraceCells({cell}, TraceFilter{});
   ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].spans.size(), cell.spans.size());
+  EXPECT_EQ(kept[0].items.size(), cell.items.size());
 }
 
 }  // namespace

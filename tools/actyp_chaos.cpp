@@ -13,7 +13,6 @@
 // still-failing plan, writes an `actyp_sim --config` repro bundle, and
 // exits 1. Output is byte-identical for any --jobs value.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -22,10 +21,10 @@
 
 #include "bench_common.hpp"
 #include "chaos/chaos_plan.hpp"
-#include "common/strings.hpp"
 #include "chaos/shrinker.hpp"
 #include "chaos/trial.hpp"
 #include "obs/postmortem.hpp"
+#include "option_table.hpp"
 
 namespace {
 
@@ -33,61 +32,8 @@ using actyp::ScenarioCell;
 using actyp::ScenarioReport;
 using actyp::ScenarioRunOptions;
 
-int Usage(int code) {
-  std::fprintf(
-      code == 0 ? stdout : stderr,
-      "usage: actyp_chaos [--budget N] [--seed S] [--jobs M]\n"
-      "                   [--time-scale X] [--quiesce S] [--hostile]\n"
-      "                   [--out DIR] [--shrink-runs N] [--json]\n"
-      "\n"
-      "  --budget N      independently-seeded trials to run (default 16)\n"
-      "  --seed S        base seed; trial i uses seed S+i (default "
-      "20010611)\n"
-      "  --jobs M        run trials on M worker threads; output is\n"
-      "                  byte-identical for any M\n"
-      "  --time-scale X  scale simulated durations (default 1)\n"
-      "  --quiesce S     extra drain floor in simulated seconds before\n"
-      "                  invariants are judged (scaled by --time-scale)\n"
-      "  --hostile       widen the generator into regimes expected to\n"
-      "                  wedge (zero request timeout under loss) — the\n"
-      "                  seeded known-violation space\n"
-      "  --out DIR       write repro bundles here (default .)\n"
-      "  --shrink-runs N re-execution budget per shrink (default 48)\n"
-      "  --json          emit the sweep report as JSON\n"
-      "\n"
-      "exit status: 0 clean, 1 invariant violations found, 2 usage\n");
-  return code;
-}
-
-int MissingValue(const char* flag) {
-  std::fprintf(stderr, "actyp_chaos: %s requires a value\n", flag);
-  return Usage(2);
-}
-
-int BadValue(const char* flag, const char* text) {
-  std::fprintf(stderr, "actyp_chaos: invalid value '%s' for %s\n", text,
-               flag);
-  return Usage(2);
-}
-
-bool ParseLong(const char* text, long min_value, long* out) {
-  const auto value = actyp::ParseInt(text);
-  if (!value || *value < min_value) return false;
-  *out = *value;
-  return true;
-}
-
-bool ParseDouble(const char* text, double* out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+struct ChaosArgs {
+  bool help = false;
   std::size_t budget = 16;
   std::uint64_t seed = 20010611;
   std::size_t jobs = 1;
@@ -97,70 +43,81 @@ int main(int argc, char** argv) {
   std::string out_dir = ".";
   std::size_t shrink_runs = 48;
   bool json = false;
+};
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      return Usage(0);
-    } else if (std::strcmp(arg, "--budget") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      budget = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 0, &value)) return BadValue(arg, argv[i]);
-      seed = static_cast<std::uint64_t>(value);
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      jobs = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--time-scale") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || !(value > 0)) {
-        return BadValue(arg, argv[i]);
-      }
-      time_scale = value;
-    } else if (std::strcmp(arg, "--quiesce") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || !(value >= 0)) {
-        return BadValue(arg, argv[i]);
-      }
-      quiesce_s = value;
-    } else if (std::strcmp(arg, "--hostile") == 0) {
-      hostile = true;
-    } else if (std::strcmp(arg, "--out") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      out_dir = argv[++i];
-    } else if (std::strcmp(arg, "--shrink-runs") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      shrink_runs = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      json = true;
-    } else {
-      std::fprintf(stderr, "actyp_chaos: unknown argument '%s'\n", arg);
-      return Usage(2);
-    }
+std::vector<actyp::cli::Option> ChaosOptions(ChaosArgs* args) {
+  using actyp::cli::Bool;
+  using actyp::cli::Forms;
+  using actyp::cli::Number;
+  constexpr Forms kFlag = Forms::kFlagOnly;
+  return {
+      {"help", "", "print this help and exit", Bool(&args->help), kFlag},
+      {"budget", "N", "independently-seeded trials to run (default 16)",
+       Number(&args->budget, actyp::cli::kAtLeastOne), kFlag},
+      {"seed", "S", "base seed; trial i uses seed S+i (default 20010611)",
+       Number(&args->seed, actyp::cli::kNonNegative), kFlag},
+      {"jobs", "M",
+       "run trials on M worker threads; output is byte-identical for any M",
+       Number(&args->jobs, actyp::cli::kAtLeastOne), kFlag},
+      {"time-scale", "X", "scale simulated durations (default 1)",
+       Number(&args->time_scale, actyp::cli::kPositive), kFlag},
+      {"quiesce", "S",
+       "extra drain floor in simulated seconds before invariants are "
+       "judged (scaled by --time-scale)",
+       Number(&args->quiesce_s, actyp::cli::kNonNegative,
+              actyp::cli::Unit::kSeconds),
+       kFlag},
+      {"hostile", "",
+       "widen the generator into regimes expected to wedge (zero request "
+       "timeout under loss) — the seeded known-violation space",
+       Bool(&args->hostile), kFlag},
+      {"out", "DIR", "write repro bundles here (default .)",
+       actyp::cli::Text(&args->out_dir), kFlag},
+      {"shrink-runs", "N", "re-execution budget per shrink (default 48)",
+       Number(&args->shrink_runs, actyp::cli::kAtLeastOne), kFlag},
+      {"json", "", "emit the sweep report as JSON", Bool(&args->json),
+       kFlag},
+  };
+}
+
+std::string ChaosHelp() {
+  ChaosArgs unused;
+  return actyp::cli::Help(
+      ChaosOptions(&unused),
+      "usage: actyp_chaos [options]\n\n",
+      "\nexit status: 0 clean, 1 invariant violations found, 2 usage\n");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  ChaosArgs args;
+  if (const auto status = actyp::cli::ApplyFlags(
+          ChaosOptions(&args), std::vector<std::string>(argv + 1, argv + argc));
+      !status.ok()) {
+    std::fprintf(stderr,
+                 "actyp_chaos: %s\nrun 'actyp_chaos --help' for usage\n",
+                 status.message().c_str());
+    return actyp::cli::ExitCode(status);
   }
+  if (args.help) {
+    std::fputs(ChaosHelp().c_str(), stdout);
+    return 0;
+  }
+  const std::size_t budget = args.budget;
 
   actyp::chaos::TrialParams params;
-  params.time_scale = time_scale;
-  params.quiesce_floor_s = quiesce_s;
+  params.time_scale = args.time_scale;
+  params.quiesce_floor_s = args.quiesce_s;
 
   actyp::chaos::ChaosRanges ranges;
-  ranges.hostile = hostile;
+  ranges.hostile = args.hostile;
   const actyp::chaos::ChaosPlanGenerator generator(
       ranges, actyp::chaos::ActiveWindowSeconds(params));
 
   std::vector<actyp::chaos::ChaosTrial> trials(budget);
   for (std::size_t i = 0; i < budget; ++i) {
-    trials[i] = generator.Generate(seed + i);
+    trials[i] = generator.Generate(args.seed + i);
   }
 
   // Run the budget in parallel; every trial owns its simulation, and
@@ -200,7 +157,7 @@ int main(int argc, char** argv) {
   report.title = "Chaos sweep — " + std::to_string(budget) +
                  " seeded fault x workload trials";
   ScenarioRunOptions options;
-  options.jobs = jobs;
+  options.jobs = args.jobs;
   options.stable = true;
   actyp::bench::RunCellTasks(options, std::move(tasks), &report);
 
@@ -212,7 +169,7 @@ int main(int argc, char** argv) {
       violating == 0
           ? "all invariants held across the budget"
           : std::to_string(violating) + " trial(s) violated invariants";
-  if (json) {
+  if (args.json) {
     actyp::WriteReportJson(report, std::cout);
   } else {
     actyp::WriteReportTable(report, std::cout);
@@ -223,17 +180,17 @@ int main(int argc, char** argv) {
   // Findings: shrink serially in trial order (deterministic output),
   // then dump one repro bundle per violating trial.
   std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);
+  std::filesystem::create_directories(args.out_dir, ec);
   if (ec) {
     std::fprintf(stderr, "actyp_chaos: cannot create '%s': %s\n",
-                 out_dir.c_str(), ec.message().c_str());
+                 args.out_dir.c_str(), ec.message().c_str());
     return 1;
   }
   const actyp::chaos::Shrinker shrinker(
       [&params](const actyp::chaos::ChaosTrial& trial) {
         return actyp::chaos::RunTrial(trial, params).violations;
       },
-      shrink_runs);
+      args.shrink_runs);
   for (std::size_t i = 0; i < budget; ++i) {
     if (outcomes[i].violations.empty()) continue;
     std::printf("trial %zu seed=%s: %s\n", i,
@@ -252,7 +209,7 @@ int main(int argc, char** argv) {
       std::printf("  violation did not reproduce on re-run; dumping the "
                   "original plan\n");
     }
-    const std::string path = out_dir + "/chaos_repro_seed" +
+    const std::string path = args.out_dir + "/chaos_repro_seed" +
                              std::to_string(trials[i].seed) + ".conf";
     std::ofstream bundle(path);
     bundle << actyp::chaos::ReproBundleText(minimal, params);
@@ -285,7 +242,7 @@ int main(int argc, char** argv) {
     }
     postmortem.telemetry = std::move(capture.telemetry);
     postmortem.flight = std::move(capture.flight);
-    const std::string pm_path = out_dir + "/chaos_postmortem_seed" +
+    const std::string pm_path = args.out_dir + "/chaos_postmortem_seed" +
                                 std::to_string(minimal.seed) + ".jsonl";
     const auto pm_status =
         actyp::obs::WritePostmortemFile(postmortem, pm_path);

@@ -23,32 +23,26 @@
 //
 // --config loads a full experiment from one file (scenario selection,
 // overrides, and a [fault] section parsed via FaultPlan::FromConfig);
-// flags given after --config override the file's values.
+// flags given after --config override the file's values. Flags and
+// config keys are one option table (sim_options.cpp), and --help is
+// generated from it.
 //
 // JSON goes to stdout, one object per scenario run, with a stable
 // {scenario, title, cells[], note} shape for perf tracking.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "actyp/scenario_registry.hpp"
-#include "chaos/workload_regime.hpp"
-#include "common/config.hpp"
-#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
-#include "fault/fault_plan.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "profile/metrics_exporter.hpp"
-#include "profile/stage_profiler.hpp"
 #include "profile/trace_assembler.hpp"
+#include "sim_options.hpp"
 
 namespace {
 
@@ -58,104 +52,9 @@ using actyp::ScenarioRunOptions;
 using actyp::profile::MetricsExporter;
 using actyp::profile::MetricsStreamer;
 
-int Usage(int code) {
-  std::fprintf(
-      code == 0 ? stdout : stderr,
-      "usage: actyp_sim [--list] [--scenario <name>] [--all] [--json]\n"
-      "                 [--config FILE] [--seed N] [--machines N]\n"
-      "                 [--clients N] [--time-scale X] [--loss P]\n"
-      "                 [--churn-rate R] [--fault-plan FILE]\n"
-      "                 [--replicas N] [--sync-period S]\n"
-      "                 [--retry-max N] [--retry-backoff S]\n"
-      "                 [--quiesce S] [--regime STR]\n"
-      "                 [--jobs N] [--cell-jobs N] [--stable]\n"
-      "                 [--no-profile]\n"
-      "                 [--profile-ring-capacity N]\n"
-      "                 [--metrics-out FILE] [--metrics-format jsonl|prom]\n"
-      "                 [--metrics-interval S]\n"
-      "                 [--telemetry-out FILE] [--telemetry-interval S]\n"
-      "                 [--flight-out FILE]\n"
-      "                 [--profile-sampling ring|reservoir]\n"
-      "                 [--trace-out FILE] [--trace-top N]\n"
-      "                 [--trace-filter SPEC]\n"
-      "\n"
-      "  --list            list registered scenarios and exit\n"
-      "  --scenario <s>    run one scenario (repeatable)\n"
-      "  --config FILE     load a full experiment config: scenario name,\n"
-      "                    overrides, and a [fault] section (see\n"
-      "                    examples/experiment.conf); later flags override\n"
-      "  --all             run every registered scenario\n"
-      "  --json            emit one JSON object per run to stdout\n"
-      "  --seed N          override the scenario's base seed\n"
-      "  --machines N      pin the fleet-size sweep dimension\n"
-      "  --clients N       pin the client-count sweep dimension\n"
-      "  --time-scale X    scale simulated warmup/measure durations\n"
-      "  --loss P          inject message loss with probability P\n"
-      "  --churn-rate R    crash R random machines per simulated second\n"
-      "  --fault-plan FILE apply the fault plan in FILE (loss windows,\n"
-      "                    latency spikes, partitions, crashes, churn,\n"
-      "                    site-crash/site-restore)\n"
-      "  --replicas N      replicate the directory service N ways\n"
-      "                    (1 = the single authoritative directory)\n"
-      "  --sync-period S   anti-entropy pull period, simulated seconds\n"
-      "                    (scaled by --time-scale)\n"
-      "  --retry-max N     client retries per timed-out request\n"
-      "  --retry-backoff S base retry backoff, simulated seconds\n"
-      "                    (scaled by --time-scale)\n"
-      "  --quiesce S       drain each cell S extra simulated seconds\n"
-      "                    (scaled by --time-scale) after the measurement\n"
-      "                    window, so success rates reflect the recovered\n"
-      "                    system; 0 (default) keeps output byte-identical\n"
-      "  --regime STR      chaos_cell workload regime, one 'key=value ...'\n"
-      "                    line (see src/chaos/workload_regime.hpp)\n"
-      "  --jobs N          run independent sweep cells (and, for multi-\n"
-      "                    scenario runs, whole scenarios) on N worker\n"
-      "                    threads; output order is unchanged\n"
-      "  --cell-jobs N     worker threads for the LP-parallel engine\n"
-      "                    inside each multi-site cell (big_wan etc.);\n"
-      "                    reports are byte-identical for any N\n"
-      "  --stable          zero wall-clock-derived metrics so fixed-seed\n"
-      "                    output is byte-identical across hosts/--jobs\n"
-      "  --no-profile      disable the stage-span profiler: reports omit\n"
-      "                    the per-stage percentiles (the pre-profiler\n"
-      "                    output, byte for byte)\n"
-      "  --profile-ring-capacity N  retain the last N stage spans per\n"
-      "                    simulation (the window --trace-out assembles\n"
-      "                    traces from; default 4096)\n"
-      "  --metrics-out FILE  also export every report cell's metrics to\n"
-      "                    FILE after the run\n"
-      "  --metrics-format F  export format: jsonl (default, one JSON\n"
-      "                    object per cell) or prom (Prometheus text)\n"
-      "  --metrics-interval S  stream an incremental metrics snapshot to\n"
-      "                    the --metrics-out file every S simulated\n"
-      "                    seconds (scaled by --time-scale) while each\n"
-      "                    cell runs, instead of only writing at the end\n"
-      "  --telemetry-out FILE  record a continuous gauge time-series\n"
-      "                    (queue depths, inflight requests, per-site\n"
-      "                    load, replica staleness, pending timers) on\n"
-      "                    the sim clock and write it as JSON lines;\n"
-      "                    byte-identical for any --jobs / --cell-jobs\n"
-      "  --telemetry-interval S  sim seconds between telemetry samples\n"
-      "                    (scaled by --time-scale; default 1)\n"
-      "  --flight-out FILE  enable the flight recorder (bounded ring of\n"
-      "                    structured events: message sends/drops, timer\n"
-      "                    arms/fires, fault strikes, replica syncs, pool\n"
-      "                    claims) and write the merged window to FILE as\n"
-      "                    JSON lines\n"
-      "  --profile-sampling M  per-stage latency sampling mode: 'ring'\n"
-      "                    (exact histogram + span ring, the default) or\n"
-      "                    'reservoir' (seeded fixed-size reservoir per\n"
-      "                    stage; p50/p95/p99 from its order statistics)\n"
-      "  --trace-out FILE  assemble per-request traces from the span\n"
-      "                    rings and write the slowest + exemplar\n"
-      "                    requests (plus replica_sync / monitor_sweep\n"
-      "                    lanes) as Chrome trace-event JSON — load the\n"
-      "                    file in Perfetto or chrome://tracing\n"
-      "  --trace-top N     traces per kind per cell in --trace-out\n"
-      "                    (N slowest and N exemplars; default 5)\n"
-      "  --trace-filter SPEC  keep only matching request traces in\n"
-      "                    --trace-out: comma-separated request=<id>,\n"
-      "                    stage=<name>, min-dur=<seconds> terms\n");
+int Fail(int code, const std::string& message) {
+  std::fprintf(stderr, "actyp_sim: %s\n", message.c_str());
+  if (code == 2) std::fprintf(stderr, "run 'actyp_sim --help' for usage\n");
   return code;
 }
 
@@ -165,55 +64,6 @@ int ListScenarios() {
   }
   return 0;
 }
-
-int MissingValue(const char* flag) {
-  std::fprintf(stderr, "actyp_sim: %s requires a value\n", flag);
-  return Usage(2);
-}
-
-int BadValue(const char* flag, const char* text) {
-  std::fprintf(stderr, "actyp_sim: invalid value '%s' for %s\n", text, flag);
-  return Usage(2);
-}
-
-bool ParseLong(const char* text, long min_value, long* out) {
-  const auto value = actyp::ParseInt(text);
-  if (!value || *value < min_value) return false;
-  *out = *value;
-  return true;
-}
-
-// Strict double parse: the whole token must be consumed.
-bool ParseDouble(const char* text, double* out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-// Destination and format for --metrics-out / --metrics-format /
-// --metrics-interval.
-struct MetricsOutput {
-  std::string path;  // empty = no export
-  MetricsExporter::Format format = MetricsExporter::Format::kJsonl;
-  double interval_s = 0;  // > 0 = stream incrementally during the run
-};
-
-// Destination and depth for --trace-out / --trace-top.
-struct TraceOutput {
-  std::string path;    // empty = no trace
-  std::size_t top = 5; // slowest + exemplar traces per cell
-  actyp::profile::TraceFilter filter;  // --trace-filter (default: all)
-};
-
-// Destinations for --telemetry-out / --flight-out.
-struct ObsOutput {
-  std::string telemetry_path;          // empty = no telemetry series
-  double telemetry_interval_s = 1.0;   // sim seconds between samples
-  bool telemetry_interval_set = false;
-  std::string flight_path;             // empty = recorder stays off
-};
 
 // Flattens one finished report into exporter cells: string labels pass
 // through, numeric dims become labels (formatted like the JSON report),
@@ -239,422 +89,31 @@ std::vector<actyp::profile::MetricCell> FlattenReport(
   return cells;
 }
 
-// Loads a full experiment config into the run list and options: the
-// scenario selection ("scenario = fig4_pools_lan" or a comma list),
-// the driver overrides (seed / machines / clients / time-scale / loss /
-// churn-rate / json / profile / profile-ring-capacity / metrics-out /
-// metrics-format / metrics-interval / trace-out / trace-top), and a
-// [fault] section in FaultPlan::FromConfig form. Returns 0 on success.
-int ApplyConfigFile(const char* path, std::vector<std::string>* names,
-                    ScenarioRunOptions* options, bool* json, bool* all,
-                    MetricsOutput* metrics, TraceOutput* trace,
-                    ObsOutput* obs) {
-  std::ifstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "actyp_sim: cannot read config '%s'\n", path);
-    return 1;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  const auto config = actyp::Config::Parse(text.str());
-  if (!config.ok()) {
-    std::fprintf(stderr, "actyp_sim: %s: %s\n", path,
-                 config.status().ToString().c_str());
-    return 1;
-  }
-
-  const auto bad = [path](const char* key, const std::string& value) {
-    std::fprintf(stderr, "actyp_sim: %s: invalid value '%s' for '%s'\n",
-                 path, value.c_str(), key);
-    return 1;
-  };
-
-  if (const auto scenario = config->Get("scenario")) {
-    for (const auto& name : actyp::SplitSkipEmpty(*scenario, ',')) {
-      const std::string trimmed = actyp::Trim(name);
-      if (trimmed == "all") {
-        *all = true;
-      } else {
-        names->push_back(trimmed);
-      }
-    }
-  }
-  *json = config->GetBool("json", *json);
-  if (const auto value = config->Get("seed")) {
-    const auto parsed = actyp::ParseInt(*value);
-    if (!parsed || *parsed < 0) return bad("seed", *value);
-    options->seed = static_cast<std::uint64_t>(*parsed);
-  }
-  if (const auto value = config->Get("machines")) {
-    const auto parsed = actyp::ParseInt(*value);
-    if (!parsed || *parsed < 1) return bad("machines", *value);
-    options->machines = static_cast<std::size_t>(*parsed);
-  }
-  if (const auto value = config->Get("clients")) {
-    const auto parsed = actyp::ParseInt(*value);
-    if (!parsed || *parsed < 1) return bad("clients", *value);
-    options->clients = static_cast<std::size_t>(*parsed);
-  }
-  if (const auto value = config->Get("time-scale")) {
-    const auto parsed = actyp::ParseDouble(*value);
-    if (!parsed || !(*parsed > 0)) return bad("time-scale", *value);
-    options->time_scale = *parsed;
-  }
-  if (const auto value = config->Get("loss")) {
-    const auto parsed = actyp::ParseDouble(*value);
-    if (!parsed || *parsed < 0 || *parsed > 1) return bad("loss", *value);
-    options->loss = *parsed;
-  }
-  if (const auto value = config->Get("churn-rate")) {
-    const auto parsed = actyp::ParseDouble(*value);
-    if (!parsed || !(*parsed >= 0)) return bad("churn-rate", *value);
-    options->churn_rate = *parsed;
-  }
-  if (const auto value = config->Get("replicas")) {
-    const auto parsed = actyp::ParseInt(*value);
-    if (!parsed || *parsed < 1) return bad("replicas", *value);
-    options->replicas = static_cast<std::uint32_t>(*parsed);
-  }
-  if (const auto value = config->Get("sync-period")) {
-    const auto parsed = actyp::ParseDouble(*value);
-    if (!parsed || !(*parsed > 0)) return bad("sync-period", *value);
-    options->sync_period_s = *parsed;
-  }
-  if (const auto value = config->Get("retry-max")) {
-    const auto parsed = actyp::ParseInt(*value);
-    if (!parsed || *parsed < 0) return bad("retry-max", *value);
-    options->retry_max = static_cast<std::size_t>(*parsed);
-  }
-  if (const auto value = config->Get("retry-backoff")) {
-    const auto parsed = actyp::ParseDouble(*value);
-    if (!parsed || !(*parsed > 0)) return bad("retry-backoff", *value);
-    options->retry_backoff_s = *parsed;
-  }
-  if (const auto value = config->Get("quiesce")) {
-    const auto parsed = actyp::ParseDouble(*value);
-    if (!parsed || !(*parsed >= 0)) return bad("quiesce", *value);
-    options->quiesce_s = *parsed;
-  }
-  if (const auto value = config->Get("regime")) {
-    const auto regime = actyp::chaos::WorkloadRegime::Parse(*value);
-    if (!regime.ok()) {
-      std::fprintf(stderr, "actyp_sim: %s: %s\n", path,
-                   regime.status().ToString().c_str());
-      return 1;
-    }
-    options->regime_text = *value;
-  }
-  if (const auto value = config->Get("jobs")) {
-    const auto parsed = actyp::ParseInt(*value);
-    if (!parsed || *parsed < 1) return bad("jobs", *value);
-    options->jobs = static_cast<std::size_t>(*parsed);
-  }
-  if (const auto value = config->Get("cell-jobs")) {
-    const auto parsed = actyp::ParseInt(*value);
-    if (!parsed || *parsed < 1) return bad("cell-jobs", *value);
-    options->cell_jobs = static_cast<std::size_t>(*parsed);
-  }
-  options->stable = config->GetBool("stable", options->stable);
-  options->profile = config->GetBool("profile", options->profile);
-  if (const auto value = config->Get("profile-ring-capacity")) {
-    const auto parsed = actyp::ParseInt(*value);
-    if (!parsed || *parsed < 1) return bad("profile-ring-capacity", *value);
-    options->profile_ring_capacity = static_cast<std::size_t>(*parsed);
-  }
-  if (const auto value = config->Get("metrics-out")) {
-    metrics->path = *value;
-  }
-  if (const auto value = config->Get("metrics-format")) {
-    const auto format = MetricsExporter::ParseFormat(*value);
-    if (!format) return bad("metrics-format", *value);
-    metrics->format = *format;
-  }
-  if (const auto value = config->Get("metrics-interval")) {
-    const auto parsed = actyp::ParseDouble(*value);
-    if (!parsed || !(*parsed > 0)) {
-      std::fprintf(stderr,
-                   "actyp_sim: %s: metrics-interval must be a positive "
-                   "number of simulated seconds, got '%s'\n",
-                   path, value->c_str());
-      return 1;
-    }
-    metrics->interval_s = *parsed;
-  }
-  if (const auto value = config->Get("telemetry-out")) {
-    obs->telemetry_path = *value;
-  }
-  if (const auto value = config->Get("telemetry-interval")) {
-    const auto parsed = actyp::ParseDouble(*value);
-    if (!parsed || !(*parsed > 0)) {
-      std::fprintf(stderr,
-                   "actyp_sim: %s: telemetry-interval must be a positive "
-                   "number of simulated seconds, got '%s'\n",
-                   path, value->c_str());
-      return 1;
-    }
-    obs->telemetry_interval_s = *parsed;
-    obs->telemetry_interval_set = true;
-  }
-  if (const auto value = config->Get("flight-out")) {
-    obs->flight_path = *value;
-  }
-  if (const auto value = config->Get("profile-sampling")) {
-    if (!actyp::profile::SamplingModeFromName(*value)) {
-      return bad("profile-sampling", *value);
-    }
-    options->profile_sampling = *value;
-  }
-  if (const auto value = config->Get("trace-out")) {
-    trace->path = *value;
-  }
-  if (const auto value = config->Get("trace-top")) {
-    const auto parsed = actyp::ParseInt(*value);
-    if (!parsed || *parsed < 1) return bad("trace-top", *value);
-    trace->top = static_cast<std::size_t>(*parsed);
-  }
-  if (const auto value = config->Get("trace-filter")) {
-    std::string error;
-    const auto filter = actyp::profile::TraceFilter::Parse(*value, &error);
-    if (!filter) {
-      std::fprintf(stderr, "actyp_sim: %s: bad trace-filter: %s\n", path,
-                   error.c_str());
-      return 1;
-    }
-    trace->filter = *filter;
-  }
-
-  const auto plan = actyp::fault::FaultPlan::FromConfig(config.value());
-  if (!plan.ok()) {
-    std::fprintf(stderr, "actyp_sim: %s: %s\n", path,
-                 plan.status().ToString().c_str());
-    return 1;
-  }
-  if (!plan->empty()) options->fault_plan_text = plan->Serialize();
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool list = false;
-  bool all = false;
-  bool json = false;
-  std::vector<std::string> names;
-  ScenarioRunOptions options;
-  MetricsOutput metrics;
-  TraceOutput trace;
-  ObsOutput obs;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--list") == 0) {
-      list = true;
-    } else if (std::strcmp(arg, "--all") == 0) {
-      all = true;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(arg, "--help") == 0 ||
-               std::strcmp(arg, "-h") == 0) {
-      return Usage(0);
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      names.emplace_back(argv[++i]);
-    } else if (std::strcmp(arg, "--config") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      if (const int rc = ApplyConfigFile(argv[++i], &names, &options, &json,
-                                         &all, &metrics, &trace, &obs);
-          rc != 0) {
-        return rc;
-      }
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;  // 0 is a legitimate seed
-      if (!ParseLong(argv[++i], 0, &value)) return BadValue(arg, argv[i]);
-      options.seed = static_cast<std::uint64_t>(value);
-    } else if (std::strcmp(arg, "--machines") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      options.machines = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--clients") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      options.clients = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--time-scale") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || !(value > 0)) {
-        return BadValue(arg, argv[i]);
-      }
-      options.time_scale = value;
-    } else if (std::strcmp(arg, "--loss") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || value < 0 || value > 1) {
-        return BadValue(arg, argv[i]);
-      }
-      options.loss = value;
-    } else if (std::strcmp(arg, "--churn-rate") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || !(value >= 0)) {
-        return BadValue(arg, argv[i]);
-      }
-      options.churn_rate = value;
-    } else if (std::strcmp(arg, "--replicas") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      options.replicas = static_cast<std::uint32_t>(value);
-    } else if (std::strcmp(arg, "--sync-period") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || !(value > 0)) {
-        return BadValue(arg, argv[i]);
-      }
-      options.sync_period_s = value;
-    } else if (std::strcmp(arg, "--retry-max") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 0, &value)) return BadValue(arg, argv[i]);
-      options.retry_max = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--retry-backoff") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || !(value > 0)) {
-        return BadValue(arg, argv[i]);
-      }
-      options.retry_backoff_s = value;
-    } else if (std::strcmp(arg, "--quiesce") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || !(value >= 0)) {
-        return BadValue(arg, argv[i]);
-      }
-      options.quiesce_s = value;
-    } else if (std::strcmp(arg, "--regime") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      const auto regime = actyp::chaos::WorkloadRegime::Parse(argv[++i]);
-      if (!regime.ok()) {
-        std::fprintf(stderr, "actyp_sim: %s\n",
-                     regime.status().ToString().c_str());
-        return 2;
-      }
-      options.regime_text = argv[i];
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      options.jobs = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--cell-jobs") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      options.cell_jobs = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--stable") == 0) {
-      options.stable = true;
-    } else if (std::strcmp(arg, "--no-profile") == 0) {
-      options.profile = false;
-    } else if (std::strcmp(arg, "--profile-ring-capacity") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      options.profile_ring_capacity = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--metrics-out") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      metrics.path = argv[++i];
-    } else if (std::strcmp(arg, "--metrics-format") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      const auto format = MetricsExporter::ParseFormat(argv[++i]);
-      if (!format) return BadValue(arg, argv[i]);
-      metrics.format = *format;
-    } else if (std::strcmp(arg, "--metrics-interval") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || !(value > 0)) {
-        std::fprintf(stderr,
-                     "actyp_sim: --metrics-interval must be a positive "
-                     "number of simulated seconds, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      metrics.interval_s = value;
-    } else if (std::strcmp(arg, "--telemetry-out") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      obs.telemetry_path = argv[++i];
-    } else if (std::strcmp(arg, "--telemetry-interval") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      double value = 0;
-      if (!ParseDouble(argv[++i], &value) || !(value > 0)) {
-        std::fprintf(stderr,
-                     "actyp_sim: --telemetry-interval must be a positive "
-                     "number of simulated seconds, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      obs.telemetry_interval_s = value;
-      obs.telemetry_interval_set = true;
-    } else if (std::strcmp(arg, "--flight-out") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      obs.flight_path = argv[++i];
-    } else if (std::strcmp(arg, "--profile-sampling") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      if (!actyp::profile::SamplingModeFromName(argv[++i])) {
-        return BadValue(arg, argv[i]);
-      }
-      options.profile_sampling = argv[i];
-    } else if (std::strcmp(arg, "--trace-out") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      trace.path = argv[++i];
-    } else if (std::strcmp(arg, "--trace-top") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      long value = 0;
-      if (!ParseLong(argv[++i], 1, &value)) return BadValue(arg, argv[i]);
-      trace.top = static_cast<std::size_t>(value);
-    } else if (std::strcmp(arg, "--trace-filter") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      std::string error;
-      const auto filter =
-          actyp::profile::TraceFilter::Parse(argv[++i], &error);
-      if (!filter) {
-        std::fprintf(stderr, "actyp_sim: bad --trace-filter: %s\n",
-                     error.c_str());
-        return 2;
-      }
-      trace.filter = *filter;
-    } else if (std::strcmp(arg, "--fault-plan") == 0) {
-      if (i + 1 >= argc) return MissingValue(arg);
-      std::ifstream file(argv[++i]);
-      if (!file) {
-        std::fprintf(stderr, "actyp_sim: cannot read fault plan '%s'\n",
-                     argv[i]);
-        return 1;
-      }
-      std::ostringstream text;
-      text << file.rdbuf();
-      // Validate up front so a bad plan fails before any scenario runs.
-      const auto plan = actyp::fault::FaultPlan::Parse(text.str());
-      if (!plan.ok()) {
-        std::fprintf(stderr, "actyp_sim: %s\n",
-                     plan.status().ToString().c_str());
-        return 1;
-      }
-      options.fault_plan_text = text.str();
-    } else {
-      std::fprintf(stderr, "actyp_sim: unknown argument '%s'\n", arg);
-      return Usage(2);
-    }
+  actyp::driver::SimArgs args;
+  if (const auto status = actyp::driver::ParseSimArgs(
+          std::vector<std::string>(argv + 1, argv + argc), &args);
+      !status.ok()) {
+    return Fail(actyp::cli::ExitCode(status), status.message());
   }
+  if (args.help) {
+    std::fputs(actyp::driver::SimHelp().c_str(), stdout);
+    return 0;
+  }
+  if (args.list) return ListScenarios();
 
-  if (list) return ListScenarios();
-
-  if (all) {
+  std::vector<std::string> names = args.scenarios;
+  if (args.all) {
     for (const ScenarioInfo* info : ScenarioRegistry::Instance().List()) {
       names.push_back(info->name);
     }
   }
-  if (names.empty()) return Usage(2);
+  if (names.empty()) {
+    std::fputs(actyp::driver::SimHelp().c_str(), stderr);
+    return 2;
+  }
 
   // Resolve every requested scenario before running anything, so a typo
   // fails fast instead of after minutes of sweeps.
@@ -663,10 +122,7 @@ int main(int argc, char** argv) {
   for (const std::string& name : names) {
     const ScenarioInfo* info = ScenarioRegistry::Instance().Find(name);
     if (info == nullptr) {
-      std::fprintf(stderr,
-                   "actyp_sim: unknown scenario '%s' (try --list)\n",
-                   name.c_str());
-      return 1;
+      return Fail(1, "unknown scenario '" + name + "' (try --list)");
     }
     infos.push_back(info);
   }
@@ -675,43 +131,34 @@ int main(int argc, char** argv) {
   // ring; the streamer opens the metrics file up front so snapshots
   // appear while the run is in flight (the final report cells are
   // appended to the same stream at the end).
+  ScenarioRunOptions options = args.run;
   actyp::profile::TraceSink trace_sink;
-  if (!trace.path.empty()) {
+  if (!args.trace_out.empty()) {
     if (!options.profile) {
-      std::fprintf(stderr,
-                   "actyp_sim: --trace-out needs the profiler; drop "
-                   "--no-profile\n");
-      return 2;
+      return Fail(2, "--trace-out needs the profiler; drop --no-profile");
     }
     options.trace_sink = &trace_sink;
   }
-  MetricsStreamer streamer(metrics.format);
-  if (metrics.interval_s > 0) {
-    if (metrics.path.empty()) {
-      std::fprintf(stderr,
-                   "actyp_sim: --metrics-interval needs --metrics-out "
-                   "FILE\n");
-      return 2;
+  MetricsStreamer streamer(args.metrics_format);
+  if (options.metrics_interval_s > 0) {
+    if (args.metrics_out.empty()) {
+      return Fail(2, "--metrics-interval needs --metrics-out FILE");
     }
-    if (const auto status = streamer.Open(metrics.path); !status.ok()) {
-      std::fprintf(stderr, "actyp_sim: %s\n", status.ToString().c_str());
-      return 1;
+    if (const auto status = streamer.Open(args.metrics_out); !status.ok()) {
+      return Fail(1, status.ToString());
     }
     options.metrics_streamer = &streamer;
-    options.metrics_interval_s = metrics.interval_s;
   }
   actyp::obs::TelemetrySink telemetry_sink;
-  if (!obs.telemetry_path.empty()) {
+  if (!args.telemetry_out.empty()) {
     options.telemetry_sink = &telemetry_sink;
-    options.telemetry_interval_s = obs.telemetry_interval_s;
-  } else if (obs.telemetry_interval_set) {
-    std::fprintf(stderr,
-                 "actyp_sim: --telemetry-interval needs --telemetry-out "
-                 "FILE\n");
-    return 2;
+    // One sample per simulated second unless --telemetry-interval says.
+    if (options.telemetry_interval_s == 0) options.telemetry_interval_s = 1;
+  } else if (options.telemetry_interval_s > 0) {
+    return Fail(2, "--telemetry-interval needs --telemetry-out FILE");
   }
   actyp::obs::FlightSink flight_sink;
-  if (!obs.flight_path.empty()) {
+  if (!args.flight_out.empty()) {
     options.flight_sink = &flight_sink;
   }
 
@@ -746,14 +193,14 @@ int main(int argc, char** argv) {
   }
 
   for (const actyp::ScenarioReport& report : reports) {
-    if (json) {
+    if (args.json) {
       actyp::WriteReportJson(report, std::cout);
     } else {
       actyp::WriteReportTable(report, std::cout);
     }
   }
 
-  if (!metrics.path.empty()) {
+  if (!args.metrics_out.empty()) {
     if (options.metrics_streamer != nullptr) {
       // Streaming mode: the file already holds the in-flight snapshots;
       // append the final report cells and terminate the stream.
@@ -764,60 +211,55 @@ int main(int argc, char** argv) {
       }
       streamer.Close();
     } else {
-      MetricsExporter exporter(metrics.format);
+      MetricsExporter exporter(args.metrics_format);
       for (const actyp::ScenarioReport& report : reports) {
         for (auto& cell : FlattenReport(report)) {
           exporter.Add(std::move(cell));
         }
       }
-      if (const auto status = exporter.WriteFile(metrics.path);
+      if (const auto status = exporter.WriteFile(args.metrics_out);
           !status.ok()) {
-        std::fprintf(stderr, "actyp_sim: %s\n", status.ToString().c_str());
-        return 1;
+        return Fail(1, status.ToString());
       }
     }
   }
 
-  if (!obs.telemetry_path.empty()) {
-    // One JSONL line per sample, cells ordered by seed — the sink's
-    // drain order — so the file is byte-identical for any --jobs.
+  if (!args.telemetry_out.empty()) {
+    // One JSONL line per sample, cells in the sink's drain order, so the
+    // file is byte-identical for any --jobs.
     MetricsExporter exporter(MetricsExporter::Format::kJsonl);
-    for (auto& [seed, samples] : telemetry_sink.Take()) {
-      for (auto& sample : samples) exporter.Add(std::move(sample));
+    for (auto& cell : telemetry_sink.Take()) {
+      for (auto& sample : cell.items) exporter.Add(std::move(sample));
     }
-    if (const auto status = exporter.WriteFile(obs.telemetry_path);
+    if (const auto status = exporter.WriteFile(args.telemetry_out);
         !status.ok()) {
-      std::fprintf(stderr, "actyp_sim: %s\n", status.ToString().c_str());
-      return 1;
+      return Fail(1, status.ToString());
     }
   }
 
-  if (!obs.flight_path.empty()) {
+  if (!args.flight_out.empty()) {
     std::vector<actyp::obs::FlightEvent> events;
-    for (auto& [seed, cell_events] : flight_sink.Take()) {
-      events.insert(events.end(),
-                    std::make_move_iterator(cell_events.begin()),
-                    std::make_move_iterator(cell_events.end()));
+    for (auto& cell : flight_sink.Take()) {
+      events.insert(events.end(), std::make_move_iterator(cell.items.begin()),
+                    std::make_move_iterator(cell.items.end()));
     }
     if (const auto status =
-            actyp::obs::WriteFlightJsonlFile(events, obs.flight_path);
+            actyp::obs::WriteFlightJsonlFile(events, args.flight_out);
         !status.ok()) {
-      std::fprintf(stderr, "actyp_sim: %s\n", status.ToString().c_str());
-      return 1;
+      return Fail(1, status.ToString());
     }
   }
 
-  if (!trace.path.empty()) {
+  if (!args.trace_out.empty()) {
     actyp::profile::ChromeTraceOptions trace_options;
-    trace_options.slow_n = trace.top;
-    trace_options.exemplar_n = trace.top;
+    trace_options.slow_n = args.trace_top;
+    trace_options.exemplar_n = args.trace_top;
     if (const auto status = actyp::profile::WriteChromeTraceFile(
             actyp::profile::FilterTraceCells(trace_sink.Take(),
-                                             trace.filter),
-            trace_options, trace.path);
+                                             args.trace_filter),
+            trace_options, args.trace_out);
         !status.ok()) {
-      std::fprintf(stderr, "actyp_sim: %s\n", status.ToString().c_str());
-      return 1;
+      return Fail(1, status.ToString());
     }
   }
   return 0;
