@@ -244,10 +244,14 @@ inline CellResult RunCell(ScenarioConfig config,
         Seconds(options.metrics_interval_s * options.time_scale), 1);
     profile::MetricsStreamer* streamer = options.metrics_streamer;
     SimScenario* running = &scenario;
+    // Only the scheduled events own the tick; the tick itself holds a
+    // weak_ptr, so the pending event freed with the kernel frees it.
     auto tick = std::make_shared<std::function<void()>>();
-    *tick = [tick, streamer, running, interval] {
+    *tick = [weak = std::weak_ptr(tick), streamer, running, interval] {
       streamer->WriteCell(StreamSnapshot(*running));
-      running->kernel().Schedule(interval, [tick] { (*tick)(); });
+      if (auto self = weak.lock()) {
+        running->kernel().Schedule(interval, [self] { (*self)(); });
+      }
     };
     scenario.kernel().Schedule(interval, [tick] { (*tick)(); });
   }

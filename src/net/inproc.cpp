@@ -149,7 +149,7 @@ void InProcNetwork::Deliver(Envelope envelope, SimDuration delay) {
 
 void InProcNetwork::SchedulerLoop() {
   std::unique_lock<std::mutex> lock(timer_mu_);
-  while (!stopping_.load()) {
+  while (!stopping_) {
     if (timers_.empty()) {
       timer_cv_.wait(lock);
       continue;
@@ -169,7 +169,14 @@ void InProcNetwork::SchedulerLoop() {
 }
 
 void InProcNetwork::Shutdown() {
-  if (stopping_.exchange(true)) return;
+  {
+    // Set under timer_mu_: the scheduler tests stopping_ and parks on
+    // timer_cv_ under that lock, so this notify cannot land between its
+    // test and its wait (which would park it forever and hang the join).
+    std::lock_guard<std::mutex> lock(timer_mu_);
+    if (stopping_) return;
+    stopping_ = true;
+  }
   timer_cv_.notify_all();
   if (scheduler_.joinable()) scheduler_.join();
 

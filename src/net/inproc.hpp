@@ -5,7 +5,6 @@
 // deterministic discrete-event runtime in simnet/.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -76,7 +75,7 @@ class InProcNetwork final : public Network {
   std::condition_variable timer_cv_;
   std::priority_queue<Timed, std::vector<Timed>, std::greater<>> timers_;
   std::uint64_t timer_seq_ = 0;
-  std::atomic<bool> stopping_{false};
+  bool stopping_ = false;  // guarded by timer_mu_
   std::thread scheduler_;
 };
 

@@ -162,12 +162,14 @@ void TcpServer::ServeConnection(int fd) {
 
 void TcpServer::Stop() {
   if (!running_.exchange(false)) return;
+  // shutdown() wakes a blocked accept(); the fd is closed only once the
+  // accept thread has exited, so it never reads a closed (or reused) fd.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> connections;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);

@@ -27,7 +27,7 @@ ResourcePool::ResourcePool(ResourcePoolConfig config,
   auto policy = sched::MakePolicy(config_.policy);
   policy_ = policy.ok() ? std::move(policy.value())
                         : std::make_unique<sched::LeastLoadPolicy>();
-  if (policy_->indexed()) {
+  if (policy_->ordered()) {
     index_ = std::make_unique<sched::SchedulingIndex>(
         policy_.get(), config_.instance, config_.instance_count);
   }
@@ -457,7 +457,7 @@ void ResourcePool::HandleRelease(const net::Envelope& envelope,
 
 void ResourcePool::HandleTick(net::NodeContext& ctx) {
   const std::size_t refreshed = RefreshFromDatabase();
-  if (index_) {
+  if (policy_->indexed()) {
     // Indexed policies never reorder the cache. The dirty-id refresh
     // already re-positioned each touched entry in O(log n), so the tick
     // costs O(changed machines); only a full sweep (legacy mode or a
@@ -466,6 +466,9 @@ void ResourcePool::HandleTick(net::NodeContext& ctx) {
                 static_cast<SimDuration>(refreshed));
   } else {
     Resort(ctx);
+    // The refresh left the index to this O(n) rebuild over the re-sorted
+    // cache, cheaper than re-positioning each refreshed entry.
+    if (index_) index_->Rebuild(cache_);
   }
   reservations_.Prune(ctx.Now());
   ctx.ScheduleSelf(config_.resort_period, net::Message{net::msg::kTick});
@@ -510,7 +513,10 @@ std::size_t ResourcePool::RefreshFromDatabase() {
               if (rec == nullptr) return;
               ApplyRecord(fetch_index_[i], *rec);
             });
-        for (const std::size_t index : fetch_index_) TouchIndex(index);
+        // Linear pools rebuild the whole index after the re-sort.
+        if (policy_->indexed()) {
+          for (const std::size_t index : fetch_index_) TouchIndex(index);
+        }
       }
       stats_.entries_refreshed += fetch_ids_.size();
       return fetch_ids_.size();

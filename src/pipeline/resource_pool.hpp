@@ -4,6 +4,12 @@
 //   2) a scheduling process that orders those machines by a configured
 //      objective and answers queries with a linear search.
 //
+// Selection: every ordered policy picks through a SchedulingIndex
+// instead of scanning the cache. The paper's linear search survives
+// in simulated time: "linear-*" pools are charged pool_per_machine for
+// every entry the scan would examine and still re-sort the cache every
+// resort_period; the bare policy names are charged per index node.
+//
 // Lifecycle: OnStart walks the white pages, claims matching machines
 // (marking them "taken"), loads a local cache, registers itself with the
 // local directory service, and arms a periodic re-sort timer. Queries
@@ -126,18 +132,19 @@ class ResourcePool final : public net::Node {
   void HandleRelease(const net::Envelope& envelope, net::NodeContext& ctx);
   void HandleTick(net::NodeContext& ctx);
   // Re-reads white-pages state into the cache. Incremental mode fetches
-  // only the records dirtied since the last tick and re-positions just
-  // those in the scheduling index; the fallback (legacy mode, or a
+  // only the records dirtied since the last tick and, for indexed
+  // policies, re-positions just those in the scheduling index (linear
+  // pools rebuild it after the re-sort); the fallback (legacy mode, or a
   // cursor older than the db's change journal) sweeps everything and
-  // leaves the index rebuild to the caller. Returns the number of
-  // entries re-read (the simulated refresh cost).
+  // rebuilds the index. Returns the number of entries re-read (the
+  // simulated refresh cost).
   std::size_t RefreshFromDatabase();
   // Applies one record to cache entry `index` (shared by the initial
   // load and both refresh paths).
   void ApplyRecord(std::size_t index, const db::MachineRecord& rec);
   void Resort(net::NodeContext& ctx);
   // Re-positions entry `index` in the scheduling index after its load
-  // changed (no-op for the legacy linear policies).
+  // changed (no-op for round-robin and random).
   void TouchIndex(std::size_t index);
   [[nodiscard]] std::string MakeSessionKey(net::NodeContext& ctx);
 
@@ -148,8 +155,8 @@ class ResourcePool final : public net::Node {
   db::PolicyRegistry* policies_;
 
   std::unique_ptr<sched::SchedulingPolicy> policy_;
-  // Present iff the policy is indexed: maintained on allocate/release/
-  // refresh, consulted instead of the linear scan.
+  // Present iff the policy is ordered: maintained on allocate/release/
+  // refresh/re-sort, consulted instead of the linear scan.
   std::unique_ptr<sched::SchedulingIndex> index_;
   std::vector<sched::CacheEntry> cache_;
   std::vector<EntryMeta> meta_;             // parallel to cache_

@@ -16,15 +16,20 @@ SchedulingIndex::SchedulingIndex(const SchedulingPolicy* policy,
       instance_(instance),
       stride_(std::max<std::uint32_t>(1, instance_count)) {
   heaps_.resize(stride_);
+  eligible_.resize(stride_);
 }
 
 void SchedulingIndex::Rebuild(const std::vector<CacheEntry>& cache) {
   for (auto& heap : heaps_) heap.clear();
+  std::fill(eligible_.begin(), eligible_.end(), 0);
   pos_.resize(cache.size());
   for (std::size_t i = 0; i < cache.size(); ++i) {
     const auto cls = static_cast<std::uint32_t>(i % stride_);
-    pos_[i] = Node{cls, static_cast<std::uint32_t>(heaps_[cls].size())};
+    const bool eligible = SchedulingPolicy::Eligible(cache[i]);
+    pos_[i] = Node{cls, static_cast<std::uint32_t>(heaps_[cls].size()),
+                   eligible};
     heaps_[cls].push_back(static_cast<std::uint32_t>(i));
+    eligible_[cls] += eligible;
   }
   for (std::uint32_t cls = 0; cls < stride_; ++cls) {
     const std::size_t n = heaps_[cls].size();
@@ -38,6 +43,10 @@ void SchedulingIndex::Rebuild(const std::vector<CacheEntry>& cache) {
 void SchedulingIndex::Update(const std::vector<CacheEntry>& cache,
                              std::size_t index) {
   const Node node = pos_[index];
+  const bool eligible = SchedulingPolicy::Eligible(cache[index]);
+  eligible_[node.cls] += eligible;
+  eligible_[node.cls] -= node.eligible;
+  pos_[index].eligible = eligible;
   SiftUp(cache, node.cls, node.heap_pos);
   SiftDown(cache, node.cls, pos_[index].heap_pos);
 }
@@ -83,44 +92,53 @@ std::size_t SchedulingIndex::Search(const std::vector<CacheEntry>& cache,
                                     const SelectionContext& ctx,
                                     std::uint32_t own_cls, bool own,
                                     std::size_t* examined) const {
-  frontier_.clear();
-  if (own) {
-    if (!heaps_[own_cls].empty()) frontier_.emplace_back(own_cls, 0);
-  } else {
-    for (std::uint32_t cls = 0; cls < stride_; ++cls) {
-      if (cls != own_cls && !heaps_[cls].empty()) {
-        frontier_.emplace_back(cls, 0);
-      }
-    }
+  const auto searched = [own, own_cls](std::uint32_t cls) {
+    return (cls == own_cls) == own;
+  };
+  std::size_t size = 0;
+  std::size_t eligible = 0;
+  for (std::uint32_t cls = 0; cls < stride_; ++cls) {
+    if (!searched(cls)) continue;
+    size += heaps_[cls].size();
+    eligible += eligible_[cls];
+  }
+  if (eligible == 0) {
+    // The traversal would visit every node and find nothing.
+    *examined += size;
+    return SIZE_MAX;
   }
 
-  while (!frontier_.empty()) {
-    // Pop the frontier node whose entry is minimal in (objective, index)
-    // order; the heap property guarantees the traversal visits entries
-    // in exactly the order the linear scan would prefer them.
-    std::size_t best = 0;
-    for (std::size_t f = 1; f < frontier_.size(); ++f) {
-      if (Less(cache, heaps_[frontier_[f].first][frontier_[f].second],
-               heaps_[frontier_[best].first][frontier_[best].second])) {
-        best = f;
-      }
+  // The frontier pops entries in (objective, index) order; the heap
+  // property guarantees the traversal visits entries in exactly the
+  // order the linear scan would prefer them.
+  const auto worse = [this, &cache](std::uint32_t a, std::uint32_t b) {
+    return Less(cache, b, a);
+  };
+  frontier_.clear();
+  for (std::uint32_t cls = 0; cls < stride_; ++cls) {
+    if (searched(cls) && !heaps_[cls].empty()) {
+      frontier_.push_back(heaps_[cls].front());
     }
-    const auto [cls, pos] = frontier_[best];
-    frontier_[best] = frontier_.back();
-    frontier_.pop_back();
+  }
+  std::make_heap(frontier_.begin(), frontier_.end(), worse);
 
-    const std::uint32_t entry = heaps_[cls][pos];
+  while (!frontier_.empty()) {
+    std::pop_heap(frontier_.begin(), frontier_.end(), worse);
+    const std::uint32_t entry = frontier_.back();
+    frontier_.pop_back();
     ++*examined;
     if (SchedulingPolicy::Eligible(cache[entry]) &&
         (!ctx.filter || (*ctx.filter)(entry, cache[entry]))) {
       return entry;
     }
-    const std::size_t n = heaps_[cls].size();
+    const Node node = pos_[entry];
+    const auto& heap = heaps_[node.cls];
     const std::size_t first_child =
-        static_cast<std::size_t>(pos) * kArity + 1;
-    const std::size_t last_child = std::min(first_child + kArity, n);
+        static_cast<std::size_t>(node.heap_pos) * kArity + 1;
+    const std::size_t last_child = std::min(first_child + kArity, heap.size());
     for (std::size_t c = first_child; c < last_child; ++c) {
-      frontier_.emplace_back(cls, static_cast<std::uint32_t>(c));
+      frontier_.push_back(heap[c]);
+      std::push_heap(frontier_.begin(), frontier_.end(), worse);
     }
   }
   return SIZE_MAX;
@@ -131,11 +149,16 @@ Selection SchedulingIndex::Select(const std::vector<CacheEntry>& cache,
   Selection result;
   if (cache.empty()) return result;
   const std::uint32_t own_cls = ctx.instance % stride_;
-  result.index = Search(cache, ctx, own_cls, /*own=*/true, &result.examined);
-  if (result.index == SIZE_MAX && stride_ > 1) {
-    result.index =
-        Search(cache, ctx, own_cls, /*own=*/false, &result.examined);
+  std::size_t visited = 0;
+  // What the paper's scan examines: the own stride class, then the
+  // whole cache once it falls back to the sibling classes.
+  std::size_t scanned = heaps_[own_cls].size();
+  result.index = Search(cache, ctx, own_cls, /*own=*/true, &visited);
+  if (!result.found() && stride_ > 1) {
+    result.index = Search(cache, ctx, own_cls, /*own=*/false, &visited);
+    scanned = cache.size();
   }
+  result.examined = policy_->indexed() ? visited : scanned;
   return result;
 }
 

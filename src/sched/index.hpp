@@ -1,20 +1,24 @@
 // SchedulingIndex: the incrementally-maintained replacement for the
-// paper's "sort every 2 s + linear scan" scheduling process. The pool's
-// cache order never changes; the index keeps one 4-ary min-heap of
-// cache indices per replication stride class, ordered by the policy
-// objective with the cache index as the deterministic tie-break — the
-// exact total order the legacy linear scan resolves.
+// paper's "sort every 2 s + linear scan" scheduling process. Pools
+// select through it for every ordered policy, with or without the
+// "linear-" prefix. It keeps one 4-ary min-heap of cache indices per
+// replication stride class, ordered by the policy objective with the
+// cache index as the deterministic tie-break — the exact total order
+// the legacy linear scan resolves.
 //
 // Selection is a best-first traversal of the instance's own class heap
 // (then, only when that class has no eligible machine, of the sibling
-// classes merged): each visited node counts as one entry examined, so
-// `entries_examined` shows the asymptotic win over the O(n) scan while
-// remaining an honest service-time driver. On a mostly-idle pool a
-// query examines one or two entries instead of the whole cache.
+// classes merged): it pops the entries ranked ahead of the pick, one or
+// two on a mostly-idle pool, at O(log n) host work each. The reported
+// `examined` count is the simulated cost model, chosen by the policy:
+// the bare names report the nodes visited (one or two on a mostly-idle
+// pool), the "linear-" names report what the paper's O(n) scan would
+// have examined, so Fig. 6's linear curves stay in simulated time.
 //
 // The pool calls Update(i) whenever entry i's objective inputs change
-// (allocate, release, refresh) and Rebuild() after bulk reloads; both
-// reuse the heap storage, allocation-free in steady state.
+// (allocate, release, refresh) and Rebuild() after bulk reloads and
+// re-sorts; both reuse the heap storage, allocation-free in steady
+// state.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +42,10 @@ class SchedulingIndex {
   void Update(const std::vector<CacheEntry>& cache, std::size_t index);
 
   // Equivalent to the legacy linear SchedulingPolicy::Select on the
-  // same cache and context (same chosen index), in near-constant
-  // examined entries. `ctx.instance` may override the constructor's
-  // instance; `ctx.instance_count` must match the constructor's.
+  // same cache and context: same chosen index, and for the "linear-"
+  // policies the same `examined`. `ctx.instance` may override the
+  // constructor's instance; `ctx.instance_count` must match the
+  // constructor's.
   [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
                                  const SelectionContext& ctx) const;
 
@@ -50,6 +55,7 @@ class SchedulingIndex {
   struct Node {
     std::uint32_t cls;
     std::uint32_t heap_pos;
+    bool eligible;  // SchedulingPolicy::Eligible at the last Rebuild/Update
   };
 
   [[nodiscard]] bool Less(const std::vector<CacheEntry>& cache,
@@ -66,7 +72,9 @@ class SchedulingIndex {
 
   // Best-first traversal of one class heap (own == true) or of every
   // class except `own_cls` merged. Returns SIZE_MAX when no eligible
-  // entry passes the filter; adds visited nodes to `examined`.
+  // entry passes the filter; adds visited nodes to `examined`. Classes
+  // holding no eligible entry are counted as fully visited without a
+  // traversal.
   [[nodiscard]] std::size_t Search(const std::vector<CacheEntry>& cache,
                                    const SelectionContext& ctx,
                                    std::uint32_t own_cls, bool own,
@@ -76,9 +84,10 @@ class SchedulingIndex {
   std::uint32_t instance_;
   std::uint32_t stride_;
   std::vector<std::vector<std::uint32_t>> heaps_;  // per class: cache indices
+  std::vector<std::uint32_t> eligible_;            // per class: eligible count
   std::vector<Node> pos_;                          // cache index -> heap slot
-  // Scratch for Search: (class, heap position) frontier.
-  mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> frontier_;
+  // Scratch for Search: a binary min-heap of cache indices under Less.
+  mutable std::vector<std::uint32_t> frontier_;
 };
 
 }  // namespace actyp::sched

@@ -3,15 +3,9 @@
 #include <algorithm>
 
 namespace actyp::sched {
-namespace {
 
-// The linear scan shared by the ordered policies, templated on the
-// concrete (final) policy type so the per-entry Better comparison
-// inlines instead of going through the vtable ~n times per query.
-template <typename Policy>
-Selection LinearSelect(const Policy& policy,
-                       const std::vector<CacheEntry>& cache,
-                       const SelectionContext& ctx) {
+Selection SchedulingPolicy::Select(const std::vector<CacheEntry>& cache,
+                                   const SelectionContext& ctx) const {
   Selection result;
   if (cache.empty()) return result;
 
@@ -19,9 +13,9 @@ Selection LinearSelect(const Policy& policy,
   const auto* filter = ctx.filter;
   auto consider = [&](std::size_t i) {
     ++result.examined;
-    if (!SchedulingPolicy::Eligible(cache[i])) return;
+    if (!Eligible(cache[i])) return;
     if (filter && !(*filter)(i, cache[i])) return;
-    if (!result.found() || policy.Better(cache[i], cache[result.index])) {
+    if (!result.found() || Better(cache[i], cache[result.index])) {
       result.index = i;
     }
   };
@@ -40,21 +34,9 @@ Selection LinearSelect(const Policy& policy,
   return result;
 }
 
-}  // namespace
-
-Selection SchedulingPolicy::Select(const std::vector<CacheEntry>& cache,
-                                   const SelectionContext& ctx) const {
-  return LinearSelect(*this, cache, ctx);
-}
-
 bool LeastLoadPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
   if (a.load != b.load) return a.load < b.load;
   return a.effective_speed > b.effective_speed;
-}
-
-Selection LeastLoadPolicy::Select(const std::vector<CacheEntry>& cache,
-                                  const SelectionContext& ctx) const {
-  return LinearSelect(*this, cache, ctx);
 }
 
 bool MostMemoryPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
@@ -62,11 +44,6 @@ bool MostMemoryPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
     return a.available_memory_mb > b.available_memory_mb;
   }
   return a.load < b.load;
-}
-
-Selection MostMemoryPolicy::Select(const std::vector<CacheEntry>& cache,
-                                   const SelectionContext& ctx) const {
-  return LinearSelect(*this, cache, ctx);
 }
 
 bool FastestPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
@@ -78,11 +55,6 @@ bool FastestPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
                     (1.0 + b.load / static_cast<double>(b.num_cpus));
   if (ea != eb) return ea > eb;
   return a.load < b.load;
-}
-
-Selection FastestPolicy::Select(const std::vector<CacheEntry>& cache,
-                                const SelectionContext& ctx) const {
-  return LinearSelect(*this, cache, ctx);
 }
 
 bool RoundRobinPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
@@ -143,8 +115,8 @@ Selection RandomPolicy::Select(const std::vector<CacheEntry>& cache,
 }
 
 Result<std::unique_ptr<SchedulingPolicy>> MakePolicy(const std::string& name) {
-  // The bare names are the indexed fast paths; the "linear-" prefix
-  // keeps the paper's O(n) scan + periodic sort behaviour.
+  // The "linear-" prefix keeps the paper's O(n) scan + periodic sort as
+  // the simulated cost; the bare names are charged per index node.
   const bool linear = name.rfind("linear-", 0) == 0;
   const std::string base = linear ? name.substr(7) : name;
   if (base == "least-load" || base.empty()) {

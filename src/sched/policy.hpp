@@ -6,12 +6,16 @@
 // linear search algorithms employed for scheduling", so selection cost
 // is proportional to the number of entries examined.
 //
-// This reproduction keeps that legacy behaviour behind the "linear-*"
-// policy names (linear-least-load, linear-most-memory, linear-fastest)
-// so Fig. 6's curves stay reproducible, and makes the bare names
-// (least-load, most-memory, fastest) *indexed*: pools maintain an
-// incrementally-updated SchedulingIndex (sched/index.hpp) and answer
-// queries in near-constant entries examined instead of O(n).
+// Pools select through an incrementally-updated SchedulingIndex
+// (sched/index.hpp) for every ordered policy instead of scanning the
+// cache on the host. The policy name picks the simulated cost model: the
+// "linear-*" names (linear-least-load, linear-most-memory,
+// linear-fastest) are charged for the entries the paper's O(n) scan
+// examines plus the periodic re-sort, so Fig. 6's curves stay
+// reproducible; the bare names (least-load, most-memory, fastest) are
+// charged for the index nodes visited, near-constant instead of O(n).
+// SchedulingPolicy::Select is that linear scan, kept as the reference
+// the index is tested against.
 //
 // Replicated pool instances maintain scheduling integrity via an
 // instance-specific bias: instance i of n prefers every i-th machine
@@ -72,9 +76,16 @@ class SchedulingPolicy {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  // True when the pool should maintain a SchedulingIndex and select
-  // through it; false runs the legacy Select scan on every query.
+  // The simulated cost model: true charges a selection for the index
+  // nodes visited (the bare names); false charges the entries the linear
+  // scan examines and re-sorts the cache every period (the "linear-"
+  // names; round-robin and random charge their own Select's probes).
   [[nodiscard]] bool indexed() const { return indexed_; }
+
+  // True when Better is a total objective order, so the pool selects
+  // through a SchedulingIndex; round-robin and random keep their own
+  // Select.
+  [[nodiscard]] virtual bool ordered() const { return true; }
 
   // True when `a` should be preferred over `b` (used by the periodic
   // re-sort process and as the index ordering).
@@ -84,6 +95,7 @@ class SchedulingPolicy {
   // Linear scan for the best *free* usable machine, honouring the
   // replication bias: the instance's preferred stride is scanned first,
   // then the remainder. Returns the chosen index and entries examined.
+  // The ordered policies' reference: SchedulingIndex::Select must agree.
   [[nodiscard]] virtual Selection Select(const std::vector<CacheEntry>& cache,
                                          const SelectionContext& ctx) const;
 
@@ -107,8 +119,6 @@ class LeastLoadPolicy final : public SchedulingPolicy {
   }
   [[nodiscard]] bool Better(const CacheEntry& a,
                             const CacheEntry& b) const override;
-  [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
-                                 const SelectionContext& ctx) const override;
 };
 
 // Largest available memory wins.
@@ -120,8 +130,6 @@ class MostMemoryPolicy final : public SchedulingPolicy {
   }
   [[nodiscard]] bool Better(const CacheEntry& a,
                             const CacheEntry& b) const override;
-  [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
-                                 const SelectionContext& ctx) const override;
 };
 
 // Highest effective speed wins; ties broken by load.
@@ -133,14 +141,13 @@ class FastestPolicy final : public SchedulingPolicy {
   }
   [[nodiscard]] bool Better(const CacheEntry& a,
                             const CacheEntry& b) const override;
-  [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
-                                 const SelectionContext& ctx) const override;
 };
 
 // First free machine after a moving cursor (cheap, fair).
 class RoundRobinPolicy final : public SchedulingPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "round-robin"; }
+  [[nodiscard]] bool ordered() const override { return false; }
   [[nodiscard]] bool Better(const CacheEntry& a,
                             const CacheEntry& b) const override;
   [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
@@ -154,16 +161,17 @@ class RoundRobinPolicy final : public SchedulingPolicy {
 class RandomPolicy final : public SchedulingPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "random"; }
+  [[nodiscard]] bool ordered() const override { return false; }
   [[nodiscard]] bool Better(const CacheEntry& a,
                             const CacheEntry& b) const override;
   [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
                                  const SelectionContext& ctx) const override;
 };
 
-// Factory by name. Indexed fast paths: "least-load", "most-memory",
-// "fastest". Legacy linear scans: "linear-least-load",
-// "linear-most-memory", "linear-fastest". Unordered: "round-robin",
-// "random".
+// Factory by name. Charged per index node visited: "least-load",
+// "most-memory", "fastest". Charged as the paper's linear scan:
+// "linear-least-load", "linear-most-memory", "linear-fastest".
+// Unordered: "round-robin", "random".
 Result<std::unique_ptr<SchedulingPolicy>> MakePolicy(const std::string& name);
 
 }  // namespace actyp::sched

@@ -204,6 +204,17 @@ TEST(InProc, ScheduleSelfFiresRepeatedly) {
   WaitFor([&] { return node->ticks_.load() == 3; });
 }
 
+// Destroying a network right after constructing it races the scheduler
+// thread's first wait: a shutdown notify that lands between its stop
+// check and its wait must still wake it, or the destructor's join hangs.
+// 10,000 networks are enough to hit that window every time (4-vCPU x86
+// VM) when the stop flag is set outside the scheduler's lock.
+TEST(InProc, ImmediateShutdownNeverHangs) {
+  for (int i = 0; i < 10000; ++i) {
+    InProcNetwork network;
+  }
+}
+
 TEST(InProc, ParallelServersProcessConcurrently) {
   InProcNetwork network;
   class SlowNode final : public Node {

@@ -5,6 +5,9 @@
 // TTL), and query managers (routing rules, decomposition).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "db/database.hpp"
@@ -296,6 +299,57 @@ TEST_F(PipelineTest, PoolResortRefreshesFromDatabase) {
   ASSERT_EQ(probe_->count(net::msg::kAllocation), 1);
   EXPECT_NE(probe_->last(net::msg::kAllocation)->Header(net::hdr::kMachine),
             database_.Get(1)->name);
+}
+
+// A linear-least-load pool selects through the index while its re-sort
+// permutes the cache every tick: each pick must still be the least
+// loaded free machine, charged as the paper's scan over the whole pool.
+TEST_F(PipelineTest, LinearPoolPicksTheScanChoiceAcrossResorts) {
+  constexpr int kMachines = 8;
+  AddMachines(kMachines, "sun");
+  std::map<std::string, double> base_load;
+  for (db::MachineId id = 1; id <= kMachines; ++id) {
+    const double load = 0.05 * static_cast<double>((id * 5) % kMachines);
+    database_.Update(id, [&](db::MachineRecord& rec) { rec.dyn.load = load; });
+    base_load[database_.Get(id)->name] = load;
+  }
+  auto pool = MakePool("punch.rsrc.arch = sun\n",
+                       [](ResourcePoolConfig& c) {
+                         c.policy = "linear-least-load";
+                         c.resort_period = Seconds(1);
+                       });
+  network_.AddNode("pool0", pool, {"alpha", 1});
+
+  // Held machines sit at load >= 1, over their ceiling.
+  std::set<std::string> free_machines;
+  for (const auto& [name, load] : base_load) free_machines.insert(name);
+  std::vector<Allocation> held;
+  for (int step = 0; step < 12; ++step) {
+    std::string expected;
+    for (const std::string& name : free_machines) {
+      if (expected.empty() || base_load[name] < base_load[expected]) {
+        expected = name;
+      }
+    }
+    network_.Post("probe", "pool0", QueryMessage(kSunQuery, 100 + step));
+    kernel_.RunUntil(Seconds(0.6 * (step + 1)));
+    auto allocation =
+        ParseAllocationMessage(*probe_->last(net::msg::kAllocation));
+    ASSERT_TRUE(allocation.ok());
+    EXPECT_EQ(allocation->machine_name, expected) << "step " << step;
+    free_machines.erase(allocation->machine_name);
+    held.push_back(*allocation);
+    if (step % 2 == 1) {
+      network_.Post("probe", "pool0",
+                    MakeReleaseMessage(held.front().machine_id,
+                                       held.front().session_key));
+      free_machines.insert(held.front().machine_name);
+      held.erase(held.begin());
+    }
+  }
+  EXPECT_GE(pool->stats().refresh_ticks, 5u);
+  EXPECT_EQ(pool->stats().allocations, 12u);
+  EXPECT_EQ(pool->stats().entries_examined, 12u * kMachines);
 }
 
 TEST_F(PipelineTest, DownedMachineExcludedAfterRefresh) {

@@ -1,8 +1,11 @@
 // Tests for the scheduling policies: objective ordering, linear-search
 // accounting, eligibility, per-query filters, the Fig. 8 instance-bias
 // used by replicated pools, and the incrementally-maintained index's
-// exact equivalence with the legacy linear scan.
+// exact equivalence with the legacy linear scan (chosen entry, and the
+// scan's examined count for the "linear-" names).
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.hpp"
 #include "sched/index.hpp"
@@ -182,6 +185,9 @@ TEST(Factory, CreatesAllPolicies) {
     auto policy = MakePolicy(name);
     ASSERT_TRUE(policy.ok()) << name;
     EXPECT_EQ((*policy)->name(), name);
+    const bool unordered = std::string(name) == "round-robin" ||
+                           std::string(name) == "random";
+    EXPECT_EQ((*policy)->ordered(), !unordered) << name;
   }
   EXPECT_TRUE(MakePolicy("").ok());  // default
   EXPECT_FALSE(MakePolicy("quantum").ok());
@@ -244,36 +250,126 @@ CacheEntry RandomEntry(Rng& rng) {
 }
 
 // The index must choose exactly the entry the legacy linear scan does,
-// on any cache, any instance bias, and with any filter.
+// on any cache, any instance bias, and with any filter; for the
+// "linear-" names it must also report the scan's examined count, the
+// pool's simulated selection cost. Trial kinds: a random cache, a cache
+// with every entry ineligible, fewer entries than the stride (empty
+// classes), and a cache permuted into the re-sort's order and rebuilt.
 TEST(SchedulingIndex, MatchesLinearScanOnRandomCaches) {
   Rng rng(4242);
-  for (const char* name : {"least-load", "most-memory", "fastest"}) {
-    auto policy = MakePolicy(name);
-    ASSERT_TRUE(policy.ok());
-    for (int trial = 0; trial < 60; ++trial) {
-      const std::uint32_t stride = 1 + rng.NextBounded(4);
-      const std::size_t n = 1 + rng.NextBounded(60);
+  const std::function<bool(std::size_t, const CacheEntry&)> filter =
+      [](std::size_t i, const CacheEntry&) { return i % 5 != 3; };
+  for (const char* name :
+       {"least-load", "most-memory", "fastest", "linear-least-load",
+        "linear-most-memory", "linear-fastest"}) {
+    auto made = MakePolicy(name);
+    ASSERT_TRUE(made.ok());
+    const SchedulingPolicy& policy = **made;
+    for (int trial = 0; trial < 80; ++trial) {
+      const int kind = trial % 4;
+      const std::uint32_t stride =
+          kind == 2 ? 2 + rng.NextBounded(3) : 1 + rng.NextBounded(4);
+      const std::size_t n =
+          kind == 2 ? 1 + rng.NextBounded(stride - 1) : 1 + rng.NextBounded(60);
       std::vector<CacheEntry> cache;
-      for (std::size_t i = 0; i < n; ++i) cache.push_back(RandomEntry(rng));
+      for (std::size_t i = 0; i < n; ++i) {
+        cache.push_back(RandomEntry(rng));
+        if (kind == 1) cache.back().load += 9.0;  // over every ceiling
+      }
 
-      SchedulingIndex index(policy->get(), 0, stride);
+      SchedulingIndex index(&policy, 0, stride);
       index.Rebuild(cache);
+      if (kind == 3) {
+        std::stable_sort(cache.begin(), cache.end(),
+                         [&policy](const CacheEntry& a, const CacheEntry& b) {
+                           return policy.Better(a, b);
+                         });
+        index.Rebuild(cache);
+      }
 
-      std::function<bool(std::size_t, const CacheEntry&)> filter =
-          [](std::size_t i, const CacheEntry&) { return i % 5 != 3; };
       for (std::uint32_t instance = 0; instance < stride; ++instance) {
         SelectionContext ctx;
         ctx.instance = instance;
         ctx.instance_count = stride;
-        if (trial % 2 == 0) ctx.filter = &filter;
-        const Selection linear = (*policy)->Select(cache, ctx);
+        if ((trial / 4) % 2 == 0) ctx.filter = &filter;
+        const Selection linear = policy.Select(cache, ctx);
         const Selection indexed = index.Select(cache, ctx);
         EXPECT_EQ(indexed.index, linear.index)
             << name << " trial=" << trial << " instance=" << instance;
         EXPECT_EQ(indexed.found(), linear.found());
+        if (policy.indexed()) {
+          EXPECT_LE(indexed.examined, linear.examined);
+        } else {
+          EXPECT_EQ(indexed.examined, linear.examined)
+              << name << " trial=" << trial << " instance=" << instance;
+        }
+        if (kind == 1) {
+          EXPECT_FALSE(indexed.found());
+        }
       }
     }
   }
+}
+
+// Least-load ordering that counts its Better calls: the index's host
+// cost on saturated pools.
+class CountingPolicy final : public SchedulingPolicy {
+ public:
+  CountingPolicy() : SchedulingPolicy(/*indexed=*/true) {}
+  [[nodiscard]] std::string name() const override { return "counting"; }
+  [[nodiscard]] bool Better(const CacheEntry& a,
+                            const CacheEntry& b) const override {
+    ++calls;
+    return order_.Better(a, b);
+  }
+  mutable std::size_t calls = 0;
+
+ private:
+  LeastLoadPolicy order_;
+};
+
+// A select that finds nothing (or only the last entry in objective
+// order) must not cost O(n^2) comparisons: the frontier is a heap and an
+// all-ineligible pool is answered from the per-class counts.
+TEST(SchedulingIndex, SaturatedSelectStaysNearLinear) {
+  constexpr std::size_t kN = 1600;
+  CountingPolicy policy;
+  std::vector<CacheEntry> cache;
+  for (std::size_t i = 0; i < kN; ++i) {
+    cache.push_back(Entry(0.0005 * static_cast<double>(i)));
+  }
+  SchedulingIndex index(&policy, 0, 1);
+  SelectionContext ctx;
+
+  // No eligible entry: no traversal at all.
+  for (auto& entry : cache) entry.allocated = true;
+  index.Rebuild(cache);
+  policy.calls = 0;
+  Selection sel = index.Select(cache, ctx);
+  EXPECT_FALSE(sel.found());
+  EXPECT_EQ(sel.examined, kN);
+  EXPECT_EQ(policy.calls, 0u);
+
+  // Only the worst-ranked (most loaded) entry eligible.
+  cache.back().allocated = false;
+  index.Update(cache, kN - 1);
+  policy.calls = 0;
+  sel = index.Select(cache, ctx);
+  EXPECT_EQ(sel.index, kN - 1);
+  EXPECT_EQ(sel.examined, kN);
+  EXPECT_LE(policy.calls, 64 * kN);
+
+  // Every entry eligible, but a filter rejects them all.
+  for (auto& entry : cache) entry.allocated = false;
+  index.Rebuild(cache);
+  const std::function<bool(std::size_t, const CacheEntry&)> reject_all =
+      [](std::size_t, const CacheEntry&) { return false; };
+  ctx.filter = &reject_all;
+  policy.calls = 0;
+  sel = index.Select(cache, ctx);
+  EXPECT_FALSE(sel.found());
+  EXPECT_EQ(sel.examined, kN);
+  EXPECT_LE(policy.calls, 64 * kN);
 }
 
 // Equivalence on a mutating trace: allocate/release load changes with
