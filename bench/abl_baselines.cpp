@@ -20,9 +20,9 @@ namespace {
 
 // Assembles fleet + baseline scheduler + clients on the standard
 // topology and measures client response time.
-bench::CellResult RunBaseline(const std::string& kind, std::size_t machines,
-                              std::size_t clients, std::uint64_t seed,
-                              double time_scale) {
+bench::CellMetrics RunBaseline(const std::string& kind,
+                               std::size_t machines, std::size_t clients,
+                               std::uint64_t seed, double time_scale) {
   simnet::SimKernel kernel;
   simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), seed);
   network.AddHost("alpha", 12);
@@ -69,18 +69,15 @@ bench::CellResult RunBaseline(const std::string& kind, std::size_t machines,
   collector.Reset();
   kernel.RunUntil(Seconds(18 * time_scale));
 
-  bench::CellResult result;
-  result.mean_s = collector.response_stats().mean();
-  result.p50_s = collector.QuantileSeconds(0.5);
-  result.p95_s = collector.QuantileSeconds(0.95);
-  result.completed = collector.completed();
-  result.failures = collector.failures();
+  bench::CellMetrics metrics;
+  metrics.AddResponse(collector);
   // Journal-fed scan-cache refresh work (see baseline::ScanCache): far
   // below completed * fleet once the mirror is primed.
-  result.entries_refreshed = central != nullptr
-                                 ? central->stats().entries_refreshed
-                                 : matchmaker->stats().entries_refreshed;
-  return result;
+  metrics.Add(bench::kEngine, "entries_refreshed",
+              static_cast<double>(
+                  central != nullptr ? central->stats().entries_refreshed
+                                     : matchmaker->stats().entries_refreshed));
+  return metrics;
 }
 
 ScenarioReport RunAblBaselines(const ScenarioRunOptions& options) {
@@ -98,29 +95,26 @@ ScenarioReport RunAblBaselines(const ScenarioRunOptions& options) {
       config.clients = clients;
       config.seed = bench::CellSeed(options, 100, clients);
       tasks.push_back([config = std::move(config), &options, clients] {
-        const auto result =
+        const auto metrics =
             bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
                            bench::ScaledSeconds(options, 15));
         ScenarioCell cell;
         cell.labels.emplace_back("system", "actyp");
         cell.dims.emplace_back("clients", static_cast<double>(clients));
-        bench::AppendMetrics(result, &cell);
+        metrics.Select(bench::kStandard, &cell);
         return cell;
       });
     }
     for (const char* kind : {"central", "matchmaker"}) {
       tasks.push_back([kind, machines, clients, &options] {
-        const auto result =
+        const auto metrics =
             RunBaseline(kind, machines, clients,
                         bench::CellSeed(options, 200, clients),
                         options.time_scale);
         ScenarioCell cell;
         cell.labels.emplace_back("system", kind);
         cell.dims.emplace_back("clients", static_cast<double>(clients));
-        bench::AppendMetrics(result, &cell);
-        cell.metrics.emplace_back(
-            "entries_refreshed",
-            static_cast<double>(result.entries_refreshed));
+        metrics.Select(bench::kResponse | bench::kEngine, &cell);
         return cell;
       });
     }

@@ -76,8 +76,11 @@ ScenarioReport RunAblDelegation(const ScenarioRunOptions& options) {
                                   ToMillis(probe->failed_at));
         if (options.profile) {
           // Only the pool-manager hop exists in this micro-topology.
-          bench::AppendStageMetrics(profiler,
-                                    {profile::Stage::kPmDelegate}, &cell);
+          bench::CellMetrics stages;
+          stages.AddStages(profiler);
+          stages.Select(
+              {"pm_delegate_p50_s", "pm_delegate_p95_s", "pm_delegate_p99_s"},
+              &cell);
         }
         return cell;
       });

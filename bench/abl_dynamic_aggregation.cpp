@@ -23,13 +23,11 @@ void RunMix(const ScenarioRunOptions& options, std::uint32_t segments,
   config.clients = options.clients.value_or(32);
   config.hot_fraction = hot_fraction;
   config.seed = bench::CellSeed(options, 50, seed_offset);
-  config.profile = options.profile;
-  SimScenario scenario(config);
-  scenario.Measure(bench::ScaledSeconds(options, 3),
-                   bench::ScaledSeconds(options, 15));
-  cell->metrics.emplace_back("mean_s",
-                             scenario.collector().response_stats().mean());
-  bench::AppendStageMetrics(scenario, cell);
+  const auto metrics =
+      bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
+                     bench::ScaledSeconds(options, 15));
+  metrics.Select({"mean_s"}, cell);
+  metrics.Select(bench::kStages, cell);
 }
 
 ScenarioReport RunAblDynamicAggregation(const ScenarioRunOptions& options) {

@@ -23,12 +23,12 @@ ScenarioReport RunAblQosFanout(const ScenarioRunOptions& options) {
     config.clients = options.clients.value_or(8);
     config.seed = bench::CellSeed(options, 4242, fanout);
     tasks.push_back([config = std::move(config), &options, fanout] {
-      const auto result =
+      const auto metrics =
           bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
                          bench::ScaledSeconds(options, 20));
       ScenarioCell cell;
       cell.dims.emplace_back("fanout", static_cast<double>(fanout));
-      bench::AppendMetrics(result, &cell);
+      metrics.Select(bench::kStandard, &cell);
       return cell;
     });
   }

@@ -26,27 +26,18 @@ ScenarioReport RunAblSchedPolicy(const ScenarioRunOptions& options) {
       config.clients = options.clients.value_or(48);
       config.policy = policy;
       config.seed = options.seed.value_or(31337);
-      config.profile = options.profile;
       config.job_duration = [](Rng& rng) {
         return static_cast<SimDuration>(rng.Exponential(8e6));
       };
-      SimScenario scenario(config);
-      scenario.Measure(bench::ScaledSeconds(options, 5),
-                       bench::ScaledSeconds(options, 60));
-      const auto stats = scenario.TotalPoolStats();
+      const auto metrics =
+          bench::RunCell(config, options, bench::ScaledSeconds(options, 5),
+                         bench::ScaledSeconds(options, 60));
       ScenarioCell cell;
       cell.labels.emplace_back("policy", policy);
-      cell.metrics.emplace_back(
-          "mean_s", scenario.collector().response_stats().mean());
-      cell.metrics.emplace_back("p95_s",
-                                scenario.collector().QuantileSeconds(0.95));
-      cell.metrics.emplace_back(
-          "completed", static_cast<double>(scenario.collector().completed()));
-      cell.metrics.emplace_back("oversubscribed",
-                                static_cast<double>(stats.oversubscribed));
-      cell.metrics.emplace_back("entries_examined",
-                                static_cast<double>(stats.entries_examined));
-      bench::AppendStageMetrics(scenario, &cell);
+      metrics.Select({"mean_s", "p95_s", "completed", "oversubscribed",
+                      "entries_examined"},
+                     &cell);
+      metrics.Select(bench::kStages, &cell);
       return cell;
     });
   }

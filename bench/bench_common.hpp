@@ -3,20 +3,19 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "actyp/scenario.hpp"
 #include "actyp/scenario_registry.hpp"
 #include "common/logging.hpp"
+#include "common/seed_sink.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/flight_recorder.hpp"
@@ -24,50 +23,90 @@
 #include "profile/metrics_exporter.hpp"
 #include "profile/stage_profiler.hpp"
 #include "profile/trace_assembler.hpp"
+#include "workload/client.hpp"
 
 namespace actyp::bench {
 
-struct CellResult {
-  double mean_s = 0;
-  double p50_s = 0;
-  double p95_s = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failures = 0;
-  // Fault-regime observables (all zero on a healthy network).
-  double success_rate = 0;  // completed / (completed + failures)
-  std::uint64_t lost = 0;   // messages dropped by loss + partitions
-  std::uint64_t machines_crashed = 0;
-  std::uint64_t services_crashed = 0;
-  std::uint64_t pools_created = 0;  // on-demand creations via the proxy
-  // Engine observables for the scaling sweeps.
-  std::uint64_t events = 0;          // kernel events executed (whole run)
-  double wall_s = 0;                 // host wall-clock for the cell
-  std::uint64_t allocations = 0;     // pool allocations granted
-  std::uint64_t entries_examined = 0;  // selection cost across the run
-  std::uint64_t entries_refreshed = 0;  // cache entries re-read on ticks
-  std::uint64_t refresh_ticks = 0;      // periodic refresh sweeps run
-  // Client retry policy (zero unless retry-max is set).
-  std::uint64_t retries = 0;
-  // Replicated-directory observables (all zero when --replicas <= 1).
-  std::uint64_t sync_bytes = 0;      // anti-entropy wire bytes
-  std::uint64_t full_syncs = 0;      // bounded-journal fallbacks
-  std::uint64_t failovers = 0;       // reads/writes served off-site
-  std::uint64_t convergences = 0;    // disruptions fully reconciled
-  std::uint64_t tombstones_gc = 0;   // LWW tombstones garbage-collected
-  double max_staleness_s = 0;        // worst replica lag behind the group
-  double converge_time_s = 0;        // last disruption -> convergence
-  // Per-stage latency digests (src/profile/), indexed by profile::Stage.
-  // `profiled` is false when the run was built with profiling off, and
-  // AppendMetrics then emits no stage metrics at all — the seed report.
-  bool profiled = false;
-  std::array<profile::StageSummary, profile::kStageCount> stages{};
-  // Trace-derived tail attribution (profiled runs only): the per-request
-  // traces assembled from the span ring's window, and which stage
-  // dominated the slowest of them (index into profile::Stage; -1 when
-  // the window held no complete trace).
-  std::uint64_t trace_count = 0;
-  int slow_trace_top_stage = -1;
-  std::array<double, profile::kStageCount> tail_share{};
+// Metric groups, in the order a cell's metric list holds them. A
+// scenario reports a cell by selecting a union of groups, or single
+// metrics by name.
+enum MetricGroup : unsigned {
+  kResponse = 1u << 0,  // mean_s p50_s p95_s completed failures
+  kStages = 1u << 1,    // <stage>_p50_s/_p95_s/_p99_s (profiled runs)
+  kTrace = 1u << 2,     // tail attribution digest (profiled runs)
+  kFault = 1u << 3,     // success rate, lost messages, client retries
+  kChurn = 1u << 4,     // injected machine and service crashes
+  kReplica = 1u << 5,   // replicated-directory observables
+  kEngine = 1u << 6,    // selection and refresh cost
+  kPool = 1u << 7,      // placement and on-demand creation counters
+};
+
+// The standard report: the response metrics plus, on profiled runs, the
+// per-stage percentiles and the trace digest. An unprofiled run lists
+// neither, so its report is exactly the five response metrics, the
+// pre-profiler output.
+inline constexpr unsigned kStandard = kResponse | kStages | kTrace;
+
+// One cell's metrics as one ordered (name, value) list, each metric
+// named once, where its value is read.
+class CellMetrics {
+ public:
+  void Add(MetricGroup group, std::string name, double value) {
+    entries_.push_back({group, std::move(name), value});
+  }
+
+  // The response group, from any client collector.
+  void AddResponse(const workload::ResponseCollector& collector) {
+    Add(kResponse, "mean_s", collector.response_stats().mean());
+    Add(kResponse, "p50_s", collector.QuantileSeconds(0.50));
+    Add(kResponse, "p95_s", collector.QuantileSeconds(0.95));
+    Add(kResponse, "completed", static_cast<double>(collector.completed()));
+    Add(kResponse, "failures", static_cast<double>(collector.failures()));
+  }
+
+  // The stage group: p50/p95/p99 of every stage (see profile::StageName).
+  void AddStages(const profile::StageProfiler& profiler) {
+    for (std::size_t i = 0; i < profile::kStageCount; ++i) {
+      const auto stage = static_cast<profile::Stage>(i);
+      const std::string name(profile::StageName(stage));
+      const profile::StageSummary summary = profiler.Summary(stage);
+      Add(kStages, name + "_p50_s", summary.p50_s);
+      Add(kStages, name + "_p95_s", summary.p95_s);
+      Add(kStages, name + "_p99_s", summary.p99_s);
+    }
+  }
+
+  // Appends every metric of the selected groups to the cell, in list
+  // order.
+  void Select(unsigned groups, ScenarioCell* cell) const {
+    for (const Entry& entry : entries_) {
+      if ((entry.group & groups) != 0) {
+        cell->metrics.emplace_back(entry.name, entry.value);
+      }
+    }
+  }
+
+  // Appends the named metrics in the order given. A name the list does
+  // not hold (a stage metric of an unprofiled run) appends nothing.
+  void Select(std::initializer_list<std::string_view> names,
+              ScenarioCell* cell) const {
+    for (const std::string_view name : names) {
+      for (const Entry& entry : entries_) {
+        if (entry.name == name) {
+          cell->metrics.emplace_back(entry.name, entry.value);
+          break;
+        }
+      }
+    }
+  }
+
+ private:
+  struct Entry {
+    MetricGroup group;
+    std::string name;
+    double value;
+  };
+  std::vector<Entry> entries_;
 };
 
 // Merges the driver's fault, replication, and retry overrides (--loss /
@@ -116,85 +155,110 @@ inline void ApplyFaults(const ScenarioRunOptions& options,
   }
 }
 
-// Harvests a finished scenario into a CellResult (shared by both
-// RunCell overloads; wall_start is when cell construction began).
-inline CellResult CollectCell(
-    SimScenario& scenario,
-    std::chrono::steady_clock::time_point wall_start) {
-  CellResult result;
-  result.wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - wall_start)
-                      .count();
-  result.events = scenario.total_events();
-  result.mean_s = scenario.collector().response_stats().mean();
-  result.p50_s = scenario.collector().QuantileSeconds(0.50);
-  result.p95_s = scenario.collector().QuantileSeconds(0.95);
-  result.completed = scenario.collector().completed();
-  result.failures = scenario.collector().failures();
-  const std::uint64_t attempts = result.completed + result.failures;
-  result.success_rate =
-      attempts == 0 ? 0.0
-                    : static_cast<double>(result.completed) /
-                          static_cast<double>(attempts);
-  result.lost = scenario.network().lost_messages() +
-                scenario.network().partition_dropped();
-  result.machines_crashed = scenario.fault_stats().machines_crashed;
-  result.services_crashed =
-      scenario.fault_stats().services_crashed + scenario.fault_stats().pools_killed;
-  result.pools_created = scenario.proxy_stats().pools_created;
-  const auto pool_stats = scenario.TotalPoolStats();
-  result.allocations = pool_stats.allocations;
-  result.entries_examined = pool_stats.entries_examined;
-  result.entries_refreshed = pool_stats.entries_refreshed;
-  result.refresh_ticks = pool_stats.refresh_ticks;
-  result.retries = scenario.total_client_retries();
-  const auto replica_stats = scenario.replica_stats();
-  result.sync_bytes = replica_stats.sync_bytes;
-  result.full_syncs = replica_stats.full_syncs;
-  result.failovers = replica_stats.failovers;
-  result.convergences = replica_stats.convergences;
-  result.tombstones_gc = replica_stats.tombstones_gc;
-  result.max_staleness_s = replica_stats.max_staleness_s;
-  result.converge_time_s = replica_stats.converge_time_s;
+// Lists a finished scenario's metrics, in report order: response, the
+// profiled stage/trace block, then fault, churn, replica, engine and
+// pool metrics. All of them are deterministic functions of the seed.
+inline CellMetrics CollectCell(SimScenario& scenario) {
+  CellMetrics metrics;
+  const workload::ResponseCollector& collector = scenario.collector();
+  metrics.AddResponse(collector);
   if (const profile::StageProfiler* profiler = scenario.profiler()) {
-    result.profiled = true;
-    for (std::size_t i = 0; i < profile::kStageCount; ++i) {
-      result.stages[i] =
-          profiler->Summary(static_cast<profile::Stage>(i));
-    }
+    metrics.AddStages(*profiler);
     // Tail attribution over the traces still assembled in the ring
-    // window — a deterministic function of the seed (and the ring
-    // capacity, which bounds the window).
-    const profile::AssembledTraces assembled =
-        profile::TraceAssembler::Assemble(profiler->RingSnapshot());
-    const profile::TailReport tail =
-        profile::TraceAssembler::Tail(assembled.requests);
-    result.trace_count = tail.trace_count;
-    result.slow_trace_top_stage = tail.slow_top_stage;
-    result.tail_share = tail.tail_share;
+    // window (the ring capacity bounds the window): which stage
+    // dominated the slowest traces (stage index; -1 = no traces), and
+    // each handling stage's share of the tail's attributed time. The
+    // umbrella client_issue span and the background stages never appear
+    // in request waterfalls, so only the five handling stages report.
+    const profile::TailReport tail = profile::TraceAssembler::Tail(
+        profile::TraceAssembler::Assemble(profiler->RingSnapshot())
+            .requests);
+    metrics.Add(kTrace, "trace_count", static_cast<double>(tail.trace_count));
+    metrics.Add(kTrace, "slow_trace_top_stage",
+                static_cast<double>(tail.slow_top_stage));
+    for (const profile::Stage stage :
+         {profile::Stage::kQmAdmit, profile::Stage::kPmDelegate,
+          profile::Stage::kPoolSelect, profile::Stage::kReintegrate,
+          profile::Stage::kReply}) {
+      metrics.Add(kTrace,
+                  std::string(profile::StageName(stage)) + "_tail_share",
+                  tail.tail_share[static_cast<std::size_t>(stage)]);
+    }
   }
-  return result;
+
+  const std::uint64_t completed = collector.completed();
+  const std::uint64_t attempts = completed + collector.failures();
+  metrics.Add(kFault, "success_rate",
+              attempts == 0 ? 0.0
+                            : static_cast<double>(completed) /
+                                  static_cast<double>(attempts));
+  metrics.Add(kFault, "lost",
+              static_cast<double>(scenario.network().lost_messages() +
+                                  scenario.network().partition_dropped()));
+  metrics.Add(kFault, "retries",
+              static_cast<double>(scenario.total_client_retries()));
+
+  const fault::FaultStats& faults = scenario.fault_stats();
+  metrics.Add(kChurn, "machines_crashed",
+              static_cast<double>(faults.machines_crashed));
+  metrics.Add(kChurn, "services_crashed",
+              static_cast<double>(faults.services_crashed +
+                                  faults.pools_killed));
+
+  const replica::ReplicaGroupStats replicas = scenario.replica_stats();
+  metrics.Add(kReplica, "sync_bytes",
+              static_cast<double>(replicas.sync_bytes));
+  metrics.Add(kReplica, "full_syncs",
+              static_cast<double>(replicas.full_syncs));
+  metrics.Add(kReplica, "failovers", static_cast<double>(replicas.failovers));
+  metrics.Add(kReplica, "convergences",
+              static_cast<double>(replicas.convergences));
+  metrics.Add(kReplica, "tombstones_gc",
+              static_cast<double>(replicas.tombstones_gc));
+  metrics.Add(kReplica, "max_staleness_s", replicas.max_staleness_s);
+  metrics.Add(kReplica, "converge_time_s", replicas.converge_time_s);
+
+  // Selection cost is entries examined per allocation (the
+  // indexed-vs-linear headroom); refresh cost is cache entries re-read
+  // per periodic tick (with dirty-id refresh it tracks monitor churn,
+  // not cache size).
+  const pipeline::PoolStats pools = scenario.TotalPoolStats();
+  metrics.Add(kEngine, "sel_cost",
+              pools.allocations == 0
+                  ? 0.0
+                  : static_cast<double>(pools.entries_examined) /
+                        static_cast<double>(pools.allocations));
+  metrics.Add(kEngine, "entries_refreshed",
+              static_cast<double>(pools.entries_refreshed));
+  metrics.Add(kEngine, "refresh_cost",
+              pools.refresh_ticks == 0
+                  ? 0.0
+                  : static_cast<double>(pools.entries_refreshed) /
+                        static_cast<double>(pools.refresh_ticks));
+  metrics.Add(kPool, "oversubscribed",
+              static_cast<double>(pools.oversubscribed));
+  metrics.Add(kPool, "entries_examined",
+              static_cast<double>(pools.entries_examined));
+  metrics.Add(kPool, "pools_created",
+              static_cast<double>(scenario.proxy_stats().pools_created));
+  return metrics;
 }
 
-// Runs one scenario cell: warm up, reset the collector, measure.
-inline CellResult RunCell(ScenarioConfig config,
-                          SimDuration warmup = Seconds(3),
-                          SimDuration measure = Seconds(15)) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  SimScenario scenario(std::move(config));
-  scenario.Measure(warmup, measure);
-  return CollectCell(scenario, wall_start);
+// Simulated duration scaled by the driver's --time-scale.
+inline SimDuration ScaledSeconds(const ScenarioRunOptions& options,
+                                 double seconds) {
+  return Seconds(seconds * options.time_scale);
 }
 
-// One incremental streaming snapshot of a running cell: sim time,
-// throughput counters, and — when profiled — the per-stage p95s so
-// far. Emitted on the sim clock by the --metrics-interval hook.
-inline profile::MetricCell StreamSnapshot(SimScenario& scenario) {
+// One --metrics-interval snapshot of a running cell at sim time `t`:
+// throughput counters and — when profiled — the per-stage counts and
+// p95s so far.
+inline profile::MetricCell StreamSnapshot(SimScenario& scenario, SimTime t) {
   profile::MetricCell cell;
   cell.scenario = "stream";
   cell.labels.emplace_back("seed",
                            std::to_string(scenario.config().seed));
-  cell.values.emplace_back("t_s", ToSeconds(scenario.kernel().Now()));
+  cell.values.emplace_back("t_s", ToSeconds(t));
   cell.values.emplace_back(
       "completed", static_cast<double>(scenario.collector().completed()));
   cell.values.emplace_back(
@@ -212,17 +276,20 @@ inline profile::MetricCell StreamSnapshot(SimScenario& scenario) {
   return cell;
 }
 
-// RunCell with the driver's fault overrides applied first; every
-// scenario routes through this so --loss / --churn-rate / --fault-plan
-// compose with any figure or ablation. This overload also carries the
-// observability wiring: the --metrics-interval streaming timer (a
-// self-re-arming kernel event — extra events never reorder existing
-// ones under the kernel's (at, seq) tie-break, so arming it cannot
-// perturb the simulation) and the --trace-out span capture, taken
-// before the scenario is torn down.
-inline CellResult RunCell(ScenarioConfig config,
-                          const ScenarioRunOptions& options,
-                          SimDuration warmup, SimDuration measure) {
+// Runs one scenario cell: applies the driver's overrides, warms up,
+// measures, and lists the cell's metrics. Every scenario that builds a
+// SimScenario routes through this, so --loss / --churn-rate /
+// --fault-plan compose with any figure or ablation. It also carries the
+// observability wiring: the --telemetry-out gauge samples and the
+// --metrics-interval snapshots, each taken at its own interval
+// boundaries by Measure's one chunk loop (chunking never reorders
+// events, so neither perturbs the report), and the --trace-out span
+// ring and --flight-out events, captured before the scenario is torn
+// down. Every sink is keyed by the cell seed, so the files are
+// byte-identical for any --jobs / --cell-jobs.
+inline CellMetrics RunCell(ScenarioConfig config,
+                           const ScenarioRunOptions& options,
+                           SimDuration warmup, SimDuration measure) {
   ApplyFaults(options, &config);
   config.profile = options.profile;
   config.cell_jobs = options.cell_jobs;
@@ -230,62 +297,46 @@ inline CellResult RunCell(ScenarioConfig config,
     config.profile_ring_capacity = *options.profile_ring_capacity;
   }
   config.flight_recorder = options.flight_sink != nullptr;
-  const auto wall_start = std::chrono::steady_clock::now();
   SimScenario scenario(std::move(config));
-  if (options.metrics_streamer != nullptr && options.metrics_interval_s > 0 &&
-      scenario.lp_mode()) {
-    // The streaming tick executes on shard 0's kernel mid-window, where
-    // reading the other shards' profilers would race their workers.
-    ACTYP_WARN << "cell: --metrics-interval streaming disabled for "
-                  "LP-parallel scenarios; final metrics still export";
-  } else if (options.metrics_streamer != nullptr &&
-             options.metrics_interval_s > 0) {
-    const auto interval = std::max<SimDuration>(
-        Seconds(options.metrics_interval_s * options.time_scale), 1);
-    profile::MetricsStreamer* streamer = options.metrics_streamer;
-    SimScenario* running = &scenario;
-    // Only the scheduled events own the tick; the tick itself holds a
-    // weak_ptr, so the pending event freed with the kernel frees it.
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [weak = std::weak_ptr(tick), streamer, running, interval] {
-      streamer->WriteCell(StreamSnapshot(*running));
-      if (auto self = weak.lock()) {
-        running->kernel().Schedule(interval, [self] { (*self)(); });
-      }
-    };
-    scenario.kernel().Schedule(interval, [tick] { (*tick)(); });
-  }
-  if (options.telemetry_sink != nullptr && options.telemetry_interval_s > 0) {
-    // Sampled measurement: the window advances in interval-sized chunks
-    // and one gauge sample is taken at each boundary (workers idle).
-    // Chunking never reorders events, so the report is unchanged.
-    const auto interval = std::max<SimDuration>(
-        Seconds(options.telemetry_interval_s * options.time_scale), 1);
-    std::vector<profile::MetricCell> samples;
-    scenario.Measure(warmup, measure, interval, [&](SimTime t) {
-      samples.push_back(obs::TelemetrySample(scenario, t));
-    });
-    options.telemetry_sink->Add(scenario.config().seed, std::move(samples));
-  } else {
-    scenario.Measure(warmup, measure);
-  }
+  const auto every = [&options](const SeedSink<profile::MetricCell>* sink,
+                                double interval_s) -> SimDuration {
+    if (sink == nullptr || interval_s <= 0) return 0;
+    return std::max<SimDuration>(ScaledSeconds(options, interval_s), 1);
+  };
+  std::vector<profile::MetricCell> telemetry;
+  std::vector<profile::MetricCell> snapshots;
+  const auto gauges = [&](SimTime t) {
+    telemetry.push_back(obs::TelemetrySample(scenario, t));
+  };
+  const auto progress = [&](SimTime t) {
+    snapshots.push_back(StreamSnapshot(scenario, t));
+  };
+  scenario.Measure(
+      warmup, measure,
+      {{every(options.telemetry_sink, options.telemetry_interval_s), gauges},
+       {every(options.metrics_sink, options.metrics_interval_s), progress}});
   if (options.quiesce_s > 0) {
     // --quiesce: drain past the measurement window so the collected
     // success rate / convergence state reflect the recovered system,
     // not the mid-disruption snapshot. 0 leaves the path untouched.
     scenario.RunUntil(scenario.kernel().Now() +
-                      Seconds(options.quiesce_s * options.time_scale));
+                      ScaledSeconds(options, options.quiesce_s));
   }
-  CellResult result = CollectCell(scenario, wall_start);
+  CellMetrics metrics = CollectCell(scenario);
+  const std::uint64_t seed = scenario.config().seed;
+  if (options.telemetry_sink != nullptr) {
+    options.telemetry_sink->Add(seed, std::move(telemetry));
+  }
+  if (options.metrics_sink != nullptr) {
+    options.metrics_sink->Add(seed, std::move(snapshots));
+  }
   if (options.trace_sink != nullptr && scenario.profiler() != nullptr) {
-    options.trace_sink->Add(scenario.config().seed,
-                            scenario.profiler()->RingSnapshot());
+    options.trace_sink->Add(seed, scenario.profiler()->RingSnapshot());
   }
   if (options.flight_sink != nullptr) {
-    options.flight_sink->Add(scenario.config().seed,
-                             scenario.FlightSnapshot());
+    options.flight_sink->Add(seed, scenario.FlightSnapshot());
   }
-  return result;
+  return metrics;
 }
 
 // A sweep dimension collapses to the override when the driver pins it.
@@ -296,145 +347,11 @@ inline std::vector<std::size_t> SweepOr(
   return defaults;
 }
 
-// Simulated duration scaled by the driver's --time-scale.
-inline SimDuration ScaledSeconds(const ScenarioRunOptions& options,
-                                 double seconds) {
-  return Seconds(seconds * options.time_scale);
-}
-
 // Per-cell seed: the driver's --seed replaces the scenario's base seed,
 // the per-cell offset keeps cells decorrelated either way.
 inline std::uint64_t CellSeed(const ScenarioRunOptions& options,
                               std::uint64_t base, std::uint64_t offset) {
   return options.seed.value_or(base) + offset;
-}
-
-// Appends the standard response-time metrics to a report cell, plus —
-// when the run was profiled — the per-stage latency percentiles
-// ("<stage>_p50_s" / "_p95_s" / "_p99_s" for the six pipeline hops;
-// see profile::StageName). Unprofiled runs append exactly the legacy
-// five metrics, which is what keeps --no-profile output byte-identical
-// to the seed.
-inline void AppendMetrics(const CellResult& result, ScenarioCell* cell) {
-  cell->metrics.emplace_back("mean_s", result.mean_s);
-  cell->metrics.emplace_back("p50_s", result.p50_s);
-  cell->metrics.emplace_back("p95_s", result.p95_s);
-  cell->metrics.emplace_back("completed",
-                             static_cast<double>(result.completed));
-  cell->metrics.emplace_back("failures",
-                             static_cast<double>(result.failures));
-  if (!result.profiled) return;
-  for (std::size_t i = 0; i < profile::kStageCount; ++i) {
-    const std::string stage(
-        profile::StageName(static_cast<profile::Stage>(i)));
-    const profile::StageSummary& summary = result.stages[i];
-    cell->metrics.emplace_back(stage + "_p50_s", summary.p50_s);
-    cell->metrics.emplace_back(stage + "_p95_s", summary.p95_s);
-    cell->metrics.emplace_back(stage + "_p99_s", summary.p99_s);
-  }
-  // Trace-derived tail attribution: which stage dominated the slowest
-  // assembled traces (stage index; -1 = no traces in the window), and
-  // each pipeline stage's share of the tail's attributed time. The
-  // umbrella client_issue span and the background stages never appear
-  // in request waterfalls, so only the five handling stages report.
-  cell->metrics.emplace_back("trace_count",
-                             static_cast<double>(result.trace_count));
-  cell->metrics.emplace_back(
-      "slow_trace_top_stage",
-      static_cast<double>(result.slow_trace_top_stage));
-  for (const profile::Stage stage :
-       {profile::Stage::kQmAdmit, profile::Stage::kPmDelegate,
-        profile::Stage::kPoolSelect, profile::Stage::kReintegrate,
-        profile::Stage::kReply}) {
-    const std::string name(profile::StageName(stage));
-    cell->metrics.emplace_back(
-        name + "_tail_share",
-        result.tail_share[static_cast<std::size_t>(stage)]);
-  }
-}
-
-// Appends "<stage>_p50_s/_p95_s/_p99_s" for each requested stage —
-// for scenarios that run a profiler outside the CellResult path.
-inline void AppendStageMetrics(const profile::StageProfiler& profiler,
-                               std::initializer_list<profile::Stage> stages,
-                               ScenarioCell* cell) {
-  for (const profile::Stage stage : stages) {
-    const std::string name(profile::StageName(stage));
-    const profile::StageSummary summary = profiler.Summary(stage);
-    cell->metrics.emplace_back(name + "_p50_s", summary.p50_s);
-    cell->metrics.emplace_back(name + "_p95_s", summary.p95_s);
-    cell->metrics.emplace_back(name + "_p99_s", summary.p99_s);
-  }
-}
-
-// Every instrumented stage from a finished scenario (pipeline hops
-// plus the replica_sync / monitor_sweep background services); no-op
-// when the run was built with profiling off.
-inline void AppendStageMetrics(const SimScenario& scenario,
-                               ScenarioCell* cell) {
-  const profile::StageProfiler* profiler = scenario.profiler();
-  if (profiler == nullptr) return;
-  for (std::size_t i = 0; i < profile::kStageCount; ++i) {
-    AppendStageMetrics(*profiler, {static_cast<profile::Stage>(i)}, cell);
-  }
-}
-
-// Appends the fault-regime metrics the lossy/churn scenarios report on
-// top of the standard ones.
-inline void AppendFaultMetrics(const CellResult& result, ScenarioCell* cell) {
-  cell->metrics.emplace_back("success_rate", result.success_rate);
-  cell->metrics.emplace_back("lost", static_cast<double>(result.lost));
-  cell->metrics.emplace_back("retries", static_cast<double>(result.retries));
-}
-
-// Appends the replicated-directory metrics (wan_partition_heal,
-// directory_failover, fig8's replicated-directory cells). All values
-// are deterministic functions of the seed and are perf-tracked.
-inline void AppendReplicaMetrics(const CellResult& result,
-                                 ScenarioCell* cell) {
-  cell->metrics.emplace_back("sync_bytes",
-                             static_cast<double>(result.sync_bytes));
-  cell->metrics.emplace_back("full_syncs",
-                             static_cast<double>(result.full_syncs));
-  cell->metrics.emplace_back("failovers",
-                             static_cast<double>(result.failovers));
-  cell->metrics.emplace_back("convergences",
-                             static_cast<double>(result.convergences));
-  cell->metrics.emplace_back("tombstones_gc",
-                             static_cast<double>(result.tombstones_gc));
-  cell->metrics.emplace_back("max_staleness_s", result.max_staleness_s);
-  cell->metrics.emplace_back("converge_time_s", result.converge_time_s);
-}
-
-// Appends the engine metrics the scaling sweeps report: selection cost
-// (entries examined per allocation — the indexed-vs-linear headroom),
-// refresh cost (cache entries re-read per periodic tick — with dirty-id
-// refresh this tracks monitor churn, not cache size), and host-side
-// event throughput. ev_per_s_wall is wall-clock derived: it is excluded
-// from the perf baseline diff and zeroed under --stable so fixed-seed
-// output is byte-identical across hosts and --jobs values.
-inline void AppendEngineMetrics(const CellResult& result,
-                                const ScenarioRunOptions& options,
-                                ScenarioCell* cell) {
-  const double per_alloc =
-      result.allocations == 0
-          ? 0.0
-          : static_cast<double>(result.entries_examined) /
-                static_cast<double>(result.allocations);
-  cell->metrics.emplace_back("sel_cost", per_alloc);
-  cell->metrics.emplace_back("entries_refreshed",
-                             static_cast<double>(result.entries_refreshed));
-  const double per_tick =
-      result.refresh_ticks == 0
-          ? 0.0
-          : static_cast<double>(result.entries_refreshed) /
-                static_cast<double>(result.refresh_ticks);
-  cell->metrics.emplace_back("refresh_cost", per_tick);
-  cell->metrics.emplace_back(
-      "ev_per_s_wall",
-      options.stable || result.wall_s <= 0
-          ? 0.0
-          : static_cast<double>(result.events) / result.wall_s);
 }
 
 // --- parallel sweep execution ---

@@ -34,23 +34,22 @@ ScenarioReport RunBigWan(const ScenarioRunOptions& options) {
   config.policy = "linear-least-load";
   config.seed = bench::CellSeed(options, 910000, 0);
   tasks.push_back([config = std::move(config), &options, machines, clients] {
-    const auto result =
+    const auto metrics =
         bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
                        bench::ScaledSeconds(options, 15));
     ScenarioCell cell;
     cell.dims.emplace_back("sites", 8.0);
     cell.dims.emplace_back("machines", static_cast<double>(machines));
     cell.dims.emplace_back("clients", static_cast<double>(clients));
-    bench::AppendMetrics(result, &cell);
-    bench::AppendEngineMetrics(result, options, &cell);
+    metrics.Select(bench::kStandard | bench::kEngine, &cell);
     return cell;
   });
   bench::RunCellTasks(options, std::move(tasks), &report);
   report.note =
       "shape check: completed > 0 with failures 0 on the healthy "
       "network; the report (and --trace-out) is byte-identical for any "
-      "--cell-jobs value, and wall clock scales down with workers "
-      "(ev_per_s_wall up) until the 8 LPs are saturated.";
+      "--cell-jobs value, and wall clock scales down with workers until "
+      "the 8 LPs are saturated.";
   return report;
 }
 

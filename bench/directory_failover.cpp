@@ -69,16 +69,15 @@ ScenarioReport RunDirectoryFailover(const ScenarioRunOptions& options) {
                                       clients);
     ++index;
     tasks.push_back([config = std::move(config), &options, regime] {
-      const auto result = bench::RunCell(
+      const auto metrics = bench::RunCell(
           config, options, bench::ScaledSeconds(options, 3),
           bench::ScaledSeconds(options, 15));
       ScenarioCell cell;
       cell.labels.emplace_back("regime", regime.label);
       cell.dims.emplace_back("replicas",
                              static_cast<double>(regime.replicas));
-      bench::AppendMetrics(result, &cell);
-      bench::AppendFaultMetrics(result, &cell);
-      bench::AppendReplicaMetrics(result, &cell);
+      metrics.Select(bench::kStandard | bench::kFault | bench::kReplica,
+                     &cell);
       return cell;
     });
   }

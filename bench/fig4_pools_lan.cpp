@@ -26,13 +26,13 @@ ScenarioReport RunFig4(const ScenarioRunOptions& options) {
       config.clients = clients;
       config.seed = bench::CellSeed(options, 4000, pools * 100 + clients);
       tasks.push_back([config = std::move(config), &options, pools, clients] {
-        const auto result =
+        const auto metrics =
             bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
                            bench::ScaledSeconds(options, 15));
         ScenarioCell cell;
         cell.dims.emplace_back("pools", static_cast<double>(pools));
         cell.dims.emplace_back("clients", static_cast<double>(clients));
-        bench::AppendMetrics(result, &cell);
+        metrics.Select(bench::kStandard, &cell);
         return cell;
       });
     }

@@ -23,13 +23,13 @@ ScenarioReport RunFig6(const ScenarioRunOptions& options) {
       config.seed = bench::CellSeed(options, 6000, machines + clients);
       tasks.push_back(
           [config = std::move(config), &options, machines, clients] {
-            const auto result = bench::RunCell(
+            const auto metrics = bench::RunCell(
                 config, options, bench::ScaledSeconds(options, 3),
                 bench::ScaledSeconds(options, 15));
             ScenarioCell cell;
             cell.dims.emplace_back("machines", static_cast<double>(machines));
             cell.dims.emplace_back("clients", static_cast<double>(clients));
-            bench::AppendMetrics(result, &cell);
+            metrics.Select(bench::kStandard, &cell);
             return cell;
           });
     }

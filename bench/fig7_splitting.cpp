@@ -24,13 +24,13 @@ ScenarioReport RunFig7(const ScenarioRunOptions& options) {
       config.seed = bench::CellSeed(options, 7000, segments * 100 + clients);
       tasks.push_back(
           [config = std::move(config), &options, segments, clients] {
-            const auto result = bench::RunCell(
+            const auto metrics = bench::RunCell(
                 config, options, bench::ScaledSeconds(options, 3),
                 bench::ScaledSeconds(options, 15));
             ScenarioCell cell;
             cell.dims.emplace_back("segments", static_cast<double>(segments));
             cell.dims.emplace_back("clients", static_cast<double>(clients));
-            bench::AppendMetrics(result, &cell);
+            metrics.Select(bench::kStandard, &cell);
             return cell;
           });
     }

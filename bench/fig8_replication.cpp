@@ -51,7 +51,7 @@ ScenarioReport RunFig8(const ScenarioRunOptions& options) {
                                 clients);
         tasks.push_back([config = std::move(config), &options, replicas,
                          clients, replicated_dir] {
-          const auto result = bench::RunCell(
+          const auto metrics = bench::RunCell(
               config, options, bench::ScaledSeconds(options, 3),
               bench::ScaledSeconds(options, 15));
           ScenarioCell cell;
@@ -59,8 +59,9 @@ ScenarioReport RunFig8(const ScenarioRunOptions& options) {
                                    replicated_dir ? "replicated" : "single");
           cell.dims.emplace_back("replicas", static_cast<double>(replicas));
           cell.dims.emplace_back("clients", static_cast<double>(clients));
-          bench::AppendMetrics(result, &cell);
-          if (replicated_dir) bench::AppendReplicaMetrics(result, &cell);
+          metrics.Select(replicated_dir ? bench::kStandard | bench::kReplica
+                                        : bench::kStandard,
+                         &cell);
           return cell;
         });
       }

@@ -33,14 +33,13 @@ ScenarioReport RunLossyWan(const ScenarioRunOptions& options) {
                                         clients);
       ++index;
       tasks.push_back([config = std::move(config), &options, loss, clients] {
-        const auto result =
+        const auto metrics =
             bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
                            bench::ScaledSeconds(options, 15));
         ScenarioCell cell;
         cell.dims.emplace_back("loss", loss);
         cell.dims.emplace_back("clients", static_cast<double>(clients));
-        bench::AppendMetrics(result, &cell);
-        bench::AppendFaultMetrics(result, &cell);
+        metrics.Select(bench::kStandard | bench::kFault, &cell);
         return cell;
       });
     }

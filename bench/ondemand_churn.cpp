@@ -35,15 +35,13 @@ ScenarioReport RunOndemandChurn(const ScenarioRunOptions& options) {
                                       clients);
     ++index;
     tasks.push_back([config = std::move(config), &options, rate] {
-      const auto result =
+      const auto metrics =
           bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
                          bench::ScaledSeconds(options, 15));
       ScenarioCell cell;
       cell.dims.emplace_back("rate", rate);
-      bench::AppendMetrics(result, &cell);
-      bench::AppendFaultMetrics(result, &cell);
-      cell.metrics.emplace_back("pools_created",
-                                static_cast<double>(result.pools_created));
+      metrics.Select(bench::kStandard | bench::kFault, &cell);
+      metrics.Select({"pools_created"}, &cell);
       return cell;
     });
   }

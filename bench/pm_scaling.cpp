@@ -4,7 +4,7 @@
 // Queries are spread over 2 query managers so the entry stage is not
 // the limiter; the sweep shows where the mapping tier stops being one.
 // Composes with --loss / --churn-rate / --fault-plan; see qm_scaling
-// for the sel_cost / ev_per_s_wall metric semantics.
+// for the sel_cost / refresh_cost metric semantics.
 #include "bench_common.hpp"
 
 namespace actyp {
@@ -29,14 +29,13 @@ ScenarioReport RunPmScaling(const ScenarioRunOptions& options) {
       config.policy = "least-load";  // the indexed fast path
       config.seed = bench::CellSeed(options, 220000, pms * 1000 + clients);
       tasks.push_back([config = std::move(config), &options, pms, clients] {
-        const auto result =
+        const auto metrics =
             bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
                            bench::ScaledSeconds(options, 15));
         ScenarioCell cell;
         cell.dims.emplace_back("pms", static_cast<double>(pms));
         cell.dims.emplace_back("clients", static_cast<double>(clients));
-        bench::AppendMetrics(result, &cell);
-        bench::AppendEngineMetrics(result, options, &cell);
+        metrics.Select(bench::kStandard | bench::kEngine, &cell);
         return cell;
       });
     }

@@ -53,18 +53,13 @@ ScenarioReport RunPoolChurn(const ScenarioRunOptions& options) {
                                       clients);
     ++index;
     tasks.push_back([config = std::move(config), &options, regime] {
-      const auto result =
+      const auto metrics =
           bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
                          bench::ScaledSeconds(options, 15));
       ScenarioCell cell;
       cell.labels.emplace_back("churn", regime.label);
       cell.dims.emplace_back("rate", regime.rate);
-      bench::AppendMetrics(result, &cell);
-      bench::AppendFaultMetrics(result, &cell);
-      cell.metrics.emplace_back("machines_crashed",
-                                static_cast<double>(result.machines_crashed));
-      cell.metrics.emplace_back("services_crashed",
-                                static_cast<double>(result.services_crashed));
+      metrics.Select(bench::kStandard | bench::kFault | bench::kChurn, &cell);
       return cell;
     });
   }

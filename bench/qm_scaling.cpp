@@ -6,7 +6,9 @@
 // is the bottleneck being scaled. Composes with --loss / --churn-rate /
 // --fault-plan like every scenario; sel_cost reports entries examined
 // per allocation (the indexed policy's asymptotic win over Fig. 6's
-// linear search) and ev_per_s_wall the host-side event throughput.
+// linear search) and refresh_cost the cache entries re-read per
+// periodic refresh tick. What the simulator costs on the host is
+// measured by benchmark/, not here.
 #include "bench_common.hpp"
 
 namespace actyp {
@@ -31,14 +33,13 @@ ScenarioReport RunQmScaling(const ScenarioRunOptions& options) {
       config.policy = "least-load";  // the indexed fast path
       config.seed = bench::CellSeed(options, 210000, qms * 1000 + clients);
       tasks.push_back([config = std::move(config), &options, qms, clients] {
-        const auto result =
+        const auto metrics =
             bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
                            bench::ScaledSeconds(options, 15));
         ScenarioCell cell;
         cell.dims.emplace_back("qms", static_cast<double>(qms));
         cell.dims.emplace_back("clients", static_cast<double>(clients));
-        bench::AppendMetrics(result, &cell);
-        bench::AppendEngineMetrics(result, options, &cell);
+        metrics.Select(bench::kStandard | bench::kEngine, &cell);
         return cell;
       });
     }

@@ -186,7 +186,12 @@ ScenarioReport RunTcpRoundtrip(const ScenarioRunOptions& options) {
       "pipeline and back; ok == calls is the invariant for both modes — "
       "the reset mode injects connection resets and partial frames at "
       "the socket layer and the retrying client absorbs them (latencies "
-      "are wall-clock and excluded from deterministic perf diffs).";
+      "are wall-clock and excluded from deterministic perf diffs). Clean "
+      "mode runs first, so its first call for each pool builds that pool "
+      "on demand: the threaded transport's Consume sleeps the modelled "
+      "pool_create_fixed (25 ms) in real time, which sets clean's max_ms "
+      "and lifts its mean at small call counts; reset mode finds the "
+      "pools built.";
   return report;
 }
 

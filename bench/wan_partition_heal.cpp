@@ -94,15 +94,14 @@ ScenarioReport RunWanPartitionHeal(const ScenarioRunOptions& options) {
       ++index;
       tasks.push_back([config = std::move(config), &options, regime,
                        replicas] {
-        const auto result = bench::RunCell(
+        const auto metrics = bench::RunCell(
             config, options, bench::ScaledSeconds(options, 3),
             bench::ScaledSeconds(options, 15));
         ScenarioCell cell;
         cell.labels.emplace_back("regime", regime.label);
         cell.dims.emplace_back("replicas", static_cast<double>(replicas));
-        bench::AppendMetrics(result, &cell);
-        bench::AppendFaultMetrics(result, &cell);
-        bench::AppendReplicaMetrics(result, &cell);
+        metrics.Select(bench::kStandard | bench::kFault | bench::kReplica,
+                       &cell);
         return cell;
       });
     }

@@ -4,9 +4,9 @@
 #   - intra-cell parallelism: on an LP-sharded scenario, --cell-jobs 2/4
 #     emit byte-identical JSON to --cell-jobs 1 (the conservative-window
 #     engine replays the same schedule for any worker count).
-# Fixed seed, --stable so wall-clock-derived metrics are zeroed.
-# Invoked by ctest with -DSIM=<path-to-actyp_sim>.
-set(args --scenario qm_scaling --json --stable
+# Fixed seed; every reported metric is simulated, so no flag is needed
+# for byte-identity. Invoked by ctest with -DSIM=<path-to-actyp_sim>.
+set(args --scenario qm_scaling --json
     --seed 1 --machines 100 --clients 2 --time-scale 0.05)
 
 execute_process(COMMAND ${SIM} ${args} --jobs 1
@@ -29,7 +29,7 @@ if(NOT serial STREQUAL parallel)
 endif()
 message(STATUS "--jobs 4 output is byte-identical to --jobs 1")
 
-set(cell_args --scenario big_wan --json --stable
+set(cell_args --scenario big_wan --json
     --seed 1 --machines 2000 --clients 24 --time-scale 0.2)
 
 execute_process(COMMAND ${SIM} ${cell_args} --cell-jobs 1

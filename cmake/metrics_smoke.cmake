@@ -1,7 +1,7 @@
 # End-to-end smoke for the driver's metrics export: --metrics-out in
 # both formats, and the --no-profile off switch. Invoked by ctest with
 # -DSIM=<path-to-actyp_sim> -DOUT=<scratch-dir>.
-set(args --scenario fig6_pool_size --json --stable
+set(args --scenario fig6_pool_size --json
     --seed 3 --machines 100 --clients 2 --time-scale 0.05)
 
 execute_process(COMMAND ${SIM} ${args}
@@ -36,5 +36,26 @@ if(prom MATCHES "pool_select")
 endif()
 if(unprofiled MATCHES "_p95_s")
   message(FATAL_ERROR "--no-profile report still has stage metrics")
+endif()
+
+# With interval snapshots, prom still types each metric once: the
+# snapshots' and the report cells' samples share one group.
+execute_process(COMMAND ${SIM} ${args} --metrics-interval 0.5
+                --metrics-out ${OUT}/snapshots.prom --metrics-format prom
+                OUTPUT_QUIET RESULT_VARIABLE snapshot_rc)
+if(NOT snapshot_rc EQUAL 0)
+  message(FATAL_ERROR "prom snapshot run failed with ${snapshot_rc}")
+endif()
+file(READ ${OUT}/snapshots.prom snapshots)
+string(REGEX MATCHALL "# TYPE actyp_completed gauge" typed "${snapshots}")
+list(LENGTH typed typed_count)
+if(NOT typed_count EQUAL 1)
+  message(FATAL_ERROR "actyp_completed typed ${typed_count} times:\n"
+          "${snapshots}")
+endif()
+if(NOT snapshots MATCHES "actyp_completed\\{scenario=\"stream\""
+   OR NOT snapshots MATCHES "actyp_completed\\{scenario=\"fig6_pool_size\"")
+  message(FATAL_ERROR "prom file lacks snapshot or report samples:\n"
+          "${snapshots}")
 endif()
 message(STATUS "metrics export OK in both formats; --no-profile clean")

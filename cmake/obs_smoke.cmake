@@ -17,7 +17,7 @@ file(REMOVE_RECURSE ${work})
 file(MAKE_DIRECTORY ${work})
 
 set(base_args --scenario fig6_pool_size --json --machines 200 --clients 4
-    --time-scale 0.2 --stable)
+    --time-scale 0.2)
 
 # --- telemetry + flight: deterministic across --jobs, inert on report ---
 execute_process(COMMAND ${SIM} ${base_args}
@@ -74,7 +74,7 @@ endif()
 # finish in either order, so the files only match across --jobs if the
 # sinks break that tie on content.
 set(tie_args --scenario fig4_pools_lan --scenario fig5_pools_wan --seed 7
-    --machines 200 --clients 4 --time-scale 0.05 --stable)
+    --machines 200 --clients 4 --time-scale 0.05)
 foreach(jobs 1 2)
   execute_process(COMMAND ${SIM} ${tie_args} --jobs ${jobs}
                   --telemetry-out ${work}/tie_tele${jobs}.jsonl

@@ -1,6 +1,7 @@
 #include "actyp/scenario.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "actyp/monitor_node.hpp"
 #include "common/logging.hpp"
@@ -830,32 +831,32 @@ void SimScenario::ResetMeasurement() {
   }
 }
 
-void SimScenario::Measure(SimDuration warmup, SimDuration duration) {
-  RunUntil(kernel_.Now() + warmup);
-  ResetMeasurement();
-  for (const auto& recorder : recorders_) recorder->Reset();
-  RunUntil(kernel_.Now() + duration);
-}
-
 void SimScenario::Measure(SimDuration warmup, SimDuration duration,
-                          SimDuration sample_interval,
-                          const std::function<void(SimTime)>& sample) {
-  if (sample_interval <= 0 || !sample) {
-    Measure(warmup, duration);
-    return;
-  }
+                          const std::vector<Sampler>& samplers) {
   RunUntil(kernel_.Now() + warmup);
   ResetMeasurement();
   for (const auto& recorder : recorders_) recorder->Reset();
-  // Absolute window boundaries computed from the start keep the sample
-  // grid drift-free however sample_interval divides duration.
+  // Each sampler's boundaries are absolute offsets from the window
+  // start, so its grid is drift-free however its interval divides
+  // duration; a switched-off sampler is never due.
   const SimTime start = kernel_.Now();
   const SimTime end = start + duration;
-  sample(start);
-  for (SimTime next = start; next < end;) {
-    next = std::min<SimTime>(end, next + sample_interval);
-    RunUntil(next);
-    sample(next);
+  std::vector<SimTime> due(samplers.size(),
+                           std::numeric_limits<SimTime>::max());
+  for (std::size_t i = 0; i < samplers.size(); ++i) {
+    if (samplers[i].interval <= 0 || !samplers[i].sample) continue;
+    samplers[i].sample(start);
+    due[i] = std::min<SimTime>(end, start + samplers[i].interval);
+  }
+  for (SimTime now = start; now < end;) {
+    now = end;
+    for (const SimTime at : due) now = std::min(now, at);
+    RunUntil(now);
+    for (std::size_t i = 0; i < samplers.size(); ++i) {
+      if (due[i] != now) continue;
+      samplers[i].sample(now);
+      due[i] = std::min<SimTime>(end, now + samplers[i].interval);
+    }
   }
 }
 

@@ -154,18 +154,23 @@ class SimScenario {
   // Advances the simulation to `until` (absolute sim time).
   void RunUntil(SimTime until);
 
-  // Runs a measurement: `warmup` is excluded (the collector is reset
-  // after it), then `duration` of steady state is measured.
-  void Measure(SimDuration warmup, SimDuration duration);
+  // A periodic read of the measurement window: `sample(t)` runs at the
+  // window's start, every `interval` after it, and at its end. An
+  // interval <= 0 switches the sampler off.
+  struct Sampler {
+    SimDuration interval = 0;
+    std::function<void(SimTime)> sample;
+  };
 
-  // Sampled measurement: like Measure, but the steady-state window is
-  // advanced in `sample_interval` chunks and `sample(now)` runs between
+  // Runs a measurement: `warmup` is excluded (the collector is reset
+  // after it), then `duration` of steady state is measured. With
+  // samplers the window advances in chunks, each to the earliest next
+  // boundary of any sampler, and the samplers due there run between
   // chunks (workers idle, so deterministic reads of any scenario state
   // are safe). Chunked advancement never reorders events, so the run is
-  // byte-identical to the unsampled Measure for any chunk size.
+  // byte-identical whatever the samplers and their intervals.
   void Measure(SimDuration warmup, SimDuration duration,
-               SimDuration sample_interval,
-               const std::function<void(SimTime)>& sample);
+               const std::vector<Sampler>& samplers = {});
 
   // The warmup-boundary reset Measure applies, minus the flight
   // recorders: collector(s) and profiler(s) start the measurement

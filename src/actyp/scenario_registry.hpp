@@ -1,10 +1,9 @@
 // ScenarioRegistry: the single front door to every experiment the repo
 // reproduces. Each paper figure (fig4_pools_lan ... fig9_workload) and
 // ablation (abl_baselines ... abl_sched_policy) registers itself by
-// name; the unified `actyp_sim` driver lists, configures, and runs them
-// and emits either an aligned table or machine-readable JSON. Benches,
-// CI smoke tests, and future BENCH_*.json perf tracking all run through
-// this layer.
+// name; the `actyp_sim` driver lists, configures, and runs them and
+// emits either an aligned table or machine-readable JSON. CI smoke
+// tests and the BENCH_baseline.json perf gate run through this layer.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +24,6 @@ template <typename T>
 class SeedSink;
 
 namespace profile {
-class MetricsStreamer;
 struct MetricCell;
 struct SpanRecord;
 }  // namespace profile
@@ -80,9 +78,6 @@ struct ScenarioRunOptions {
   // workload shape. Empty = the default regime; other scenarios ignore
   // it.
   std::string regime_text;
-  // --stable: zero wall-clock-derived metrics (ev_per_s_wall) so
-  // fixed-seed runs are byte-identical across hosts and --jobs values.
-  bool stable = false;
   // --no-profile sets this false: the scenarios skip building the
   // stage profiler and the reports omit the per-stage percentile
   // metrics — restoring the pre-profiler output byte for byte.
@@ -96,18 +91,16 @@ struct ScenarioRunOptions {
   // ThreadPool workers add in completion order — the sink re-orders
   // deterministically on drain.
   SeedSink<profile::SpanRecord>* trace_sink = nullptr;
-  // --metrics-interval wiring: when streamer is set and the interval is
-  // positive, every cell arms a periodic sim-clock flush that emits one
-  // incremental snapshot cell per interval (scaled by --time-scale,
-  // like every other simulated duration).
-  profile::MetricsStreamer* metrics_streamer = nullptr;
+  // --metrics-interval and --telemetry-out wiring: when a sink is set
+  // and its interval is positive, each cell samples its measurement
+  // window at every interval boundary (scaled by --time-scale) — a
+  // progress snapshot for metrics_sink, a gauge vector for
+  // telemetry_sink — from the one chunk loop in SimScenario::Measure.
+  // Chunked advancement never reorders events, so the report stays
+  // byte-identical, and samples are keyed by cell seed, so the files
+  // are byte-identical for any --jobs / --cell-jobs.
+  SeedSink<profile::MetricCell>* metrics_sink = nullptr;
   double metrics_interval_s = 0;
-  // --telemetry-out wiring: when the sink is set and the interval is
-  // positive, each cell runs its measurement window in interval-sized
-  // chunks (scaled by --time-scale) and deposits one gauge sample per
-  // chunk boundary. Chunked advancement never reorders events, so the
-  // report stays byte-identical, and samples are keyed by cell seed, so
-  // the series is byte-identical for any --jobs / --cell-jobs.
   SeedSink<profile::MetricCell>* telemetry_sink = nullptr;
   double telemetry_interval_s = 0;
   // --flight-out wiring: when set, each cell builds its scenario with
@@ -166,7 +159,7 @@ struct ScenarioRegistrar {
                     bool wall_clock = false);
 };
 
-// Report emitters shared by actyp_sim and the standalone bench mains.
+// Report emitters: the aligned table and one JSON object per report.
 void WriteReportTable(const ScenarioReport& report, std::ostream& out);
 void WriteReportJson(const ScenarioReport& report, std::ostream& out);
 

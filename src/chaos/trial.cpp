@@ -177,7 +177,6 @@ std::string ReproBundleText(const ChaosTrial& trial,
   config.Set("time-scale", FormatDouble(params.time_scale));
   config.Set("quiesce", FormatDouble(params.quiesce_floor_s));
   config.Set("regime", trial.regime.Serialize());
-  config.Set("stable", "true");
   config.Set("json", "true");
   return config.Serialize();
 }

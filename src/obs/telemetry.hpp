@@ -1,11 +1,12 @@
 // Continuous telemetry: gauge samples over simulated time. Where the
-// scenario report is one end-of-run aggregate and --metrics-interval
-// streams snapshots from a kernel timer (serial scenarios only — a
-// shard-0 tick would race the other LPs), the telemetry sampler pauses
-// the run between RunUntil chunks and reads gauges single-threaded.
-// Chunked RunUntil never reorders events, so sampling is invisible to
-// the simulation: reports stay byte-identical with it on or off, and
-// the samples themselves are byte-identical for any --jobs/--cell-jobs.
+// scenario report is one end-of-run aggregate, the telemetry sampler
+// is a SimScenario::Measure sampler (the chunk loop that also takes the
+// --metrics-interval snapshots): the run pauses between RunUntil chunks
+// and gauges are read single-threaded, on serial and LP scenarios
+// alike. Chunked RunUntil never reorders events, so sampling is
+// invisible to the simulation: reports stay byte-identical with it on
+// or off, and the samples themselves are byte-identical for any
+// --jobs/--cell-jobs.
 //
 // Each sample is one profile::MetricCell (scenario "telemetry", the
 // cell seed as a label, gauges in a fixed order), so the existing

@@ -1,6 +1,5 @@
 #include "profile/metrics_exporter.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -88,8 +87,8 @@ std::string PromValue(const std::string& text) {
   return out;
 }
 
-// One jsonl line per cell — shared by the batch writer and the
-// streamer so both formats stay byte-compatible.
+// One jsonl line per cell — shared by the file writer and
+// MetricCellJson, which splices cells into other line formats.
 void WriteJsonlCell(const MetricCell& cell, std::ostream& out) {
   out << "{\"scenario\":\"" << JsonEscape(cell.scenario)
       << "\",\"labels\":{";
@@ -199,59 +198,6 @@ void MetricsExporter::WriteProm(std::ostream& out) const {
     }
   }
   out << "# EOF\n";
-}
-
-// --- MetricsStreamer -------------------------------------------------------
-
-Status MetricsStreamer::Open(const std::string& path) {
-  auto file = std::make_unique<std::ofstream>(path, std::ios::trunc);
-  if (!*file) {
-    return Internal("cannot open metrics stream file: " + path);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  owned_ = std::move(file);
-  out_ = owned_.get();
-  return Status::Ok();
-}
-
-void MetricsStreamer::Attach(std::ostream* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  owned_.reset();
-  out_ = out;
-}
-
-void MetricsStreamer::WriteCell(const MetricCell& cell) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (out_ == nullptr) return;
-  if (format_ == Format::kJsonl) {
-    WriteJsonlCell(cell, *out_);
-  } else {
-    for (const auto& [key, value] : cell.values) {
-      const std::string metric = "actyp_" + PromName(key);
-      if (std::find(prom_typed_.begin(), prom_typed_.end(), metric) ==
-          prom_typed_.end()) {
-        prom_typed_.push_back(metric);
-        *out_ << "# TYPE " << metric << " gauge\n";
-      }
-      WritePromSample(cell, metric, value, *out_);
-    }
-  }
-  out_->flush();
-  ++cells_written_;
-}
-
-void MetricsStreamer::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (out_ == nullptr) return;
-  if (format_ == Format::kProm) *out_ << "# EOF\n";
-  out_->flush();
-  out_ = nullptr;
-  owned_.reset();
-}
-
-std::size_t MetricsStreamer::cells_written() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cells_written_;
 }
 
 }  // namespace actyp::profile

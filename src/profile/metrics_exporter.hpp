@@ -17,8 +17,6 @@
 #pragma once
 
 #include <compare>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -70,47 +68,6 @@ class MetricsExporter {
 
   Format format_;
   std::vector<MetricCell> cells_;
-};
-
-// MetricsStreamer: incremental counterpart of MetricsExporter. Where
-// the exporter buffers a finished run and writes once, the streamer
-// appends one cell at a time — flushed immediately — so a periodic
-// sim-clock hook (--metrics-interval) makes a long run observable in
-// flight (`tail -f` the file). Thread-safe: sweep cells running on
-// ThreadPool workers interleave whole lines, never partial ones.
-//
-// jsonl streams exactly the exporter's per-cell lines. prom emits each
-// metric's "# TYPE" header the first time that metric is seen (samples
-// are not regrouped — this is a stream), and Close() terminates the
-// exposition with "# EOF".
-class MetricsStreamer {
- public:
-  using Format = MetricsExporter::Format;
-
-  explicit MetricsStreamer(Format format) : format_(format) {}
-
-  // Opens `path` for streaming, replacing any existing file.
-  [[nodiscard]] Status Open(const std::string& path);
-  // Streams into a caller-owned ostream instead (tests, stdout).
-  void Attach(std::ostream* out);
-
-  // Appends one cell and flushes. No-op before Open/Attach.
-  void WriteCell(const MetricCell& cell);
-
-  // Terminates the stream (prom: "# EOF") and detaches. Safe to call
-  // twice; the destructor calls it.
-  void Close();
-  ~MetricsStreamer() { Close(); }
-
-  [[nodiscard]] std::size_t cells_written() const;
-
- private:
-  Format format_;
-  mutable std::mutex mu_;
-  std::unique_ptr<std::ostream> owned_;
-  std::ostream* out_ = nullptr;
-  std::vector<std::string> prom_typed_;  // metric names already typed
-  std::size_t cells_written_ = 0;
 };
 
 }  // namespace actyp::profile

@@ -391,7 +391,6 @@ TEST(ChaosTrial, ReproBundleCarriesTheFullTrial) {
   EXPECT_EQ(config->GetInt("seed", 0), 7);
   EXPECT_DOUBLE_EQ(config->GetDouble("time-scale", 0), 0.2);
   EXPECT_DOUBLE_EQ(config->GetDouble("quiesce", 0), 1.5);
-  EXPECT_TRUE(config->GetBool("stable", false));
 
   const auto plan = FaultPlan::FromConfig(config.value());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -407,7 +406,6 @@ TEST(ChaosCell, RegisteredScenarioReplaysATrial) {
   ScenarioRunOptions options;
   options.seed = 11;
   options.time_scale = 0.2;
-  options.stable = true;
   options.regime_text = SmallRegime().Serialize();
   const ScenarioReport report = info->run(options);
   ASSERT_EQ(report.cells.size(), 1u);

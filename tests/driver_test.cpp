@@ -20,6 +20,8 @@
 #include "chaos/trial.hpp"
 #include "chaos/workload_regime.hpp"
 #include "common/config.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/telemetry.hpp"
 #include "sim_options.hpp"
 
 namespace actyp {
@@ -229,9 +231,8 @@ TEST(ScenarioRegistry, Fig6JsonIsParseable) {
 
 // The tentpole guarantee of --jobs: a parallel sweep must emit exactly
 // the bytes the serial sweep emits — every cell owns its own kernel and
-// seed, and cells are collected in queue order. --stable zeroes the
-// wall-clock-derived metrics, the only legitimately nondeterministic
-// numbers in the report.
+// seed, and cells are collected in queue order. Every metric in the
+// report is simulated, so no flag is needed for that.
 TEST(ParallelSweep, JobsFourIsByteIdenticalToSerial) {
   for (const char* name : {"qm_scaling", "pm_scaling"}) {
     const auto* info = ScenarioRegistry::Instance().Find(name);
@@ -241,7 +242,6 @@ TEST(ParallelSweep, JobsFourIsByteIdenticalToSerial) {
     options.clients = 2;
     options.time_scale = 0.05;
     options.seed = 17;
-    options.stable = true;
 
     options.jobs = 1;
     std::ostringstream serial;
@@ -265,17 +265,16 @@ TEST(ParallelSweep, ParallelRunsAreReproducible) {
   options.time_scale = 0.05;
   options.seed = 3;
   options.jobs = 3;
-  options.stable = true;
   std::ostringstream first, second;
   WriteReportJson(info->run(options), first);
   WriteReportJson(info->run(options), second);
   EXPECT_EQ(first.str(), second.str());
 }
 
-// Removes the contiguous block of profiled-only metrics that
-// AppendMetrics appends to a profiled cell ("client_issue_p50_s"
-// through the trace digest's trailing "reply_tail_share"), leaving
-// the pre-profiler report.
+// Removes the contiguous block of profiled-only metrics that a
+// profiled cell's standard report holds ("client_issue_p50_s" through
+// the trace digest's trailing "reply_tail_share"), leaving the
+// pre-profiler report.
 std::string StripStageMetrics(std::string json) {
   const std::string first = ",\"client_issue_p50_s\":";
   const std::string last = "\"reply_tail_share\":";
@@ -305,7 +304,6 @@ TEST(ProfileToggle, ProfiledReportIsUnprofiledPlusStageMetrics) {
   options.clients = 2;
   options.time_scale = 0.1;
   options.seed = 11;
-  options.stable = true;
 
   options.profile = true;
   std::ostringstream profiled;
@@ -334,7 +332,6 @@ TEST(ProfileToggle, UnprofiledRunsAreByteIdentical) {
     options.clients = 2;
     options.time_scale = 0.05;
     options.seed = 23;
-    options.stable = true;
     options.profile = false;
     std::ostringstream first, second;
     WriteReportJson(info->run(options), first);
@@ -354,7 +351,6 @@ TEST(ProfileToggle, ProfiledParallelSweepMatchesSerial) {
   options.clients = 2;
   options.time_scale = 0.05;
   options.seed = 29;
-  options.stable = true;
   options.profile = true;
 
   options.jobs = 1;
@@ -367,6 +363,48 @@ TEST(ProfileToggle, ProfiledParallelSweepMatchesSerial) {
 
   EXPECT_NE(serial.str().find("_p95_s"), std::string::npos);
   EXPECT_EQ(serial.str(), parallel.str());
+}
+
+// The two ablations that once built their scenarios by hand run through
+// bench::RunCell like every other simulated scenario, so the driver's
+// sinks and fault overrides reach them.
+TEST(DriverOverrides, AblationsHonorSinksAndFaults) {
+  for (const char* name : {"abl_sched_policy", "abl_dynamic_aggregation"}) {
+    const auto* info = ScenarioRegistry::Instance().Find(name);
+    ASSERT_NE(info, nullptr);
+    ScenarioRunOptions options;
+    options.machines = 20;
+    options.clients = 8;
+    options.time_scale = 0.05;
+    const auto render = [&] {
+      std::ostringstream out;
+      WriteReportJson(info->run(options), out);
+      return out.str();
+    };
+    const std::string plain = render();
+
+    obs::TelemetrySink telemetry;
+    obs::FlightSink flight;
+    options.telemetry_sink = &telemetry;
+    options.telemetry_interval_s = 0.5;
+    options.flight_sink = &flight;
+    EXPECT_EQ(render(), plain) << name;  // observing changes nothing
+    std::size_t samples = 0;
+    for (const auto& cell : telemetry.Take()) samples += cell.items.size();
+    EXPECT_GT(samples, 0u) << name;
+#if !defined(ACTYP_PROFILE_OFF)
+    // The flight recorder's Record() compiles away under
+    // ACTYP_PROFILE_OFF, leaving no events to count.
+    std::size_t events = 0;
+    for (const auto& cell : flight.Take()) events += cell.items.size();
+    EXPECT_GT(events, 0u) << name;
+#endif
+
+    options.telemetry_sink = nullptr;
+    options.flight_sink = nullptr;
+    options.loss = 0.2;
+    EXPECT_TRUE(render() != plain) << name << ": --loss changed nothing";
+  }
 }
 
 TEST(ReportEmitters, JsonEscapesAndNonFiniteValues) {
@@ -475,14 +513,15 @@ TEST(SimOptions, UnknownKeysAndSectionsAreRejected) {
 
 TEST(SimOptions, BoolKeysAreStrict) {
   SimArgs args;
-  const Status status = ParseKeys("stable = yess\n", &args);
+  const Status status = ParseKeys("json = yess\n", &args);
   EXPECT_EQ(cli::ExitCode(status), 2);
   EXPECT_EQ(status.message(),
-            "invalid value 'yess' for stable: must be true or false");
-  EXPECT_FALSE(args.run.stable);
-  ASSERT_TRUE(ParseKeys("stable = yes\njson = TRUE\n", &args).ok());
-  EXPECT_TRUE(args.run.stable);
+            "invalid value 'yess' for json: must be true or false");
+  EXPECT_FALSE(args.json);
+  ASSERT_TRUE(ParseKeys("json = yes\n", &args).ok());
   EXPECT_TRUE(args.json);
+  ASSERT_TRUE(ParseKeys("json = FALSE\n", &args).ok());
+  EXPECT_FALSE(args.json);
 }
 
 TEST(SimOptions, BadValueReadsTheSameAsFlagOrKey) {
@@ -518,7 +557,6 @@ TEST(SimOptions, FlagAndKeyFormsParseIdentically) {
       {"regime", chaos::WorkloadRegime{}.Serialize()},
       {"jobs", "3"},
       {"cell-jobs", "2"},
-      {"stable", "true"},
       {"profile-ring-capacity", "512"},
       {"metrics-out", "metrics.jsonl"},
       {"metrics-format", "prom"},
@@ -603,7 +641,6 @@ TEST(SimOptions, InRepoConfigsAreAccepted) {
   EXPECT_EQ(bundle.run.seed, trial.seed);
   EXPECT_EQ(bundle.run.regime_text, trial.regime.Serialize());
   EXPECT_EQ(bundle.run.fault_plan_text, trial.plan.Serialize());
-  EXPECT_TRUE(bundle.run.stable);
   EXPECT_TRUE(bundle.json);
 }
 

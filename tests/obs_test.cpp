@@ -213,20 +213,37 @@ TEST(Quantiles, HistogramIsWithinOneBucketOfExactNearestRank) {
 }
 #endif
 
+// Samplers share one chunk loop: each keeps its own grid (window start,
+// every interval after it, window end), a second sampler does not move
+// the first one's sample times, and the run is unperturbed.
 TEST(Telemetry, SampledMeasureDoesNotPerturbTheRun) {
   ScenarioConfig config = SmallConfig();
   SimScenario plain(config);
   plain.Measure(Seconds(2), Seconds(10));
   SimScenario sampled(config);
-  std::size_t samples = 0;
-  sampled.Measure(Seconds(2), Seconds(10), Seconds(1),
-                  [&](SimTime) { ++samples; });
-  EXPECT_EQ(samples, 11u);  // the window start plus ten chunk ends
-  EXPECT_EQ(plain.collector().completed(),
-            sampled.collector().completed());
-  EXPECT_DOUBLE_EQ(plain.collector().response_stats().mean(),
-                   sampled.collector().response_stats().mean());
-  EXPECT_EQ(plain.total_events(), sampled.total_events());
+  std::vector<SimTime> alone;
+  sampled.Measure(Seconds(2), Seconds(10),
+                  {{Seconds(1), [&](SimTime t) { alone.push_back(t); }}});
+  EXPECT_EQ(alone.size(), 11u);  // the window start plus ten chunk ends
+  SimScenario both(config);
+  std::vector<SimTime> seconds;
+  std::vector<SimTime> fast;
+  both.Measure(Seconds(2), Seconds(10),
+               {{Seconds(1), [&](SimTime t) { seconds.push_back(t); }},
+                {Millis(300), [&](SimTime t) { fast.push_back(t); }}});
+  EXPECT_EQ(seconds, alone);
+  std::vector<SimTime> grid;
+  for (SimTime t = Seconds(2); t < Seconds(12); t += Millis(300)) {
+    grid.push_back(t);
+  }
+  grid.push_back(Seconds(12));
+  EXPECT_EQ(fast, grid);  // 2.0, 2.3, ..., 11.9, then the window end
+  for (SimScenario* run : {&sampled, &both}) {
+    EXPECT_EQ(plain.collector().completed(), run->collector().completed());
+    EXPECT_DOUBLE_EQ(plain.collector().response_stats().mean(),
+                     run->collector().response_stats().mean());
+    EXPECT_EQ(plain.total_events(), run->total_events());
+  }
 }
 
 TEST(Telemetry, SampleStreamIsDeterministic) {
@@ -234,10 +251,10 @@ TEST(Telemetry, SampleStreamIsDeterministic) {
     ScenarioConfig config = WanConfig(cell_jobs);
     SimScenario scenario(config);
     std::vector<profile::MetricCell> samples;
-    scenario.Measure(Seconds(2), Seconds(10), Seconds(1),
-                     [&](SimTime t) {
-                       samples.push_back(obs::TelemetrySample(scenario, t));
-                     });
+    const auto sample = [&](SimTime t) {
+      samples.push_back(obs::TelemetrySample(scenario, t));
+    };
+    scenario.Measure(Seconds(2), Seconds(10), {{Seconds(1), sample}});
     return Jsonl(samples);
   };
   const auto first = run(1);
@@ -251,9 +268,10 @@ TEST(Telemetry, GaugesTrackTheRun) {
   ScenarioConfig config = SmallConfig();
   SimScenario scenario(config);
   std::vector<profile::MetricCell> samples;
-  scenario.Measure(Seconds(2), Seconds(10), Seconds(1), [&](SimTime t) {
+  const auto sample = [&](SimTime t) {
     samples.push_back(obs::TelemetrySample(scenario, t));
-  });
+  };
+  scenario.Measure(Seconds(2), Seconds(10), {{Seconds(1), sample}});
   ASSERT_FALSE(samples.empty());
   const auto value = [](const profile::MetricCell& cell,
                         const std::string& key) {

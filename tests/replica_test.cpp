@@ -302,7 +302,6 @@ TEST(Replica, DriverReplicasOneIsByteIdenticalToSeedPath) {
   base.clients = 3;
   base.time_scale = 0.1;
   base.seed = 5;
-  base.stable = true;
   ScenarioRunOptions pinned = base;
   pinned.replicas = 1;
 

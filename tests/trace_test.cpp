@@ -2,9 +2,9 @@
 // into per-request waterfalls, critical-path attribution, background
 // span separation (replica sync / monitor sweeps), tail digests,
 // deterministic sink draining (the --jobs independence guarantee),
-// Chrome trace-event output well-formedness, the streaming metrics
-// writer, and end-to-end coverage of the new replica_sync /
-// monitor_sweep stages through a replicated scenario.
+// Chrome trace-event output well-formedness, and end-to-end coverage
+// of the new replica_sync / monitor_sweep stages through a replicated
+// scenario.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -348,68 +348,6 @@ TEST(ChromeTraceTest, SameCellsProduceByteIdenticalOutput) {
 TEST(ChromeTraceTest, EmptyCellListStillWellFormed) {
   const std::string json = ChromeJson({});
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// MetricsStreamer.
-// ---------------------------------------------------------------------
-
-MetricCell StreamCell(double t) {
-  MetricCell cell;
-  cell.scenario = "stream";
-  cell.labels.emplace_back("seed", "7");
-  cell.values.emplace_back("t_s", t);
-  cell.values.emplace_back("completed", 10 * t);
-  return cell;
-}
-
-TEST(MetricsStreamerTest, JsonlStreamsOneLinePerCell) {
-  std::ostringstream out;
-  MetricsStreamer streamer(MetricsExporter::Format::kJsonl);
-  streamer.Attach(&out);
-  streamer.WriteCell(StreamCell(2.0));
-  streamer.WriteCell(StreamCell(4.0));
-  streamer.Close();
-  EXPECT_EQ(streamer.cells_written(), 2u);
-  std::size_t lines = 0;
-  std::istringstream stream(out.str());
-  for (std::string line; std::getline(stream, line);) {
-    ++lines;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"scenario\":\"stream\""), std::string::npos);
-  }
-  EXPECT_EQ(lines, 2u);
-}
-
-TEST(MetricsStreamerTest, PromTypesEachMetricOnceAndTerminates) {
-  std::ostringstream out;
-  MetricsStreamer streamer(MetricsExporter::Format::kProm);
-  streamer.Attach(&out);
-  streamer.WriteCell(StreamCell(2.0));
-  streamer.WriteCell(StreamCell(4.0));
-  streamer.Close();
-  const std::string text = out.str();
-  // One TYPE header per metric even across cells; EOF exactly once at
-  // the end.
-  std::size_t type_count = 0;
-  for (std::size_t pos = text.find("# TYPE actyp_t_s gauge");
-       pos != std::string::npos;
-       pos = text.find("# TYPE actyp_t_s gauge", pos + 1)) {
-    ++type_count;
-  }
-  EXPECT_EQ(type_count, 1u);
-  EXPECT_NE(text.find("actyp_t_s{scenario=\"stream\",seed=\"7\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("actyp_t_s{scenario=\"stream\",seed=\"7\"} 4"),
-            std::string::npos);
-  EXPECT_EQ(text.rfind("# EOF\n"), text.size() - 6);
-}
-
-TEST(MetricsStreamerTest, WriteBeforeAttachIsANoOp) {
-  MetricsStreamer streamer(MetricsExporter::Format::kJsonl);
-  streamer.WriteCell(StreamCell(1.0));
-  EXPECT_EQ(streamer.cells_written(), 0u);
 }
 
 // ---------------------------------------------------------------------

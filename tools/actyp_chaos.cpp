@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
                  " seeded fault x workload trials";
   ScenarioRunOptions options;
   options.jobs = args.jobs;
-  options.stable = true;
   actyp::bench::RunCellTasks(options, std::move(tasks), &report);
 
   std::size_t violating = 0;

@@ -11,15 +11,15 @@
 //              actyp_sim --scenario fig4_pools_lan --fault-plan plan.txt
 //   config:    actyp_sim --config examples/experiment.conf
 //   everything: actyp_sim --all --json
-//   parallel:  actyp_sim --scenario qm_scaling --jobs 8 --stable --json
+//   parallel:  actyp_sim --scenario qm_scaling --jobs 8 --json
 //
 // --jobs N runs independent scenario cells on N worker threads — each
 // cell owns its own kernel/network/RNG — and, when several scenarios
 // are requested (--all, repeated --scenario), whole scenarios too.
-// Reports are always emitted in request order, so the output stream is
-// independent of the worker count; --stable additionally zeroes the
-// wall-clock-derived metrics, making fixed-seed output byte-identical
-// across hosts and --jobs values.
+// Reports are always emitted in request order, so fixed-seed output is
+// byte-identical for any worker count. The observability files
+// (--metrics-out, --telemetry-out, --flight-out, --trace-out) are
+// written once, at exit, from seed-keyed sinks, so they are too.
 //
 // --config loads a full experiment from one file (scenario selection,
 // overrides, and a [fault] section parsed via FaultPlan::FromConfig);
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "actyp/scenario_registry.hpp"
+#include "common/seed_sink.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
@@ -50,7 +51,6 @@ using actyp::ScenarioInfo;
 using actyp::ScenarioRegistry;
 using actyp::ScenarioRunOptions;
 using actyp::profile::MetricsExporter;
-using actyp::profile::MetricsStreamer;
 
 int Fail(int code, const std::string& message) {
   std::fprintf(stderr, "actyp_sim: %s\n", message.c_str());
@@ -87,6 +87,15 @@ std::vector<actyp::profile::MetricCell> FlattenReport(
     cells.push_back(std::move(out));
   }
   return cells;
+}
+
+// Drains a per-cell sample sink (seed order, so the file is
+// byte-identical for any --jobs / --cell-jobs) into an exporter.
+void AddSamples(actyp::SeedSink<actyp::profile::MetricCell>* sink,
+                MetricsExporter* exporter) {
+  for (auto& cell : sink->Take()) {
+    for (auto& sample : cell.items) exporter->Add(std::move(sample));
+  }
 }
 
 }  // namespace
@@ -127,10 +136,8 @@ int main(int argc, char** argv) {
     infos.push_back(info);
   }
 
-  // Observability wiring. The trace sink collects every cell's span
-  // ring; the streamer opens the metrics file up front so snapshots
-  // appear while the run is in flight (the final report cells are
-  // appended to the same stream at the end).
+  // Observability wiring: each sink collects per-cell output keyed by
+  // cell seed, and its file is written after the run.
   ScenarioRunOptions options = args.run;
   actyp::profile::TraceSink trace_sink;
   if (!args.trace_out.empty()) {
@@ -139,15 +146,12 @@ int main(int argc, char** argv) {
     }
     options.trace_sink = &trace_sink;
   }
-  MetricsStreamer streamer(args.metrics_format);
+  actyp::SeedSink<actyp::profile::MetricCell> metrics_sink;
   if (options.metrics_interval_s > 0) {
     if (args.metrics_out.empty()) {
       return Fail(2, "--metrics-interval needs --metrics-out FILE");
     }
-    if (const auto status = streamer.Open(args.metrics_out); !status.ok()) {
-      return Fail(1, status.ToString());
-    }
-    options.metrics_streamer = &streamer;
+    options.metrics_sink = &metrics_sink;
   }
   actyp::obs::TelemetrySink telemetry_sink;
   if (!args.telemetry_out.empty()) {
@@ -201,36 +205,23 @@ int main(int argc, char** argv) {
   }
 
   if (!args.metrics_out.empty()) {
-    if (options.metrics_streamer != nullptr) {
-      // Streaming mode: the file already holds the in-flight snapshots;
-      // append the final report cells and terminate the stream.
-      for (const actyp::ScenarioReport& report : reports) {
-        for (const auto& cell : FlattenReport(report)) {
-          streamer.WriteCell(cell);
-        }
-      }
-      streamer.Close();
-    } else {
-      MetricsExporter exporter(args.metrics_format);
-      for (const actyp::ScenarioReport& report : reports) {
-        for (auto& cell : FlattenReport(report)) {
-          exporter.Add(std::move(cell));
-        }
-      }
-      if (const auto status = exporter.WriteFile(args.metrics_out);
-          !status.ok()) {
-        return Fail(1, status.ToString());
-      }
+    // The --metrics-interval snapshots in the sink's drain order, then
+    // every report cell.
+    MetricsExporter exporter(args.metrics_format);
+    AddSamples(&metrics_sink, &exporter);
+    for (const actyp::ScenarioReport& report : reports) {
+      for (auto& cell : FlattenReport(report)) exporter.Add(std::move(cell));
+    }
+    if (const auto status = exporter.WriteFile(args.metrics_out);
+        !status.ok()) {
+      return Fail(1, status.ToString());
     }
   }
 
   if (!args.telemetry_out.empty()) {
-    // One JSONL line per sample, cells in the sink's drain order, so the
-    // file is byte-identical for any --jobs.
+    // One JSONL line per sample, cells in the sink's drain order.
     MetricsExporter exporter(MetricsExporter::Format::kJsonl);
-    for (auto& cell : telemetry_sink.Take()) {
-      for (auto& sample : cell.items) exporter.Add(std::move(sample));
-    }
+    AddSamples(&telemetry_sink, &exporter);
     if (const auto status = exporter.WriteFile(args.telemetry_out);
         !status.ok()) {
       return Fail(1, status.ToString());

@@ -180,10 +180,6 @@ std::vector<cli::Option> SimOptions(SimArgs* args) {
        "worker threads for the LP-parallel engine inside each multi-site "
        "cell (big_wan etc.); reports are byte-identical for any N",
        Number(&run.cell_jobs, cli::kAtLeastOne)},
-      {"stable", "",
-       "zero wall-clock-derived metrics so fixed-seed output is "
-       "byte-identical across hosts and --jobs",
-       cli::Bool(&run.stable)},
       {"no-profile", "",
        "disable the stage-span profiler: reports omit the per-stage "
        "percentiles (the pre-profiler output, byte for byte)",
@@ -202,9 +198,10 @@ std::vector<cli::Option> SimOptions(SimArgs* args) {
        "(Prometheus text)",
        MetricsFormat(&args->metrics_format)},
       {"metrics-interval", "S",
-       "stream an incremental metrics snapshot to the --metrics-out file "
-       "every S simulated seconds (scaled by --time-scale) while each cell "
-       "runs, instead of only writing at the end",
+       "also snapshot each cell's progress (completions, failures, stage "
+       "counts and p95s) every S simulated seconds of its measurement "
+       "window (scaled by --time-scale); the snapshots go into the "
+       "--metrics-out file, in seed order, ahead of the report cells",
        Number(&run.metrics_interval_s, cli::kPositive, Unit::kSeconds)},
       {"telemetry-out", "FILE",
        "record a gauge time-series on the sim clock (completions, "
