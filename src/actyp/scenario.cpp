@@ -183,7 +183,7 @@ void SimScenario::Build() {
   // site-crash events know which half of the fleet goes dark together.
   site_machines_.clear();
   std::size_t machine_index = 0;
-  database_.ForEach([&](const db::MachineRecord& rec) {
+  database_.VisitAll([&](const db::MachineRecord& rec) {
     const std::string& site =
         config_.wan && machine_index % 2 == 1 ? client_site : server_site;
     site_machines_[site].push_back(rec.id);
@@ -538,9 +538,10 @@ void SimScenario::BuildMultiSite() {
       fleet.machine_count += cluster_size(c);
     }
     BuildFleet(fleet, rng_, &site->database, &site->shadows);
-    site_machines_[site->site] = {};
-    site->database.ForEach([&](const db::MachineRecord& rec) {
-      site_machines_[site->site].push_back(rec.id);
+    auto& machine_ids = site_machines_[site->site];
+    machine_ids.clear();
+    site->database.VisitAll([&machine_ids](const db::MachineRecord& rec) {
+      machine_ids.push_back(rec.id);
     });
 
     site->monitor = std::make_unique<monitor::ResourceMonitor>(
@@ -728,7 +729,7 @@ void SimScenario::InstallFaultHooks() {
   fault_->SetMachineHooks(
       [this](std::size_t n, Rng& rng) {
         std::vector<db::MachineId> up;
-        database_.ForEach([&up](const db::MachineRecord& rec) {
+        database_.VisitAll([&up](const db::MachineRecord& rec) {
           if (rec.state == db::MachineState::kUp) up.push_back(rec.id);
         });
         std::vector<db::MachineId> victims;
@@ -791,12 +792,12 @@ void SimScenario::InstallFaultHooks() {
     std::vector<db::MachineId> victims;
     const auto it = site_machines_.find(site);
     if (it == site_machines_.end()) return victims;
-    for (const db::MachineId id : it->second) {
-      const auto rec = database_.Get(id);
-      if (rec.ok() && rec->state == db::MachineState::kUp) {
-        victims.push_back(id);
-      }
-    }
+    database_.VisitRecords(
+        it->second, [&victims](std::size_t, const db::MachineRecord* rec) {
+          if (rec != nullptr && rec->state == db::MachineState::kUp) {
+            victims.push_back(rec->id);
+          }
+        });
     for (const db::MachineId id : victims) {
       database_.Update(id, [](db::MachineRecord& rec) {
         rec.state = db::MachineState::kDown;

@@ -6,8 +6,9 @@ namespace actyp::baseline {
 
 std::size_t ScanCache::FullSweep() {
   mirror_.clear();
-  database_->ForEach(
-      [this](const db::MachineRecord& record) { mirror_[record.id] = record; });
+  database_->VisitAll([this](const db::MachineRecord& record) {
+    mirror_.emplace_hint(mirror_.end(), record.id, record);
+  });
   cursor_ = database_->version();
   primed_ = true;
   return mirror_.size();
@@ -26,15 +27,15 @@ std::size_t ScanCache::Refresh() {
       refreshed = FullSweep();
     } else {
       cursor_ = *next;
-      for (const db::MachineId id : dirty) {
-        auto record = database_->Get(id);
-        if (record.ok()) {
-          mirror_[id] = std::move(record).value();
-        } else {
-          mirror_.erase(id);
-        }
-        ++refreshed;
-      }
+      database_->VisitRecords(
+          dirty, [this, &dirty](std::size_t i, const db::MachineRecord* rec) {
+            if (rec != nullptr) {
+              mirror_[dirty[i]] = *rec;
+            } else {
+              mirror_.erase(dirty[i]);
+            }
+          });
+      refreshed = dirty.size();
     }
   }
   entries_refreshed_ += refreshed;

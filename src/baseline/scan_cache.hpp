@@ -8,7 +8,7 @@
 // per-scan refresh cost is proportional to churn instead of fleet size.
 //
 // The mirror iterates in ascending machine-id order, exactly like
-// ResourceDatabase::ForEach, so first-found-wins tie-breaks (and thus
+// ResourceDatabase::VisitAll, so first-found-wins tie-breaks (and thus
 // every allocation decision) are unchanged from scanning the live
 // database. When the journal window has been outgrown (cursor predates
 // the retained entries) the cache falls back to a full sweep and

@@ -75,7 +75,7 @@ std::vector<Violation> InvariantChecker::Check(
     }
     std::size_t leaked = 0;
     std::string first;
-    scenario.database().ForEach([&](const db::MachineRecord& record) {
+    scenario.database().VisitAll([&](const db::MachineRecord& record) {
       if (record.taken_by.empty() || valid.count(record.taken_by) != 0) {
         return;
       }

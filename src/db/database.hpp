@@ -63,12 +63,18 @@ class ResourceDatabase {
   [[nodiscard]] std::vector<MachineId> ListTakenBy(
       const std::string& pool_name) const;
 
-  // Walks all records (copy per record) — used by baselines and tools.
+  // Walks a copy of all records, in ascending id order, with the lock
+  // released, so `fn` may call back into the database. Its remaining
+  // callers: examples/punch_session.cpp and tests/punch_test.cpp write
+  // back inside the walk; benchmark/replay.cpp times the crash strike's
+  // former copying walk until the benchmark is re-pointed; a few tests
+  // use it as the reference order. New read-only callers use VisitAll.
   void ForEach(const std::function<void(const MachineRecord&)>& fn) const;
 
-  // Walks all records under one lock without copying — the monitor's
-  // sweep path. `fn` must not call back into the database (the lock is
-  // held) and must not retain the reference.
+  // Walks all records under one lock without copying, in the same
+  // ascending id order as ForEach — the monitor's sweep, the fault
+  // hooks and every other read-only walk. `fn` must not call back into
+  // the database (the lock is held) and must not retain the reference.
   void VisitAll(const std::function<void(const MachineRecord&)>& fn) const;
 
   // --- change tracking (dirty-id refresh) ---

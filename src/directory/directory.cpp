@@ -82,10 +82,10 @@ Status DirectoryService::RegisterPoolManager(const PoolManagerEntry& entry) {
     return InvalidArgument("pool manager must have a name");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (pool_managers_.count(entry.name)) {
+  const auto [it, inserted] = pool_managers_.try_emplace(entry.name, entry);
+  if (!inserted && it->second != entry) {
     return AlreadyExists("pool manager '" + entry.name + "'");
   }
-  pool_managers_[entry.name] = entry;
   return Status::Ok();
 }
 

@@ -40,6 +40,8 @@ struct PoolManagerEntry {
   std::string name;
   std::string address;
   std::string domain;
+
+  bool operator==(const PoolManagerEntry&) const = default;
 };
 
 // The directory operations the pipeline stages depend on.
@@ -90,6 +92,9 @@ class DirectoryService : public DirectoryApi {
   [[nodiscard]] std::size_t pool_count() const override;
 
   // --- pool managers (delegation peers) ---
+  // Re-registering an identical entry succeeds without change, so a
+  // pool manager restarted after a crash (which leaves its entry)
+  // registers cleanly; a different entry under a taken name fails.
   Status RegisterPoolManager(const PoolManagerEntry& entry) override;
   Status UnregisterPoolManager(const std::string& name) override;
   [[nodiscard]] std::vector<PoolManagerEntry> PoolManagers() const override;

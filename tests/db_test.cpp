@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "db/database.hpp"
@@ -375,6 +376,47 @@ TEST(ResourceDatabase, VisitAllSeesEveryRecordWithoutCopies) {
     ++seen;
   });
   EXPECT_EQ(seen, 6u);
+}
+
+// The crash strike draws its victim by index into the walk's up-list,
+// so the in-place walk must visit exactly what ForEach copies, in the
+// same ascending id order, whatever order the ids were added in.
+TEST(ResourceDatabase, VisitAllWalksWhatForEachCopies) {
+  ResourceDatabase database;
+  const MachineId added[] = {50, 3, 17, 1000, 4};
+  for (const MachineId id : added) {
+    MachineRecord rec = SampleMachine("m" + std::to_string(id));
+    rec.id = id;
+    ASSERT_EQ(*database.Add(std::move(rec)), id);
+  }
+  const auto flip_down = [](MachineRecord& rec) {
+    rec.state = MachineState::kDown;
+  };
+  ASSERT_TRUE(database.Update(17, flip_down).ok());
+  ASSERT_TRUE(database.Update(1000, flip_down).ok());
+  const auto q = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
+  ASSERT_TRUE(q.ok());
+  ASSERT_EQ(database.ClaimMatching(*q, "poolA", 2).size(), 2u);
+
+  using Row = std::tuple<MachineId, MachineState, std::string, std::uint64_t>;
+  std::vector<Row> visited;
+  database.VisitAll([&visited](const MachineRecord& rec) {
+    visited.emplace_back(rec.id, rec.state, rec.taken_by, rec.version);
+  });
+  std::vector<Row> copied;
+  database.ForEach([&copied](const MachineRecord& rec) {
+    copied.emplace_back(rec.id, rec.state, rec.taken_by, rec.version);
+  });
+  // Versions count the mutations: five adds, two flips, then the claim
+  // of the two lowest up ids.
+  const std::vector<Row> expected = {
+      {3, MachineState::kUp, "poolA", 8},
+      {4, MachineState::kUp, "poolA", 9},
+      {17, MachineState::kDown, "", 6},
+      {50, MachineState::kUp, "", 1},
+      {1000, MachineState::kDown, "", 7}};
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(copied, expected);
 }
 
 TEST(ShadowAccountPool, AcquireReleaseCycle) {

@@ -440,6 +440,34 @@ TEST(FaultScenario, SiteCrashTakesMachinesAndServicesDownTogether) {
             scenario.fault_stats().services_crashed);
 }
 
+TEST(FaultScenario, SiteCrashSkipsMachinesAlreadyDown) {
+  // The site crash takes only the machines still up, so its restore
+  // leaves the earlier crash's victims down until their own downtime
+  // ends.
+  ScenarioConfig config = SmallConfig();
+  const auto plan = FaultPlan::Parse(
+      "crash at=1 target=machines count=5 downtime=3\n"
+      "site-crash at=1.5 site=local\n"
+      "site-restore at=2 site=local\n");
+  ASSERT_TRUE(plan.ok());
+  config.fault_plan = plan.value();
+  SimScenario scenario(std::move(config));
+  ASSERT_TRUE(scenario.fault_status().ok())
+      << scenario.fault_status().ToString();
+
+  scenario.RunUntil(Seconds(1.25));
+  EXPECT_EQ(CountDown(scenario.database()), 5u);
+  scenario.RunUntil(Seconds(1.75));
+  EXPECT_EQ(CountDown(scenario.database()), 100u);
+  scenario.RunUntil(Seconds(2.5));
+  EXPECT_EQ(CountDown(scenario.database()), 5u);
+  EXPECT_EQ(scenario.fault_stats().machines_restored, 95u);
+  scenario.RunUntil(Seconds(4.5));
+  EXPECT_EQ(CountDown(scenario.database()), 0u);
+  EXPECT_EQ(scenario.fault_stats().machines_crashed, 100u);
+  EXPECT_EQ(scenario.fault_stats().machines_restored, 100u);
+}
+
 TEST(FaultScenario, ReplayIsDeterministicUnderFixedSeed) {
   const ReplayResult a = RunReplay(42);
   const ReplayResult b = RunReplay(42);

@@ -218,6 +218,26 @@ TEST(Directory, PoolManagerPeers) {
   EXPECT_TRUE(dir.PoolManagersExcluding({"pm0", "pm2"}).empty());
 }
 
+// A crashed pool manager leaves its entry behind; the restarted one
+// registers the same entry again and must not be refused.
+TEST(Directory, ReRegisteringAnIdenticalPoolManagerIsANoOp) {
+  directory::DirectoryService dir;
+  const directory::PoolManagerEntry entry{"pm0", "pm0-addr", "purdue"};
+  ASSERT_TRUE(dir.RegisterPoolManager(entry).ok());
+  EXPECT_TRUE(dir.RegisterPoolManager(entry).ok());
+
+  // Any field that differs is still a conflict, and the first entry
+  // stays.
+  EXPECT_EQ(dir.RegisterPoolManager({"pm0", "other-addr", "purdue"}).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(dir.RegisterPoolManager({"pm0", "pm0-addr", "other"}).code(),
+            StatusCode::kAlreadyExists);
+  const auto managers = dir.PoolManagers();
+  ASSERT_EQ(managers.size(), 1u);
+  EXPECT_EQ(managers[0].address, "pm0-addr");
+  EXPECT_EQ(managers[0].domain, "purdue");
+}
+
 TEST(Directory, RejectsEmptyNames) {
   directory::DirectoryService dir;
   directory::PoolInstance inst;

@@ -1,6 +1,7 @@
 // actyp_fleet_tool: generate and inspect white-pages snapshots.
 //
 //   generate: actyp_fleet_tool gen <machines> <clusters> [seed] > fleet.db
+//             (seed: a non-negative integer, 42 when omitted)
 //   inspect:  actyp_fleet_tool info fleet.db
 //
 // Snapshots use the line format of db::MachineRecord::Serialize and can
@@ -35,9 +36,9 @@ int Generate(int argc, char** argv) {
   }
   std::uint64_t seed = 42;
   if (argc > 4) {
-    if (auto s = actyp::ParseInt(argv[4])) {
-      seed = static_cast<std::uint64_t>(*s);
-    }
+    const auto s = actyp::ParseInt(argv[4]);
+    if (!s || *s < 0) return Usage();
+    seed = static_cast<std::uint64_t>(*s);
   }
 
   actyp::db::ResourceDatabase database;
@@ -70,7 +71,7 @@ int Info(int argc, char** argv) {
   std::map<std::string, int> by_arch, by_cluster, by_state;
   double total_memory = 0, total_speed = 0;
   int cpus = 0;
-  database.ForEach([&](const actyp::db::MachineRecord& rec) {
+  database.VisitAll([&](const actyp::db::MachineRecord& rec) {
     auto arch = rec.params.find("arch");
     auto cluster = rec.params.find("cluster");
     ++by_arch[arch == rec.params.end() ? "?" : arch->second];
