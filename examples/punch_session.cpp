@@ -80,15 +80,19 @@ int main() {
   config.seed = 11;
   SimScenario scenario(config);
 
-  // Give the fleet the attributes the demo tools need.
-  scenario.database().ForEach([&scenario](const db::MachineRecord& rec) {
-    scenario.database().Update(rec.id, [](db::MachineRecord& r) {
+  // Give the fleet the attributes the demo tools need. VisitAll holds
+  // the lock, so collect the ids first and update afterwards.
+  std::vector<db::MachineId> ids;
+  scenario.database().VisitAll(
+      [&ids](const db::MachineRecord& rec) { ids.push_back(rec.id); });
+  for (const db::MachineId id : ids) {
+    scenario.database().Update(id, [](db::MachineRecord& r) {
       r.params["license"] = "tsuprem4";
       r.params["domain"] = "purdue";
       r.params["memory"] = "1024";
       r.params["arch"] = r.id % 3 == 0 ? "hp" : "sun";
     });
-  });
+  }
 
   punch::KnowledgeBase kb = punch::KnowledgeBase::Demo();
   punch::UserRegistry users;

@@ -4,10 +4,16 @@
 // (with optional replication and splitting), and closed-loop clients —
 // reproducing the experimental setups of the paper's §7.
 //
-// Topology mirrors the paper: all service components run on one
+// Build() assembles every deployment as a list of service stacks, each
+// a full pipeline over the clusters it owns. The serial build has
+// one stack, which mirrors the paper: all service components run on one
 // multi-core server host ("alpha", 12 cores by default — the paper's
 // 12-processor Alpha server); clients run on a client host either in
-// the same site (LAN, Figs. 4 and 6-8) or across a WAN link (Fig. 5).
+// the same site (LAN, Figs. 4 and 6-8) or across a WAN link (Fig. 5). A
+// replicated WAN directory adds a second server host ("beta") on the
+// client site. The LP build (`wan_sites` >= 2) has one stack per WAN
+// site, each on its own server and client hosts, and runs the sites as
+// logical processes of the conservative-window engine.
 #pragma once
 
 #include <functional>
@@ -98,17 +104,18 @@ struct ScenarioConfig {
   // Deployment.
   bool wan = false;  // clients across a WAN link (Fig. 5)
   // LP-parallel deployment: >= 2 builds that many WAN sites ("site0" ..
-  // "site<K-1>"), each a full service stack (white pages, monitor,
-  // proxy, reintegrator, pool managers, query managers, pools, clients)
-  // over the clusters it owns — cluster c lives on site c % K, and each
-  // site's query managers route foreign clusters to the owner site's
-  // pool managers across the WAN. Sites become logical processes of the
-  // conservative-window engine (simnet::SimNetwork::EnableSharding);
-  // `cell_jobs` picks how many worker threads run them. Requires
-  // precreate_pools, an empty fault plan, directory_replicas <= 1,
-  // wan_one_way > 0 (the lookahead), and clusters >= wan_sites; any
-  // ineligible combination warns and falls back to the single-site
-  // serial build. Supersedes `wan` when set.
+  // "site<K-1>"), each the same service stack the serial build has one
+  // of (white pages, monitor, proxy, reintegrator, pool managers, query
+  // managers, pools), over the clusters it owns — cluster c lives on
+  // site c % K, client i on site i % K, and each site's query managers
+  // route foreign clusters to the owner site's pool managers across the
+  // WAN. Sites become logical processes of the conservative-window
+  // engine (simnet::SimNetwork::EnableSharding); `cell_jobs` picks how
+  // many worker threads run them. Requires precreate_pools, an empty
+  // fault plan, directory_replicas <= 1, wan_one_way > 0 (the
+  // lookahead), and clusters >= wan_sites; any ineligible combination
+  // warns and falls back to the one-stack serial build. Supersedes `wan`
+  // when set.
   std::size_t wan_sites = 0;
   // Worker threads for the LP engine (used only when wan_sites >= 2).
   // Purely an execution knob: sharding — and with it every RNG draw and
@@ -184,22 +191,25 @@ class SimScenario {
   // the flight recorder is off.
   [[nodiscard]] std::vector<obs::FlightEvent> FlightSnapshot() const;
 
-  // Response statistics. Single-site scenarios return the shared
-  // collector the clients record into; multi-site (LP) scenarios fold
-  // the per-site collectors into a merged view on each call, in site
-  // order, so quantiles are deterministic for any worker count.
+  // Response statistics. A one-stack scenario returns the collector its
+  // clients record into; an LP scenario folds the per-site collectors
+  // into a merged view on each call, in site order, so quantiles are
+  // deterministic for any worker count.
   [[nodiscard]] workload::ResponseCollector& collector();
   // True when this scenario runs on the LP-parallel engine.
-  [[nodiscard]] bool lp_mode() const { return !sites_.empty(); }
+  [[nodiscard]] bool lp_mode() const { return stacks_.size() > 1; }
   // Events executed across every LP kernel (== kernel().executed() on a
-  // single-site scenario).
+  // serial scenario).
   [[nodiscard]] std::uint64_t total_events() const;
+  // The serial kernel; on an LP scenario, shard 0's.
   [[nodiscard]] simnet::SimKernel& kernel() { return kernel_; }
   [[nodiscard]] simnet::SimNetwork& network() { return *network_; }
-  [[nodiscard]] db::ResourceDatabase& database() { return database_; }
-  [[nodiscard]] directory::DirectoryService& directory() {
-    return directory_;
-  }
+  // The first stack's white pages and unreplicated directory: the whole
+  // deployment's on a serial build, site 0's on an LP build (each site
+  // keeps its own). With directory_replicas >= 2 the stages use the
+  // replica group instead, and this directory stays empty.
+  [[nodiscard]] db::ResourceDatabase& database();
+  [[nodiscard]] directory::DirectoryService& directory();
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
 
   // Aggregated pipeline statistics (summed over instances).
@@ -236,11 +246,11 @@ class SimScenario {
       std::pair<std::string, const pipeline::ResourcePool*>>
   LivePools() const;
 
-  // Per-stage latency profiler; null when config.profile is false.
-  // Multi-site scenarios rebuild a merged view on each call: per-site
-  // histograms folded in site order plus a lossless union of the span
-  // rings (capacity = sites x per-site ring), so summaries and trace
-  // assembly are deterministic for any worker count.
+  // Per-stage latency profiler; null when config.profile is false. An
+  // LP scenario rebuilds a merged view on each call: per-site histograms
+  // folded in site order plus a lossless union of the span rings
+  // (capacity = sites x per-site ring), so summaries and trace assembly
+  // are deterministic for any worker count.
   [[nodiscard]] profile::StageProfiler* profiler() {
     return MergedProfiler();
   }
@@ -249,52 +259,37 @@ class SimScenario {
   }
 
  private:
-  struct SiteStack;
+  struct ServiceStack;
 
   void Build();
-  void BuildMultiSite();
   void InstallFaultHooks();
-  void ResetCollector();
   [[nodiscard]] profile::StageProfiler* MergedProfiler() const;
 
   ScenarioConfig config_;
-  // Declared before the network so it outlives the nodes (and any
-  // fault-restart config copies) holding raw pointers to it.
-  std::unique_ptr<profile::StageProfiler> profiler_;
-  // Flight recorders, one per shard (a single entry on serial builds;
-  // one per site under the LP engine, each touched only by its own
-  // shard's thread). Same lifetime rule as the profiler.
+  // Service stacks, one per site of an LP build and one on a serial
+  // build. Declared before the network so the profilers, white pages
+  // and directories outlive the nodes (and any fault-restart config
+  // copies) holding raw pointers to them.
+  std::vector<std::unique_ptr<ServiceStack>> stacks_;
+  // Flight recorders, one per shard (one per stack, each touched only
+  // by its own shard's thread). Same lifetime rule as the stacks.
   std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;
   simnet::SimKernel kernel_;
   std::unique_ptr<simnet::SimNetwork> network_;
-  db::ResourceDatabase database_;
-  db::ShadowAccountRegistry shadows_;
-  db::PolicyRegistry policies_;
-  directory::DirectoryService directory_;
-  // Replicated-directory path (directory_replicas >= 2): the group plus
-  // one routing handle per site; dir_api_ points at the server-site
-  // handle, or directly at directory_ when unreplicated.
+  // Replicated-directory path (directory_replicas >= 2, one-stack builds
+  // only): the group plus one routing handle per site.
   std::unique_ptr<replica::ReplicaGroup> replicas_;
   std::unique_ptr<replica::ReplicaHandle> server_directory_;
   std::unique_ptr<replica::ReplicaHandle> remote_directory_;
-  directory::DirectoryApi* dir_api_ = nullptr;
   // Machine ids by assigned site, for correlated site-crash events.
   std::map<std::string, std::vector<db::MachineId>> site_machines_;
-  std::unique_ptr<monitor::ResourceMonitor> monitor_;
   std::unique_ptr<fault::FaultInjector> fault_;
   Status fault_status_;
-  std::shared_ptr<pipeline::ProxyServer> proxy_;
-  workload::ResponseCollector collector_;
   Rng rng_;
 
-  // Multi-site (LP) deployment: one full service stack per site, empty
-  // on single-site scenarios. Each stack's database / directory /
-  // shadows / collector / profiler are touched only by nodes of that
-  // site, so the shards of the LP engine share no mutable state.
-  std::vector<std::unique_ptr<SiteStack>> sites_;
   // Lazily-built worker pool for RunShardedUntil (cell_jobs > 1 only).
   std::unique_ptr<ThreadPool> window_pool_;
-  // Merged observable views for multi-site runs, rebuilt on access.
+  // Merged observable views for LP runs, rebuilt on access.
   workload::ResponseCollector merged_collector_;
   mutable std::unique_ptr<profile::StageProfiler> merged_profiler_;
 

@@ -64,11 +64,10 @@ class ResourceDatabase {
       const std::string& pool_name) const;
 
   // Walks a copy of all records, in ascending id order, with the lock
-  // released, so `fn` may call back into the database. Its remaining
-  // callers: examples/punch_session.cpp and tests/punch_test.cpp write
-  // back inside the walk; benchmark/replay.cpp times the crash strike's
-  // former copying walk until the benchmark is re-pointed; a few tests
-  // use it as the reference order. New read-only callers use VisitAll.
+  // released, so `fn` may call back into the database. Its callers are
+  // benchmark/replay.cpp, which times the crash strike's former copying
+  // walk until the benchmark is re-pointed, and db_test's reference
+  // walk. Every other walk uses VisitAll.
   void ForEach(const std::function<void(const MachineRecord&)>& fn) const;
 
   // Walks all records under one lock without copying, in the same

@@ -77,7 +77,6 @@ FlightRecorder::FlightRecorder(std::uint32_t shard, std::size_t capacity)
   ring_.reserve(std::min<std::size_t>(capacity_, 1024));
 }
 
-#if !defined(ACTYP_PROFILE_OFF)
 void FlightRecorder::Record(SimTime t, FlightKind kind, std::uint64_t id,
                             std::string_view node,
                             std::string_view detail) {
@@ -97,7 +96,6 @@ void FlightRecorder::Record(SimTime t, FlightKind kind, std::uint64_t id,
   }
   ++recorded_;
 }
-#endif
 
 void FlightRecorder::Reset() {
   ring_.clear();

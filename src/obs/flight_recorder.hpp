@@ -16,8 +16,7 @@
 //
 // Switching off mirrors the profiler: leave the recorder pointer null
 // (ScenarioConfig::flight_recorder = false) and every hook reduces to
-// a pointer test; configure with -DACTYP_PROFILE=OFF to compile
-// Record() away entirely.
+// a pointer test.
 #pragma once
 
 #include <compare>
@@ -82,14 +81,9 @@ class FlightRecorder {
   // the most recent `capacity` events.
   explicit FlightRecorder(std::uint32_t shard, std::size_t capacity = 8192);
 
-  // Appends one event. Compiled away entirely under ACTYP_PROFILE=OFF.
-#if defined(ACTYP_PROFILE_OFF)
-  void Record(SimTime /*t*/, FlightKind /*kind*/, std::uint64_t /*id*/,
-              std::string_view /*node*/, std::string_view /*detail*/) {}
-#else
+  // Appends one event.
   void Record(SimTime t, FlightKind kind, std::uint64_t id,
               std::string_view node, std::string_view detail);
-#endif
 
   // Clears the ring (Measure() calls this after warmup, in step with
   // the profiler and response collector). The seq counter keeps

@@ -151,7 +151,6 @@ StageProfiler::StageProfiler(const Config& config)
   ring_.reserve(std::min<std::size_t>(ring_capacity_, 4096));
 }
 
-#if !defined(ACTYP_PROFILE_OFF)
 void StageProfiler::Record(Stage stage, std::uint64_t request_id,
                            SimTime t_enter, SimTime t_exit) {
   if (t_exit < t_enter) return;
@@ -166,7 +165,6 @@ void StageProfiler::Record(Stage stage, std::uint64_t request_id,
   }
   ring_next_ = (ring_next_ + 1) % ring_capacity_;
 }
-#endif
 
 void StageProfiler::Reset() {
   for (auto& histogram : histograms_) histogram.Reset();

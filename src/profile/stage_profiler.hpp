@@ -11,12 +11,10 @@
 // fixed seed the percentiles are therefore deterministic and can be
 // tracked by the bench baseline like any other simulated metric.
 //
-// Switching off: at runtime, leave the profiler pointer in a stage
-// config null (SimScenario does this for ScenarioConfig::profile =
-// false) — the hooks reduce to one pointer test and the report output
-// is byte-identical to the unprofiled seed path. At compile time,
-// configure with -DACTYP_PROFILE=OFF to define ACTYP_PROFILE_OFF and
-// compile Record() away entirely.
+// Switching off: leave the profiler pointer in a stage config null
+// (SimScenario does this for ScenarioConfig::profile = false) — the
+// hooks reduce to one pointer test and the report output is
+// byte-identical to the unprofiled seed path.
 #pragma once
 
 #include <array>
@@ -170,13 +168,8 @@ class StageProfiler {
 
   // Records one completed span. Spans with t_exit < t_enter (a stale or
   // mis-stamped envelope) are dropped rather than folded in as garbage.
-#if defined(ACTYP_PROFILE_OFF)
-  void Record(Stage /*stage*/, std::uint64_t /*request_id*/,
-              SimTime /*t_enter*/, SimTime /*t_exit*/) {}
-#else
   void Record(Stage stage, std::uint64_t request_id, SimTime t_enter,
               SimTime t_exit);
-#endif
 
   // Clears histograms and ring (Measure() calls this after warmup, in
   // step with the response collector).

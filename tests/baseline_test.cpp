@@ -296,7 +296,7 @@ TEST_F(BaselineTest, ScanCacheIteratesInAscendingIdOrder) {
   cache.ForEach(
       [&](const db::MachineRecord& rec) { cached.push_back(rec.id); });
   std::vector<db::MachineId> live;
-  database_.ForEach(
+  database_.VisitAll(
       [&](const db::MachineRecord& rec) { live.push_back(rec.id); });
   EXPECT_EQ(cached, live);
   EXPECT_TRUE(std::is_sorted(cached.begin(), cached.end()));

@@ -251,7 +251,7 @@ TEST(InvariantChecker, DetectsLeakedClaim) {
 
   // Forge a claim no live pool instance owns.
   db::MachineId victim = 0;
-  scenario.database().ForEach([&victim](const db::MachineRecord& record) {
+  scenario.database().VisitAll([&victim](const db::MachineRecord& record) {
     if (victim == 0) victim = record.id;
   });
   ASSERT_NE(victim, 0u);

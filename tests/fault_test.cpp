@@ -276,7 +276,7 @@ ScenarioConfig SmallConfig(std::uint64_t seed = 11) {
 
 std::size_t CountDown(db::ResourceDatabase& database) {
   std::size_t down = 0;
-  database.ForEach([&down](const db::MachineRecord& rec) {
+  database.VisitAll([&down](const db::MachineRecord& rec) {
     if (rec.state == db::MachineState::kDown) ++down;
   });
   return down;

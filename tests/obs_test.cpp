@@ -72,7 +72,6 @@ TEST(FlightRecorder, RingKeepsMostRecentAndSeqSurvivesReset) {
     recorder.Record(Seconds(i), FlightKind::kTimerFire,
                     static_cast<std::uint64_t>(i), "node", "tick");
   }
-#if !defined(ACTYP_PROFILE_OFF)
   EXPECT_EQ(recorder.recorded(), 6u);
   const auto window = recorder.Snapshot();
   ASSERT_EQ(window.size(), 4u);
@@ -87,9 +86,6 @@ TEST(FlightRecorder, RingKeepsMostRecentAndSeqSurvivesReset) {
   // The sequence counter keeps climbing across Reset: merged streams
   // stay strictly ordered even when the window is rebuilt mid-run.
   EXPECT_GT(recorder.Snapshot().front().seq, window.back().seq);
-#else
-  EXPECT_EQ(recorder.recorded(), 0u);
-#endif
 }
 
 TEST(FlightRecorder, MergeOrdersByTimeShardSeq) {
@@ -99,14 +95,10 @@ TEST(FlightRecorder, MergeOrdersByTimeShardSeq) {
   b.Record(Seconds(1), FlightKind::kMsgSend, 2, "n", "");
   b.Record(Seconds(2), FlightKind::kMsgRecv, 3, "n", "");
   auto merged = obs::MergeFlightEvents({a.Snapshot(), b.Snapshot()});
-#if !defined(ACTYP_PROFILE_OFF)
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].id, 2u);  // t=1
   EXPECT_EQ(merged[1].id, 1u);  // t=2 shard 0 before shard 1
   EXPECT_EQ(merged[2].id, 3u);
-#else
-  EXPECT_TRUE(merged.empty());
-#endif
 }
 
 TEST(FlightRecorder, EventJsonShape) {
@@ -132,9 +124,7 @@ TEST(Flight, RepeatRunsProduceIdenticalStreams) {
   SimScenario second(config);
   second.Measure(Seconds(2), Seconds(10));
   const auto lines = Jsonl(first.FlightSnapshot());
-#if !defined(ACTYP_PROFILE_OFF)
   EXPECT_FALSE(lines.empty());
-#endif
   EXPECT_EQ(lines, Jsonl(second.FlightSnapshot()));
 }
 
@@ -165,7 +155,6 @@ TEST(Flight, MergedStreamIdenticalAcrossCellJobs) {
   ASSERT_TRUE(one.lp_mode());
   ASSERT_TRUE(two.lp_mode());
   const auto lines = Jsonl(one.FlightSnapshot());
-#if !defined(ACTYP_PROFILE_OFF)
   EXPECT_FALSE(lines.empty());
   // Both LP shards contribute to the merged stream.
   bool saw_shard1 = false;
@@ -173,12 +162,9 @@ TEST(Flight, MergedStreamIdenticalAcrossCellJobs) {
     if (event.shard == 1) saw_shard1 = true;
   }
   EXPECT_TRUE(saw_shard1);
-#endif
   EXPECT_EQ(lines, Jsonl(two.FlightSnapshot()));
 }
 
-// Record() compiles away under ACTYP_PROFILE_OFF, leaving nothing to check.
-#if !defined(ACTYP_PROFILE_OFF)
 TEST(Quantiles, HistogramIsWithinOneBucketOfExactNearestRank) {
   // The oracle for the per-stage percentiles: the histogram sees every
   // span, and its interpolated p50/p95/p99 must land within one
@@ -211,7 +197,6 @@ TEST(Quantiles, HistogramIsWithinOneBucketOfExactNearestRank) {
     EXPECT_NEAR(estimate, exact, bucket * exact) << "q=" << q;
   }
 }
-#endif
 
 // Samplers share one chunk loop: each keeps its own grid (window start,
 // every interval after it, window end), a second sampler does not move

@@ -217,15 +217,19 @@ class DesktopEndToEnd : public ::testing::Test {
     config.precreate_pools = false;  // desktop queries create pools
     config.seed = 5;
     scenario_ = std::make_unique<SimScenario>(config);
-    // Give the fleet the attributes the demo tools ask for.
-    scenario_->database().ForEach([this](const db::MachineRecord& rec) {
-      scenario_->database().Update(rec.id, [](db::MachineRecord& r) {
+    // Give the fleet the attributes the demo tools ask for. VisitAll
+    // holds the lock, so collect the ids first and update afterwards.
+    std::vector<db::MachineId> ids;
+    scenario_->database().VisitAll(
+        [&ids](const db::MachineRecord& rec) { ids.push_back(rec.id); });
+    for (const db::MachineId id : ids) {
+      scenario_->database().Update(id, [](db::MachineRecord& r) {
         r.params["license"] = "tsuprem4";
         r.params["domain"] = "purdue";
         r.params["arch"] = "sun";
         r.params["memory"] = "1024";
       });
-    });
+    }
 
     kb_ = KnowledgeBase::Demo();
     UserAccount account;

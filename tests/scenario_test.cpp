@@ -4,6 +4,11 @@
 // floor — at reduced scale so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
+#include <sstream>
+#include <string>
+
 #include "actyp/scenario.hpp"
 
 namespace actyp {
@@ -258,7 +263,7 @@ TEST(Scenario, MachinesGoingDownAreAvoidedAfterRefresh) {
 
   // Take half the fleet down mid-run.
   std::vector<db::MachineId> downed;
-  scenario.database().ForEach([&](const db::MachineRecord& rec) {
+  scenario.database().VisitAll([&](const db::MachineRecord& rec) {
     if (rec.id % 2 == 0) downed.push_back(rec.id);
   });
   for (const auto id : downed) {
@@ -320,6 +325,17 @@ struct RunDigest {
            events == other.events && mean_s == other.mean_s &&
            p95_s == other.p95_s;
   }
+
+  // Printed as a RunDigest initializer, doubles with round-trip
+  // precision, so a mismatch shows the literal to compare against.
+  friend std::ostream& operator<<(std::ostream& out, const RunDigest& d) {
+    char doubles[64];
+    std::snprintf(doubles, sizeof(doubles), "%.17g, %.17g", d.mean_s,
+                  d.p95_s);
+    return out << "{" << d.completed << ", " << d.failures << ", "
+               << d.allocations << ", " << d.entries_examined << ", "
+               << d.events << ", " << doubles << "}";
+  }
 };
 
 RunDigest DigestFor(ScenarioConfig config, SimDuration warmup = Seconds(3),
@@ -338,12 +354,110 @@ RunDigest DigestFor(ScenarioConfig config, SimDuration warmup = Seconds(3),
   return digest;
 }
 
+// A short run's digest as text, doubles at round-trip precision: a
+// pinned literal compares exactly, and a mismatch prints the new value.
+std::string DigestText(ScenarioConfig config) {
+  std::ostringstream out;
+  out << DigestFor(std::move(config), Seconds(1), Seconds(5));
+  return out.str();
+}
+
+// Every build shape, pinned. The digests are literals captured from the
+// code before the serial and LP build paths merged, so moving one rng_
+// draw or one AddNode in scenario assembly shows up here.
+TEST(ScenarioBuild, EveryShapeReplaysItsPinnedDigest) {
+  ScenarioConfig lan;
+  lan.machines = 301;
+  lan.clusters = 3;
+  lan.query_managers = 2;
+  lan.pool_managers = 3;
+  lan.clients = 4;
+  lan.seed = 4242;
+  EXPECT_EQ(DigestText(lan),
+            "{8662, 0, 10405, 1043950, 124865, 0.0023085975525282817, "
+            "0.0029819499999999988}");
+
+  ScenarioConfig wan = lan;
+  wan.wan = true;
+  EXPECT_EQ(DigestText(wan),
+            "{299, 0, 357, 35819, 4296, 0.067193080267558464, "
+            "0.070441100000000006}");
+
+  ScenarioConfig config = wan;
+  config.directory_replicas = 2;
+  EXPECT_EQ(DigestText(config),
+            "{266, 0, 315, 31606, 3964, 0.075262503759398497, "
+            "0.13224474999999999}");
+
+  config = lan;
+  config.precreate_pools = false;
+  EXPECT_EQ(DigestText(config),
+            "{9148, 0, 0, 0, 128805, 0.0021859955181460443, 0.002797}");
+
+  config = lan;
+  config.pool_segments = 4;
+  EXPECT_EQ(DigestText(config),
+            "{8334, 0, 39996, 1003155, 319987, 0.0024000047996160213, "
+            "0.0024350000000000001}");
+
+  config = lan;
+  config.pool_replicas = 3;
+  EXPECT_EQ(DigestText(config),
+            "{12049, 0, 14446, 483199, 173394, 0.0016599145987218906, "
+            "0.0017689999999999997}");
+
+  const auto churn = fault::FaultPlan::Parse(
+      "churn start=0.5 end=5 rate=4 downtime=1 target=machines\n"
+      "site-crash at=2 site=purdue downtime=1.5\n"
+      "churn start=1 end=5 rate=1 target=pools\n");
+  ASSERT_TRUE(churn.ok());
+  config = wan;
+  config.client_request_timeout = Seconds(2);
+  config.fault_plan = churn.value();
+  EXPECT_EQ(DigestText(config),
+            "{117, 181, 174, 17455, 4330, 0.067253777777777787, "
+            "0.070544800000000005}");
+
+  config = lan;
+  config.wan_sites = 2;
+  EXPECT_EQ(DigestText(config),
+            "{636, 0, 770, 77232, 9252, 0.031489904088050302, "
+            "0.069950749999999992}");
+
+  config = lan;
+  config.wan_sites = 3;
+  config.clusters = 5;
+  EXPECT_EQ(DigestText(config),
+            "{447, 0, 533, 32089, 6419, 0.044718029082774051, "
+            "0.070216300000000009}");
+
+  // A fault plan keeps an LP config on the one-stack serial build.
+  const auto loss = fault::FaultPlan::Parse("loss start=2 end=4 p=0.2\n");
+  ASSERT_TRUE(loss.ok());
+  config = lan;
+  config.wan_sites = 2;
+  config.client_request_timeout = Seconds(2);
+  config.fault_plan = loss.value();
+  EXPECT_EQ(DigestText(config),
+            "{5187, 4, 6930, 695286, 83189, 0.0023131569307885003, "
+            "0.0029686999999999999}");
+}
+
 TEST(ScenarioLp, MultiSiteConfigBuildsSharded) {
   SimScenario scenario(LpConfig());
   EXPECT_TRUE(scenario.lp_mode());
   scenario.Measure(Seconds(3), Seconds(15));
   EXPECT_GT(scenario.collector().completed(), 0u);
   EXPECT_EQ(scenario.collector().failures(), 0u);
+}
+
+TEST(ScenarioLp, AccessorsReachTheFirstSite) {
+  // Site 0 owns clusters 0 and 2: half the fleet and two pools, which
+  // the chaos leaked-claim walk then actually reads.
+  SimScenario scenario(LpConfig());
+  ASSERT_TRUE(scenario.lp_mode());
+  EXPECT_EQ(scenario.database().size(), 200u);
+  EXPECT_EQ(scenario.directory().pool_count(), 2u);
 }
 
 TEST(ScenarioLp, WorkerCountNeverChangesResults) {

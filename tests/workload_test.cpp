@@ -79,7 +79,7 @@ TEST(Fleet, ClustersAreUniform) {
   Rng rng(5);
   BuildFleet(spec, rng, &database, nullptr);
   std::map<std::string, int> per_cluster;
-  database.ForEach([&](const db::MachineRecord& rec) {
+  database.VisitAll([&](const db::MachineRecord& rec) {
     ++per_cluster[rec.params.at("cluster")];
   });
   ASSERT_EQ(per_cluster.size(), 8u);
@@ -93,7 +93,7 @@ TEST(Fleet, MachinesHaveUsableAttributes) {
   spec.machine_count = 50;
   Rng rng(6);
   BuildFleet(spec, rng, &database, &shadows);
-  database.ForEach([&](const db::MachineRecord& rec) {
+  database.VisitAll([&](const db::MachineRecord& rec) {
     EXPECT_TRUE(rec.IsUsable());
     EXPECT_TRUE(rec.params.count("arch"));
     EXPECT_GT(rec.dyn.available_memory_mb, 0);
