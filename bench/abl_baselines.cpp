@@ -36,17 +36,17 @@ bench::CellMetrics RunBaseline(const std::string& kind,
   BuildFleet(fleet, rng, &database, nullptr);
 
   net::Address entry = "sched";
-  std::shared_ptr<baseline::CentralScheduler> central;
-  std::shared_ptr<baseline::Matchmaker> matchmaker;
   if (kind == "central") {
-    central = std::make_shared<baseline::CentralScheduler>(
-        baseline::CentralSchedulerConfig{}, &database);
-    network.AddNode("sched", central, {"alpha", 1});
+    network.AddNode("sched",
+                    std::make_shared<baseline::CentralScheduler>(
+                        baseline::CentralSchedulerConfig{}, &database),
+                    {"alpha", 1});
   } else {
     baseline::MatchmakerConfig config;
     config.cycle_period = Seconds(5.0);
-    matchmaker = std::make_shared<baseline::Matchmaker>(config, &database);
-    network.AddNode("sched", matchmaker, {"alpha", 1});
+    network.AddNode("sched",
+                    std::make_shared<baseline::Matchmaker>(config, &database),
+                    {"alpha", 1});
   }
 
   workload::QuerySpec query_spec;
@@ -71,12 +71,6 @@ bench::CellMetrics RunBaseline(const std::string& kind,
 
   bench::CellMetrics metrics;
   metrics.AddResponse(collector);
-  // Journal-fed scan-cache refresh work (see baseline::ScanCache): far
-  // below completed * fleet once the mirror is primed.
-  metrics.Add(bench::kEngine, "entries_refreshed",
-              static_cast<double>(
-                  central != nullptr ? central->stats().entries_refreshed
-                                     : matchmaker->stats().entries_refreshed));
   return metrics;
 }
 
@@ -114,7 +108,7 @@ ScenarioReport RunAblBaselines(const ScenarioRunOptions& options) {
         ScenarioCell cell;
         cell.labels.emplace_back("system", kind);
         cell.dims.emplace_back("clients", static_cast<double>(clients));
-        metrics.Select(bench::kResponse | bench::kEngine, &cell);
+        metrics.Select(bench::kResponse, &cell);
         return cell;
       });
     }

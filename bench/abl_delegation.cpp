@@ -9,6 +9,7 @@
 #include "bench_common.hpp"
 #include "directory/directory.hpp"
 #include "pipeline/pool_manager.hpp"
+#include "pipeline/protocol.hpp"
 #include "query/parser.hpp"
 #include "simnet/kernel.hpp"
 #include "simnet/sim_network.hpp"
@@ -58,10 +59,11 @@ ScenarioReport RunAblDelegation(const ScenarioRunOptions& options) {
         network.AddNode("probe", probe, {"alpha", 1});
 
         auto q = query::Parser::ParseBasic("punch.rsrc.arch = vax\n");
-        q->set_ttl(ttl);
         net::Message m{net::msg::kQuery};
         m.SetHeader(net::hdr::kReplyTo, "probe");
         m.SetHeader(net::hdr::kRequestId, "1");
+        pipeline::StampSchedHints(*q, &m);
+        m.SetHeader(pipeline::phdr::kTtl, std::to_string(ttl));
         m.body = q->ToText();
         network.Post("probe", "pm0", std::move(m));
         kernel.Run();

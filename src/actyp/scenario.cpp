@@ -11,6 +11,8 @@ namespace actyp {
 namespace {
 
 constexpr const char* kServerHost = "alpha";
+// Cores of every server host: the paper's 12-processor Alpha server.
+constexpr int kServerCores = 12;
 constexpr const char* kClientHost = "clients";
 // Second server host, added on the client site when the directory is
 // replicated across a WAN so both sides of a partition keep a full
@@ -168,7 +170,7 @@ void SimScenario::Build() {
     const std::size_t clients_here =
         config_.clients / stack_count +
         (k < config_.clients % stack_count ? 1 : 0);
-    network_->AddHost(stack->server_host, config_.server_cores,
+    network_->AddHost(stack->server_host, kServerCores,
                       stack->server_site);
     network_->AddHost(stack->client_host,
                       static_cast<int>(std::max<std::size_t>(1, clients_here)),
@@ -182,7 +184,7 @@ void SimScenario::Build() {
   const bool replicated = config_.directory_replicas > 1;
   const bool dual_site = replicated && config_.wan;
   if (dual_site) {
-    network_->AddHost(kRemoteHost, config_.server_cores, home.client_site);
+    network_->AddHost(kRemoteHost, kServerCores, home.client_site);
   }
   if (replicated) {
     replica::ReplicaGroupConfig group_config;
@@ -691,8 +693,8 @@ profile::StageProfiler* SimScenario::MergedProfiler() const {
 
 pipeline::PoolStats SimScenario::TotalPoolStats() const {
   pipeline::PoolStats total;
-  for (const auto& pool : pools_) {
-    const auto& s = pool->stats();
+  const auto add = [&total](const pipeline::ResourcePool& pool) {
+    const auto& s = pool.stats();
     total.queries += s.queries;
     total.allocations += s.allocations;
     total.failures += s.failures;
@@ -701,6 +703,10 @@ pipeline::PoolStats SimScenario::TotalPoolStats() const {
     total.entries_examined += s.entries_examined;
     total.entries_refreshed += s.entries_refreshed;
     total.refresh_ticks += s.refresh_ticks;
+  };
+  for (const auto& pool : pools_) add(*pool);
+  for (const auto& stack : stacks_) {
+    for (const auto& pool : stack->proxy->pools()) add(*pool);
   }
   return total;
 }

@@ -7,7 +7,7 @@
 // Build() assembles every deployment as a list of service stacks, each
 // a full pipeline over the clusters it owns. The serial build has
 // one stack, which mirrors the paper: all service components run on one
-// multi-core server host ("alpha", 12 cores by default — the paper's
+// multi-core server host ("alpha", 12 cores — the paper's
 // 12-processor Alpha server); clients run on a client host either in
 // the same site (LAN, Figs. 4 and 6-8) or across a WAN link (Fig. 5). A
 // replicated WAN directory adds a second server host ("beta") on the
@@ -122,7 +122,6 @@ struct ScenarioConfig {
   // event tie-break — is fixed by wan_sites, so reports and traces are
   // byte-identical for any cell_jobs value.
   std::size_t cell_jobs = 1;
-  int server_cores = 12;
   SimDuration wan_one_way = Millis(30);
   SimDuration wan_jitter = Millis(5);
 
@@ -212,7 +211,8 @@ class SimScenario {
   [[nodiscard]] directory::DirectoryService& directory();
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
 
-  // Aggregated pipeline statistics (summed over instances).
+  // Aggregated pipeline statistics, summed over every pool instance:
+  // precreated, restarted and proxy-created, crashed ones included.
   [[nodiscard]] pipeline::PoolStats TotalPoolStats() const;
   [[nodiscard]] std::uint64_t total_client_failures() const;
   [[nodiscard]] std::uint64_t total_client_retries() const;

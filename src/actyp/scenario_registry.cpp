@@ -4,44 +4,10 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/strings.hpp"
+
 namespace actyp {
 namespace {
-
-// JSON string escaping for the small character set our names and notes
-// use; control characters become \u escapes.
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // JSON has no NaN/Infinity literals; emit null for non-finite values
 // (e.g. a mean over zero completed queries).

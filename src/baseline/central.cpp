@@ -1,6 +1,5 @@
 #include "baseline/central.hpp"
 
-#include "common/strings.hpp"
 #include "pipeline/protocol.hpp"
 #include "query/parser.hpp"
 
@@ -8,7 +7,7 @@ namespace actyp::baseline {
 
 CentralScheduler::CentralScheduler(CentralSchedulerConfig config,
                                    db::ResourceDatabase* database)
-    : config_(std::move(config)), database_(database), cache_(database) {}
+    : config_(std::move(config)), database_(database) {}
 
 void CentralScheduler::OnMessage(const net::Envelope& envelope,
                                  net::NodeContext& ctx) {
@@ -24,10 +23,7 @@ void CentralScheduler::HandleQuery(const net::Envelope& envelope,
   ++stats_.queries;
   const net::Message& message = envelope.message;
   const net::Address reply_to = message.Header(net::hdr::kReplyTo);
-  std::uint64_t request_id = 0;
-  if (auto rid = ParseInt(message.Header(net::hdr::kRequestId))) {
-    request_id = static_cast<std::uint64_t>(*rid);
-  }
+  const std::uint64_t request_id = pipeline::RequestIdOf(message);
 
   auto parsed = query::Parser::ParseBasic(message.body);
   ctx.Consume(config_.costs.qm_translate);
@@ -42,17 +38,14 @@ void CentralScheduler::HandleQuery(const net::Envelope& envelope,
   }
   const query::Query& q = parsed.value();
 
-  // Full scan of the white pages — the centralized scheduler pays the
-  // whole database on every query, and is a single serialization point.
-  // The scan runs over the journal-fed mirror: same records, same
-  // ascending-id order (so identical decisions), but the refresh cost
-  // is proportional to churn since the last query, not fleet size.
-  stats_.entries_refreshed += cache_.Refresh();
+  // Full scan of the white pages, read in place in ascending-id order —
+  // the centralized scheduler pays the whole database on every query,
+  // and is a single serialization point.
   std::size_t scanned = 0;
   bool found = false;
   db::MachineRecord best;
   double best_load = 0.0;
-  cache_.ForEach([&](const db::MachineRecord& rec) {
+  database_->VisitAll([&](const db::MachineRecord& rec) {
     ++scanned;
     if (!rec.IsUsable()) return;
     if (!q.Matches([&rec](const std::string& name) {

@@ -7,7 +7,6 @@
 
 #include <map>
 
-#include "baseline/scan_cache.hpp"
 #include "db/database.hpp"
 #include "net/node.hpp"
 #include "pipeline/cost_model.hpp"
@@ -27,10 +26,6 @@ struct CentralStats {
   std::uint64_t allocations = 0;
   std::uint64_t failures = 0;
   std::uint64_t releases = 0;
-  // Mirror entries refreshed from the change journal across all scans
-  // (see ScanCache) — the work the journal saves versus re-reading the
-  // fleet per query shows as this staying far below queries * fleet.
-  std::uint64_t entries_refreshed = 0;
 };
 
 class CentralScheduler final : public net::Node {
@@ -48,7 +43,6 @@ class CentralScheduler final : public net::Node {
 
   CentralSchedulerConfig config_;
   db::ResourceDatabase* database_;
-  ScanCache cache_;
   // The scheduler's own view of placed jobs (machine id -> count).
   std::map<db::MachineId, int> jobs_;
   std::map<std::string, db::MachineId> session_machine_;

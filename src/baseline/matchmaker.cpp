@@ -1,13 +1,12 @@
 #include "baseline/matchmaker.hpp"
 
-#include "common/strings.hpp"
 #include "pipeline/protocol.hpp"
 #include "query/parser.hpp"
 
 namespace actyp::baseline {
 
 Matchmaker::Matchmaker(MatchmakerConfig config, db::ResourceDatabase* database)
-    : config_(std::move(config)), database_(database), cache_(database) {}
+    : config_(std::move(config)), database_(database) {}
 
 void Matchmaker::OnStart(net::NodeContext& ctx) {
   ctx.ScheduleSelf(config_.cycle_period, net::Message{net::msg::kTick});
@@ -40,20 +39,13 @@ void Matchmaker::OnMessage(const net::Envelope& envelope,
 
 void Matchmaker::RunCycle(net::NodeContext& ctx) {
   ++stats_.cycles;
-  // One refresh covers the whole cycle: every queued request matches
-  // against the same mirror snapshot the live database shows right now
-  // (in-cycle claims still update jobs_, which the rank consults).
-  stats_.entries_refreshed += cache_.Refresh();
   while (!queue_.empty()) {
     const net::Envelope request = std::move(queue_.front());
     queue_.pop_front();
 
     const net::Message& message = request.message;
     const net::Address reply_to = message.Header(net::hdr::kReplyTo);
-    std::uint64_t request_id = 0;
-    if (auto rid = ParseInt(message.Header(net::hdr::kRequestId))) {
-      request_id = static_cast<std::uint64_t>(*rid);
-    }
+    const std::uint64_t request_id = pipeline::RequestIdOf(message);
 
     auto parsed = query::Parser::ParseBasic(message.body);
     if (!parsed.ok()) {
@@ -70,7 +62,7 @@ void Matchmaker::RunCycle(net::NodeContext& ctx) {
     bool found = false;
     db::MachineRecord best;
     double best_load = 0.0;
-    cache_.ForEach([&](const db::MachineRecord& rec) {
+    database_->VisitAll([&](const db::MachineRecord& rec) {
       ++scanned;
       if (!rec.IsUsable()) return;
       if (!q.Matches([&rec](const std::string& name) {

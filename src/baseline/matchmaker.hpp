@@ -10,7 +10,6 @@
 #include <deque>
 #include <map>
 
-#include "baseline/scan_cache.hpp"
 #include "db/database.hpp"
 #include "net/node.hpp"
 #include "pipeline/cost_model.hpp"
@@ -29,10 +28,6 @@ struct MatchmakerStats {
   std::uint64_t unmatched = 0;
   std::uint64_t cycles = 0;
   std::uint64_t releases = 0;
-  // Mirror entries refreshed from the change journal (see ScanCache);
-  // the matchmaker refreshes once per negotiation cycle, not per
-  // queued request.
-  std::uint64_t entries_refreshed = 0;
 };
 
 class Matchmaker final : public net::Node {
@@ -50,7 +45,6 @@ class Matchmaker final : public net::Node {
 
   MatchmakerConfig config_;
   db::ResourceDatabase* database_;
-  ScanCache cache_;
   std::deque<net::Envelope> queue_;
   std::map<db::MachineId, int> jobs_;
   std::map<std::string, db::MachineId> session_machine_;

@@ -1,6 +1,5 @@
 #include "baseline/static_partition.hpp"
 
-#include "common/strings.hpp"
 #include "pipeline/protocol.hpp"
 #include "query/parser.hpp"
 
@@ -17,8 +16,9 @@ void StaticPartitionFrontend::OnMessage(const net::Envelope& envelope,
   ctx.Consume(config_.costs.qm_translate);
 
   auto parsed = query::Parser::ParseBasic(message.body);
-  net::Address target = config_.fallback;
+  net::Address target;
   if (parsed.ok()) {
+    target = config_.fallback;
     if (auto cond = parsed->GetRsrc(config_.route_key)) {
       auto it = config_.routes.find(cond->value.text());
       if (it != config_.routes.end()) target = it->second;
@@ -29,18 +29,16 @@ void StaticPartitionFrontend::OnMessage(const net::Envelope& envelope,
     ++stats_.failures;
     const net::Address reply_to = message.Header(net::hdr::kReplyTo);
     if (!reply_to.empty()) {
-      std::uint64_t request_id = 0;
-      if (auto rid = ParseInt(message.Header(net::hdr::kRequestId))) {
-        request_id = static_cast<std::uint64_t>(*rid);
-      }
-      ctx.Send(reply_to, pipeline::MakeFailureMessage(
-                             request_id, "static frontend: no route"));
+      ctx.Send(reply_to,
+               pipeline::MakeFailureMessage(pipeline::RequestIdOf(message),
+                                            "static frontend: no route"));
     }
     return;
   }
 
   net::Message out{net::msg::kQuery};
   out.headers = message.headers;
+  pipeline::StampSchedHints(*parsed, &out);
   out.body = message.body;
   ctx.Send(target, std::move(out));
   ++stats_.routed;

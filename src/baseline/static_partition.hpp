@@ -1,10 +1,11 @@
 // Static-aggregation baseline: a frontend routing queries to a FIXED set
-// of pre-partitioned pools by a configured classification key. This is
-// the "multiple submit queues" model of cluster management systems (§8)
-// and the foil for the paper's second key claim: static aggregation is
-// inadequate when the job mix shifts, because a pool sized for
-// yesterday's mix becomes a hot spot under today's (the
-// abl_dynamic_aggregation bench measures exactly this).
+// of pre-partitioned pools by a configured classification key, stamping
+// the sched hints the pools read. This is the "multiple submit queues"
+// model of cluster management systems (§8), the architecture behind the
+// paper's second key claim: static aggregation is inadequate when the
+// job mix shifts, because a pool sized for yesterday's mix becomes a hot
+// spot under today's. baseline_test covers it; abl_dynamic_aggregation
+// measures that claim with four fixed ActYP pools as its static foil.
 #pragma once
 
 #include <map>

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace actyp {
@@ -122,6 +123,76 @@ bool GlobMatch(std::string_view pattern, std::string_view text) {
   }
   while (p < pattern.size() && pattern[p] == '*') ++p;
   return p == pattern.size();
+}
+
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 8);
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::optional<std::string> JsonString(const std::string& line,
+                                      const std::string& key) {
+  const std::string needle = "\"" + key + "\":\"";
+  const auto at = line.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  std::string out;
+  for (std::size_t i = at + needle.size(); i < line.size(); ++i) {
+    const char c = line[i];
+    if (c == '\\' && i + 1 < line.size()) {
+      const char next = line[++i];
+      switch (next) {
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        default: out += next;
+      }
+      continue;
+    }
+    if (c == '"') return out;
+    out += c;
+  }
+  return std::nullopt;
+}
+
+std::optional<double> JsonNumber(const std::string& line,
+                                 const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const auto at = line.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  const char* start = line.c_str() + at + needle.size();
+  char* end = nullptr;
+  const double value = std::strtod(start, &end);
+  if (end == start) return std::nullopt;
+  return value;
 }
 
 }  // namespace actyp

@@ -49,4 +49,19 @@ std::optional<double> ParseDouble(std::string_view text);
 // admin-defined parameters.
 bool GlobMatch(std::string_view pattern, std::string_view text);
 
+// JSON string escaping for the small character set our names and notes
+// use; control characters become \u escapes.
+std::string JsonEscape(std::string_view text);
+
+// Line-local JSON field readers for the flat one-object-per-line files
+// the writers above produce (no nested duplicate keys), so a direct key
+// scan suffices. JsonString returns the first "key":"..." value with
+// \n, \t and \r unescaped and any other escaped character kept as
+// itself; JsonNumber the first "key":<number>. Both return nullopt when
+// the key is absent or its value malformed.
+std::optional<std::string> JsonString(const std::string& line,
+                                      const std::string& key);
+std::optional<double> JsonNumber(const std::string& line,
+                                 const std::string& key);
+
 }  // namespace actyp

@@ -1,13 +1,11 @@
 #include "pipeline/pool_manager.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "net/message.hpp"
 #include "pipeline/protocol.hpp"
-#include "query/parser.hpp"
 
 namespace actyp::pipeline {
 
@@ -48,25 +46,13 @@ void PoolManager::HandleQuery(const net::Envelope& envelope,
   const net::Message& message = envelope.message;
   ctx.Consume(config_.costs.pm_map);
 
-  // The entry stage precomputes the pool name (sched hints, §6); the
-  // common replicated-forward path then never re-parses the body. The
-  // split and delegation paths parse on demand, and queries injected
-  // mid-pipeline (no hint header) parse here as before.
-  std::optional<query::Query> q;
-  auto parse_query = [&]() {
-    auto parsed = query::Parser::ParseBasic(message.body);
-    if (!parsed.ok()) {
-      Fail(envelope, ctx, parsed.status().ToString());
-      return false;
-    }
-    q = std::move(parsed.value());
-    return true;
-  };
-  std::string pool_name = message.Header(net::hdr::kPoolName);
-  if (pool_name.empty()) {
-    if (!parse_query()) return;
-    pool_name = q->PoolName();
+  // The entry stage stamps the pool name and the delegation state as
+  // sched hints (§6), so this stage never parses the body.
+  if (!message.HasHeader(phdr::kSchedHints)) {
+    Fail(envelope, ctx, std::string(kNoSchedHints));
+    return;
   }
+  const std::string pool_name = message.Header(net::hdr::kPoolName);
 
   const auto instances = directory_->Lookup(pool_name);
   if (!instances.empty()) {
@@ -74,8 +60,7 @@ void PoolManager::HandleQuery(const net::Envelope& envelope,
     if (split && instances.size() > 1) {
       // Split pool: concurrent searches over every segment, aggregated
       // by the reintegrator (Fig. 7). Fragment coordinates ride on the
-      // header; the body is forwarded verbatim (the old path parsed and
-      // re-serialized it once per segment just to stamp actyp.meta.*).
+      // header; the body is forwarded verbatim.
       if (config_.reintegrator.empty()) {
         Fail(envelope, ctx, "split pool but no reintegrator configured");
         return;
@@ -121,43 +106,21 @@ void PoolManager::HandleQuery(const net::Envelope& envelope,
   // list and TTL with the query (§5.2.2) — on headers, so each hop
   // forwards the body untouched.
   if (config_.allow_delegate) {
-    Delegate(envelope, ctx, q.has_value() ? &*q : nullptr);
+    Delegate(envelope, ctx);
     return;
   }
   Fail(envelope, ctx, "no pool for '" + pool_name + "' and creation disabled");
 }
 
 void PoolManager::Delegate(const net::Envelope& envelope,
-                           net::NodeContext& ctx,
-                           const query::Query* parsed) {
+                           net::NodeContext& ctx) {
   ctx.Consume(config_.costs.pm_delegate);
   const net::Message& message = envelope.message;
 
-  // TTL and visited list ride on headers; a query injected with only
-  // body meta (no entry stage) is lifted onto headers at its first hop,
-  // so every later hop skips the parse.
-  int ttl = query::kDefaultTtl;
-  std::vector<std::string> visited;
-  std::optional<query::Query> local;
-  if (message.HasHeader(phdr::kTtl)) {
-    if (const auto value = ParseInt(message.Header(phdr::kTtl))) {
-      ttl = static_cast<int>(*value);
-    }
-    visited = SplitSkipEmpty(message.Header(phdr::kVisited), ',');
-  } else {
-    if (parsed == nullptr) {
-      auto reparsed = query::Parser::ParseBasic(message.body);
-      if (!reparsed.ok()) {
-        Fail(envelope, ctx, reparsed.status().ToString());
-        return;
-      }
-      local = std::move(reparsed.value());
-      parsed = &*local;
-    }
-    ttl = parsed->ttl();
-    visited = parsed->visited();
-  }
-
+  int ttl = static_cast<int>(
+      ParseInt(message.Header(phdr::kTtl)).value_or(kDefaultTtl));
+  std::vector<std::string> visited =
+      SplitSkipEmpty(message.Header(phdr::kVisited), ',');
   if (std::find(visited.begin(), visited.end(), config_.name) ==
       visited.end()) {
     visited.push_back(config_.name);

@@ -1,6 +1,7 @@
-// PoolManager (§5.2.2): maps queries to pool names via the
-// signature/identifier scheme, selects a random instance from the local
-// directory service (or fans out to every segment of a split pool),
+// PoolManager (§5.2.2): routes each query by the pool name its sched
+// hints carry (the signature/identifier scheme, computed once at the
+// entry stage), selects a random instance from the local directory
+// service (or fans out to every segment of a split pool),
 // creates pools through a proxy server when none exist, and delegates to
 // peer pool managers with a TTL + visited list when it cannot satisfy
 // the query locally.
@@ -13,7 +14,6 @@
 #include "net/node.hpp"
 #include "pipeline/cost_model.hpp"
 #include "profile/stage_profiler.hpp"
-#include "query/query.hpp"
 
 namespace actyp::pipeline {
 
@@ -58,10 +58,8 @@ class PoolManager final : public net::Node {
   void Fail(const net::Envelope& envelope, net::NodeContext& ctx,
             const std::string& reason);
   // Forwards the query to an unvisited peer, tracking TTL and the
-  // visited list on headers. `parsed` may be null; the body is only
-  // parsed when the message carries neither headers nor a prior parse.
-  void Delegate(const net::Envelope& envelope, net::NodeContext& ctx,
-                const query::Query* parsed);
+  // visited list on headers.
+  void Delegate(const net::Envelope& envelope, net::NodeContext& ctx);
 
   PoolManagerConfig config_;
   directory::DirectoryApi* directory_;

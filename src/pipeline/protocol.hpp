@@ -5,11 +5,17 @@
 //   query:       reply-to        final destination for the result
 //                final-reply-to  original client, preserved across stages
 //                request-id      client-assigned id for correlation
+//                fragment (i/n)  composite / split-pool coordinates
+//                sched hints     see StampSchedHints; delegation adds
+//                                visited and rewrites ttl
 //   allocation:  machine / machine-id / port / session-key / shadow-uid
 //                pool-address    where to send the matching release
 //                request-id, fragment (i/n), pool-name
 //   failure:     error, request-id, fragment
 //   release:     machine-id, session-key
+//
+// A query's pipeline state (§6) travels only on these headers; its body
+// is the query text, which pool managers and pools never parse.
 #pragma once
 
 #include <cstdint>
@@ -29,28 +35,39 @@ inline constexpr std::string_view kFragment = "fragment";      // "i/n"
 inline constexpr std::string_view kPoolAddress = "pool-address";
 inline constexpr std::string_view kLoad = "machine-load";
 inline constexpr std::string_view kQosFirstMatch = "qos-first-match";
-// Scheduling hints the query manager extracts once at the pipeline
-// entry so downstream stages (pool managers, pools) can route and
-// select without re-parsing the query text. kSchedHints marks them
-// authoritative: absent on queries injected mid-pipeline (tests,
-// external frontends), and those fall back to parsing the body.
+// Scheduling hints (§6), stamped by StampSchedHints at the pipeline
+// entry so that pool managers and pools route and select without
+// parsing the query text. kSchedHints marks them present; a query
+// without it fails at the first pool manager or pool it reaches.
 inline constexpr std::string_view kSchedHints = "sched-hints";
 inline constexpr std::string_view kAccessGroup = "access-group";
 inline constexpr std::string_view kCoAlloc = "co-alloc";       // count
 inline constexpr std::string_view kResvStart = "resv-start";   // seconds
 inline constexpr std::string_view kResvDuration = "resv-duration";
-// Delegation state (§5.2.2), formerly re-serialized into the body as
-// actyp.meta.* on every hop: the remaining TTL and the comma-joined
-// visited pool-manager list now ride on headers, so the common
-// forward/delegate paths never rewrite the query text. Queries injected
-// mid-pipeline without these headers fall back to the body's
-// actyp.meta.* terms.
+// Delegation state (§5.2.2): the remaining TTL and the comma-joined
+// visited pool-manager list. Each delegation hop rewrites both and
+// forwards the body untouched.
 inline constexpr std::string_view kTtl = "ttl";
 inline constexpr std::string_view kVisited = "visited";
 }  // namespace phdr
 
-// Builds a query message. The query's own text body carries TTL/visited/
-// fragment state (actyp.meta.* keys).
+// Default TTL for pool-manager delegation, analogous to the IP TTL
+// field (§5.2.2).
+inline constexpr int kDefaultTtl = 8;
+
+// The error a pool manager or pool replies with to a query that carries
+// no sched hints.
+inline constexpr std::string_view kNoSchedHints =
+    "query carries no sched-hints header";
+
+// Stamps the sched hints of `q` on `message`, in this order: pool-name,
+// sched-hints, ttl (kDefaultTtl), then access-group, co-alloc,
+// resv-start and resv-duration when the query sets them. Every sender
+// of a query to a pool manager or pool stamps through this function.
+void StampSchedHints(const query::Query& q, net::Message* message);
+
+// Builds a client query message: routing headers plus the query text.
+// It carries no sched hints; the query manager stamps those.
 net::Message MakeQueryMessage(const query::Query& q,
                               const net::Address& reply_to,
                               const net::Address& final_reply_to,

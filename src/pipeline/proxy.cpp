@@ -51,9 +51,7 @@ void ProxyServer::HandleCreatePool(const net::Envelope& envelope,
   for (const auto& [name, cond] : q.rsrc()) criteria.SetRsrc(name, cond);
 
   ResourcePoolConfig pool_config;
-  pool_config.pool_name = message.HasHeader(net::hdr::kPoolName)
-                              ? message.Header(net::hdr::kPoolName)
-                              : q.PoolName();
+  pool_config.pool_name = message.Header(net::hdr::kPoolName);
   pool_config.instance = next_pool_;
   pool_config.criteria = criteria;
   pool_config.policy = config_.pool_policy;
@@ -73,7 +71,6 @@ void ProxyServer::HandleCreatePool(const net::Envelope& envelope,
                                              directory_, shadows_, policies_);
   net::NodePlacement placement;
   placement.host = config_.host;
-  placement.servers = config_.pool_servers;
   const Status added = network_->AddNode(pool_address, pool, placement);
   if (!added.ok()) {
     ++stats_.create_failures;
@@ -86,6 +83,7 @@ void ProxyServer::HandleCreatePool(const net::Envelope& envelope,
     return;
   }
   ++stats_.pools_created;
+  pools_.push_back(pool);
 
   // Forward the originating query to the new pool with its headers
   // intact; the pool answers the original requester directly.

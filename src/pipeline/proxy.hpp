@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "db/database.hpp"
 #include "db/policy.hpp"
@@ -27,7 +29,6 @@ struct ProxyConfig {
   // Defaults applied to pools this proxy creates.
   std::string pool_policy = "least-load";
   SimDuration pool_resort_period = Seconds(2.0);
-  int pool_servers = 1;
   CostModel costs;
   // Handed to pools this proxy creates (not owned; null disables
   // profiling on them).
@@ -52,6 +53,12 @@ class ProxyServer final : public net::Node {
   void OnMessage(const net::Envelope& envelope, net::NodeContext& ctx) override;
 
   [[nodiscard]] const ProxyStats& stats() const { return stats_; }
+  // Every pool this proxy created, in creation order, crashed ones
+  // included.
+  [[nodiscard]] const std::vector<std::shared_ptr<ResourcePool>>& pools()
+      const {
+    return pools_;
+  }
 
  private:
   void HandleCreatePool(const net::Envelope& envelope, net::NodeContext& ctx);
@@ -63,6 +70,7 @@ class ProxyServer final : public net::Node {
   db::ShadowAccountRegistry* shadows_;
   db::PolicyRegistry* policies_;
   ProxyStats stats_;
+  std::vector<std::shared_ptr<ResourcePool>> pools_;
   std::uint32_t next_pool_ = 0;
 };
 

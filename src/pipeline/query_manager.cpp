@@ -94,20 +94,13 @@ void QueryManager::HandleQuery(const net::Envelope& envelope,
   std::vector<net::Address> used_pms;
   std::uint32_t index = 0;
   for (const query::Query& alternative : alternatives) {
-    // Per-alternative state, computed once and shared by the QoS
-    // duplicates. Fragment coordinates, TTL, and the sched hints all
-    // ride on headers (§6 — the parsed state travels with the message),
-    // so the body never needs the per-fragment actyp.meta.* rewrite the
-    // old path paid: a basic query reuses the incoming text verbatim,
-    // a composite serializes each alternative exactly once.
+    // Per-alternative state, shared by the QoS duplicates. Fragment
+    // coordinates and the sched hints ride on headers (§6 — the parsed
+    // state travels with the message), so a basic query reuses the
+    // incoming text verbatim and a composite serializes each
+    // alternative exactly once.
     const std::string body =
         composite->IsBasic() ? std::move(native) : alternative.ToText();
-    const std::string pool_name = alternative.PoolName();
-    const std::string access_group = alternative.GetUser("accessgroup");
-    const std::string co_alloc = alternative.GetAppl("count");
-    const std::string resv_start = alternative.GetAppl("starttime");
-    const std::string resv_duration = alternative.GetAppl("duration");
-    const std::string ttl = std::to_string(alternative.ttl());
     const auto base_candidates = CandidatePms(alternative);
     for (std::uint32_t dup = 0; dup < config_.qos_fanout; ++dup, ++index) {
       if (base_candidates.empty()) {
@@ -147,19 +140,7 @@ void QueryManager::HandleQuery(const net::Envelope& envelope,
         out.SetHeader(phdr::kFragment,
                       std::to_string(index) + "/" + std::to_string(total));
       }
-      out.SetHeader(net::hdr::kPoolName, pool_name);
-      out.SetHeader(phdr::kSchedHints, "1");
-      out.SetHeader(phdr::kTtl, ttl);
-      if (!access_group.empty()) {
-        out.SetHeader(phdr::kAccessGroup, access_group);
-      }
-      if (!co_alloc.empty()) out.SetHeader(phdr::kCoAlloc, co_alloc);
-      if (!resv_start.empty()) {
-        out.SetHeader(phdr::kResvStart, resv_start);
-        if (!resv_duration.empty()) {
-          out.SetHeader(phdr::kResvDuration, resv_duration);
-        }
-      }
+      StampSchedHints(alternative, &out);
       out.body = body;
       ctx.Send(pm, std::move(out));
       ++stats_.fragments;
@@ -182,9 +163,6 @@ std::vector<net::Address> QueryManager::CandidatePms(
 net::Address QueryManager::PickPm(const std::vector<net::Address>& candidates,
                                   net::NodeContext& ctx) {
   if (candidates.size() == 1) return candidates.front();
-  if (config_.pick == PmPickMode::kRoundRobin) {
-    return candidates[round_robin_++ % candidates.size()];
-  }
   return candidates[ctx.rng().NextBounded(candidates.size())];
 }
 

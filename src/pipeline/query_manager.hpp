@@ -1,9 +1,10 @@
 // QueryManager (§5.2.1): the pipeline's entry stage. It translates
 // queries from foreign resource-description languages into the native
 // key-value format, decomposes composite ("or") queries into basic
-// fragments, selects pool managers — by parameter value, or
-// random/round-robin — and forwards the fragments. Composite fragments
-// and QoS fan-out duplicates are aggregated by a Reintegrator stage.
+// fragments, selects pool managers — by parameter value, else at
+// random — stamps each fragment's sched hints, and forwards it.
+// Composite fragments and QoS fan-out duplicates are aggregated by a
+// Reintegrator stage.
 #pragma once
 
 #include <functional>
@@ -21,8 +22,6 @@ namespace actyp::pipeline {
 // Translates a foreign-language query body into native text.
 using Translator = std::function<Result<std::string>(const std::string&)>;
 
-enum class PmPickMode { kRandom, kRoundRobin };
-
 // Routes queries whose rsrc `param` matches `value_glob` to a dedicated
 // pool-manager set (the paper's example: sun machines to one set, hp to
 // another).
@@ -36,7 +35,6 @@ struct QueryManagerConfig {
   std::string name;
   std::vector<PmRule> rules;
   std::vector<net::Address> default_pool_managers;
-  PmPickMode pick = PmPickMode::kRandom;
   // Aggregation stage for composite fragments and QoS duplicates.
   net::Address reintegrator;
   // QoS: forward every basic query to this many distinct pool managers
@@ -81,7 +79,6 @@ class QueryManager final : public net::Node {
   QueryManagerConfig config_;
   std::unordered_map<std::string, Translator> translators_;
   QueryManagerStats stats_;
-  std::size_t round_robin_ = 0;
 };
 
 }  // namespace actyp::pipeline

@@ -5,7 +5,6 @@
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "obs/flight_recorder.hpp"
-#include "query/parser.hpp"
 
 namespace actyp::pipeline {
 namespace {
@@ -95,7 +94,7 @@ void ResourcePool::Initialize(net::NodeContext& ctx) {
   if (index_) index_->Rebuild(cache_);
 
   initialized_ = true;
-  if (config_.register_in_directory && directory_ != nullptr) {
+  if (directory_ != nullptr) {
     directory::PoolInstance instance;
     instance.pool_name = config_.pool_name;
     instance.instance = config_.instance;
@@ -147,56 +146,33 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
 
   ctx.Consume(config_.costs.pool_fixed);
 
-  // Facts selection needs: the access group, the co-allocation count,
-  // the reservation window, and the fragment coordinates. When the
-  // query manager attached its sched hints (§6 — parsed state travels
-  // with the message) they are read from headers; queries injected
-  // mid-pipeline parse the body as before.
-  std::string access_group;
-  std::size_t want = 1;
-  std::optional<double> resv_start_s;
-  double resv_duration_s = 3600.0;
+  // Facts selection needs, all read from the sched hints the entry
+  // stage stamped (§6 — parsed state travels with the message): the
+  // fragment coordinates, the access group, the co-allocation count and
+  // the reservation window.
   std::uint32_t frag_index = 0, frag_total = 1;
   ParseFragmentHeader(message, &frag_index, &frag_total);
-  if (message.HasHeader(phdr::kSchedHints)) {
-    access_group = message.Header(phdr::kAccessGroup);
-    if (auto count = ParseInt(message.Header(phdr::kCoAlloc));
-        count && *count > 1) {
-      want = static_cast<std::size_t>(*count);
+  if (!message.HasHeader(phdr::kSchedHints)) {
+    ++stats_.failures;
+    if (!reply_to.empty()) {
+      ctx.Send(reply_to,
+               MakeFailureMessage(request_id, std::string(kNoSchedHints),
+                                  frag_index, frag_total));
     }
-    if (auto start = ParseDouble(message.Header(phdr::kResvStart))) {
-      resv_start_s = *start;
-      resv_duration_s =
-          ParseDouble(message.Header(phdr::kResvDuration)).value_or(3600.0);
-    }
-  } else {
-    auto parsed = query::Parser::ParseBasic(message.body);
-    if (!parsed.ok()) {
-      ++stats_.failures;
-      if (!reply_to.empty()) {
-        ctx.Send(reply_to,
-                 MakeFailureMessage(request_id, parsed.status().ToString()));
-      }
-      return;
-    }
-    const query::Query& q = parsed.value();
-    access_group = q.GetUser("accessgroup");
-    if (auto count = ParseInt(q.GetAppl("count")); count && *count > 1) {
-      want = static_cast<std::size_t>(*count);
-    }
-    if (auto start = ParseDouble(q.GetAppl("starttime"))) {
-      resv_start_s = *start;
-      resv_duration_s = ParseDouble(q.GetAppl("duration")).value_or(3600.0);
-    }
-    // The fragment header is authoritative when present (split pools
-    // stamp it without rewriting the body); body meta only covers
-    // queries injected with neither hints nor a fragment header.
-    if (!message.HasHeader(phdr::kFragment)) {
-      if (const query::FragmentInfo frag = q.fragment(); frag.is_fragment()) {
-        frag_index = frag.index;
-        frag_total = frag.total;
-      }
-    }
+    return;
+  }
+  const std::string access_group = message.Header(phdr::kAccessGroup);
+  std::size_t want = 1;
+  if (auto count = ParseInt(message.Header(phdr::kCoAlloc));
+      count && *count > 1) {
+    want = static_cast<std::size_t>(*count);
+  }
+  std::optional<double> resv_start_s;
+  double resv_duration_s = 3600.0;
+  if (auto start = ParseDouble(message.Header(phdr::kResvStart))) {
+    resv_start_s = *start;
+    resv_duration_s =
+        ParseDouble(message.Header(phdr::kResvDuration)).value_or(3600.0);
   }
   const std::string access_group_lower = ToLower(access_group);
 

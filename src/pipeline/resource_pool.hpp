@@ -71,7 +71,6 @@ struct ResourcePoolConfig {
   // least-loaded one anyway (PUNCH machines are time-shared); when
   // false, reply with a failure instead.
   bool allow_oversubscribe = true;
-  bool register_in_directory = true;
   CostModel costs;
   // Stage-span sink (not owned; must outlive the node, including any
   // fault-restart copies of this config). Null disables profiling.

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/strings.hpp"
+
 namespace actyp::profile {
 namespace {
 
@@ -16,40 +18,6 @@ std::string FormatNumber(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.9g", value);
   return buffer;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // Prometheus metric/label names: [a-zA-Z_][a-zA-Z0-9_]*. Anything else

@@ -163,44 +163,8 @@ Result<CompositeQuery> Parser::Parse(std::string_view text) {
   expansion.emplace_back(family);
 
   for (const auto& term : *terms) {
-    if (term.key.family == "actyp" && term.key.type == "meta") {
-      // Pipeline state applies to every alternative.
-      for (auto& q : expansion) {
-        if (term.key.name == "ttl") {
-          if (auto ttl = ParseInt(term.raw_value)) {
-            q.set_ttl(static_cast<int>(*ttl));
-          }
-        } else if (term.key.name == "visited") {
-          for (const auto& name : SplitSkipEmpty(term.raw_value, ',')) {
-            q.AddVisited(name);
-          }
-        } else if (term.key.name == "request") {
-          if (auto id = ParseInt(term.raw_value)) {
-            q.set_request_id(static_cast<std::uint64_t>(*id));
-          }
-        } else if (term.key.name == "composite") {
-          if (auto id = ParseInt(term.raw_value)) {
-            auto frag = q.fragment();
-            frag.composite_id = static_cast<std::uint64_t>(*id);
-            q.set_fragment(frag);
-          }
-        } else if (term.key.name == "fragment") {
-          const auto parts = Split(term.raw_value, '/');
-          if (parts.size() == 2) {
-            auto frag = q.fragment();
-            if (auto idx = ParseInt(parts[0])) {
-              frag.index = static_cast<std::uint32_t>(*idx);
-            }
-            if (auto total = ParseInt(parts[1])) {
-              frag.total = static_cast<std::uint32_t>(*total);
-            }
-            q.set_fragment(frag);
-          }
-        }
-        // Unknown meta keys are ignored for forward compatibility.
-      }
-      continue;
-    }
+    // Pipeline state rides on message headers; meta terms are ignored.
+    if (term.key.family == "actyp" && term.key.type == "meta") continue;
 
     if (term.key.family != family) {
       return InvalidArgument("mixed families in one query: '" + family +

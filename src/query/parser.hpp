@@ -29,8 +29,9 @@ class Parser {
   static constexpr std::size_t kMaxAlternatives = 64;
 
   // Parses text into a composite query (one alternative when no "or"
-  // clause is present). Fragment info is left unset; the query manager
-  // assigns composite ids when it decomposes.
+  // clause is present). "actyp.meta.*" terms are skipped: the query
+  // manager stamps each alternative's pipeline state, fragment
+  // coordinates included, on its message headers.
   static Result<CompositeQuery> Parse(std::string_view text);
 
   // Convenience: parses and requires the result to be basic.

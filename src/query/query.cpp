@@ -87,21 +87,6 @@ std::string Query::GetUser(std::string_view name) const {
   return it == user_.end() ? std::string() : it->second;
 }
 
-bool Query::DecrementTtl() {
-  if (ttl_ <= 0) return false;
-  --ttl_;
-  return ttl_ > 0;
-}
-
-void Query::AddVisited(const std::string& pool_manager_name) {
-  if (!HasVisited(pool_manager_name)) visited_.push_back(pool_manager_name);
-}
-
-bool Query::HasVisited(const std::string& pool_manager_name) const {
-  return std::find(visited_.begin(), visited_.end(), pool_manager_name) !=
-         visited_.end();
-}
-
 std::string Query::Signature() const {
   // rsrc_ is a std::map, so iteration is already sorted by key — exactly
   // the "sorted rsrc keys" of §5.2.2.
@@ -147,14 +132,6 @@ std::string Query::ToText() const {
   }
   for (const auto& [name, value] : appl_) emit(family_ + ".appl." + name, value);
   for (const auto& [name, value] : user_) emit(family_ + ".user." + name, value);
-  emit("actyp.meta.ttl", std::to_string(ttl_));
-  if (!visited_.empty()) emit("actyp.meta.visited", Join(visited_, ","));
-  if (fragment_.is_fragment()) {
-    emit("actyp.meta.composite", std::to_string(fragment_.composite_id));
-    emit("actyp.meta.fragment",
-         std::to_string(fragment_.index) + "/" + std::to_string(fragment_.total));
-  }
-  if (request_id_ != 0) emit("actyp.meta.request", std::to_string(request_id_));
   return out;
 }
 

@@ -9,12 +9,11 @@
 // Missing rsrc keys default to "don't care"; missing appl/user keys
 // default to "undefined".
 //
-// Pipeline state (TTL, visited pool managers, fragment bookkeeping for
-// composite reintegration) is carried *with the query itself*, which is
-// what makes the architecture decentralized (§6).
+// A Query holds only the terms. The pipeline state that travels with a
+// query (§6: TTL, visited pool managers, fragment coordinates) rides on
+// its message headers; see pipeline/protocol.hpp.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -35,19 +34,6 @@ struct Condition {
   [[nodiscard]] std::string ToString() const {
     return std::string(CmpOpSpelling(op)) + value.text();
   }
-};
-
-// Default TTL for pool-manager delegation, analogous to the IP TTL
-// field (§5.2.2).
-inline constexpr int kDefaultTtl = 8;
-
-// Fragment bookkeeping for composite-query reintegration, analogous to
-// TCP/IP datagram fragmentation (§5.2.1).
-struct FragmentInfo {
-  std::uint64_t composite_id = 0;  // 0 = not part of a composite
-  std::uint32_t index = 0;
-  std::uint32_t total = 1;
-  [[nodiscard]] bool is_fragment() const { return composite_id != 0; }
 };
 
 // Attribute lookup used when matching a query against a machine: returns
@@ -86,24 +72,6 @@ class Query {
   [[nodiscard]] std::string GetAppl(std::string_view name) const;
   [[nodiscard]] std::string GetUser(std::string_view name) const;
 
-  // --- pipeline state carried with the query ---
-  [[nodiscard]] int ttl() const { return ttl_; }
-  void set_ttl(int ttl) { ttl_ = ttl; }
-  // Decrements TTL; returns false once expired (request has failed).
-  bool DecrementTtl();
-
-  [[nodiscard]] const std::vector<std::string>& visited() const {
-    return visited_;
-  }
-  void AddVisited(const std::string& pool_manager_name);
-  [[nodiscard]] bool HasVisited(const std::string& pool_manager_name) const;
-
-  [[nodiscard]] FragmentInfo fragment() const { return fragment_; }
-  void set_fragment(FragmentInfo info) { fragment_ = info; }
-
-  [[nodiscard]] std::uint64_t request_id() const { return request_id_; }
-  void set_request_id(std::uint64_t id) { request_id_ = id; }
-
   // --- pool naming (§5.2.2) ---
   // Signature: colon-separated sorted rsrc key names, a comma, then the
   // corresponding operator spellings. Example from the paper:
@@ -123,8 +91,7 @@ class Query {
   [[nodiscard]] bool Matches(const AttributeFn& attribute) const;
 
   // --- wire format ---
-  // Serializes to the native text protocol (one key = value per line,
-  // with pipeline state in the "actyp.meta.*" family).
+  // Serializes to the native text protocol (one key = value per line).
   [[nodiscard]] std::string ToText() const;
 
   friend bool operator==(const Query& a, const Query& b);
@@ -134,10 +101,6 @@ class Query {
   RsrcList rsrc_;  // sorted by key
   TermList appl_;  // sorted by key
   TermList user_;  // sorted by key
-  int ttl_ = kDefaultTtl;
-  std::vector<std::string> visited_;
-  FragmentInfo fragment_;
-  std::uint64_t request_id_ = 0;
 };
 
 // A composite query: alternatives produced by "or" clauses. Decomposed

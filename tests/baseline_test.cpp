@@ -2,14 +2,9 @@
 // static-partition frontend.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <tuple>
-
 #include "baseline/central.hpp"
 #include "baseline/matchmaker.hpp"
-#include "baseline/scan_cache.hpp"
 #include "baseline/static_partition.hpp"
-#include "common/rng.hpp"
 #include "pipeline/protocol.hpp"
 #include "pipeline/resource_pool.hpp"
 #include "query/parser.hpp"
@@ -252,131 +247,6 @@ TEST_F(BaselineTest, StaticFrontendUsesFallback) {
   network_.Post("probe", "frontend", QueryMessage("punch.rsrc.arch = sun\n"));
   kernel_.Run();
   EXPECT_EQ(probe_->count(net::msg::kAllocation), 1);
-}
-
-// --- journal-fed scan cache ---
-
-TEST_F(BaselineTest, ScanCachePrimesThenRefreshesOnlyChurn) {
-  AddMachines(50, "x86");
-  ScanCache cache(&database_);
-
-  // Priming sweep copies the whole fleet; a quiet database then costs
-  // nothing per scan.
-  EXPECT_EQ(cache.Refresh(), 50u);
-  EXPECT_EQ(cache.Refresh(), 0u);
-  EXPECT_EQ(cache.size(), 50u);
-
-  // A single dynamic update refreshes exactly one mirror entry, and the
-  // mirror reflects the new value.
-  const auto record = database_.GetByName("x860");
-  ASSERT_TRUE(record.ok());
-  db::DynamicState dyn = record->dyn;
-  dyn.load = 3.5;
-  ASSERT_TRUE(database_.UpdateDynamic(record->id, dyn).ok());
-  EXPECT_EQ(cache.Refresh(), 1u);
-  bool seen = false;
-  cache.ForEach([&](const db::MachineRecord& rec) {
-    if (rec.id == record->id) {
-      seen = true;
-      EXPECT_DOUBLE_EQ(rec.dyn.load, 3.5);
-    }
-  });
-  EXPECT_TRUE(seen);
-  EXPECT_EQ(cache.entries_refreshed(), 51u);
-}
-
-TEST_F(BaselineTest, ScanCacheIteratesInAscendingIdOrder) {
-  AddMachines(20, "sparc");
-  ScanCache cache(&database_);
-  cache.Refresh();
-
-  // Same order the live database scans in — first-found-wins tie-breaks
-  // (and so every allocation decision) are unchanged.
-  std::vector<db::MachineId> cached;
-  cache.ForEach(
-      [&](const db::MachineRecord& rec) { cached.push_back(rec.id); });
-  std::vector<db::MachineId> live;
-  database_.VisitAll(
-      [&](const db::MachineRecord& rec) { live.push_back(rec.id); });
-  EXPECT_EQ(cached, live);
-  EXPECT_TRUE(std::is_sorted(cached.begin(), cached.end()));
-}
-
-// Differential oracle: a cache kept current from the journal must equal
-// a freshly primed one, record for record, after every kind of mutation.
-TEST_F(BaselineTest, ScanCacheJournalRefreshMatchesFullSweep) {
-  AddMachines(24, "sun");
-  AddMachines(16, "hp");
-  const auto sun = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
-  const auto hp = query::Parser::ParseBasic("punch.rsrc.arch = hp\n");
-  ASSERT_TRUE(sun.ok());
-  ASSERT_TRUE(hp.ok());
-  using Row = std::tuple<std::string, std::string, std::uint64_t>;
-  const auto rows = [](const ScanCache& cache) {
-    std::vector<Row> out;
-    cache.ForEach([&out](const db::MachineRecord& rec) {
-      out.emplace_back(rec.Serialize(), rec.taken_by, rec.version);
-    });
-    return out;
-  };
-
-  const auto toggle_state = [](db::MachineRecord& rec) {
-    rec.state = rec.state == db::MachineState::kUp ? db::MachineState::kDown
-                                                   : db::MachineState::kUp;
-  };
-
-  ScanCache journal_fed(&database_);
-  journal_fed.Refresh();
-  Rng rng(2024);
-  for (int step = 0; step < 300; ++step) {
-    const auto id = static_cast<db::MachineId>(1 + rng.NextBounded(40));
-    switch (rng.NextBounded(4)) {
-      case 0: {
-        db::DynamicState dyn;
-        dyn.load = rng.Uniform(0, 3);
-        dyn.active_jobs = static_cast<int>(rng.NextBounded(4));
-        dyn.available_memory_mb = rng.Uniform(64, 1024);
-        ASSERT_TRUE(database_.UpdateDynamic(id, dyn).ok());
-        break;
-      }
-      case 1:
-        ASSERT_TRUE(database_.Update(id, toggle_state).ok());
-        break;
-      case 2:
-        database_.ClaimMatching(rng.NextBounded(2) == 0 ? *sun : *hp,
-                                "pool" + std::to_string(rng.NextBounded(3)),
-                                1 + rng.NextBounded(3));
-        break;
-      default: {
-        const auto record = database_.Get(id);
-        ASSERT_TRUE(record.ok());
-        if (!record->taken_by.empty()) {
-          ASSERT_TRUE(database_.Release(id, record->taken_by).ok());
-        }
-        break;
-      }
-    }
-    // Only the records the step touched are refreshed.
-    EXPECT_LE(journal_fed.Refresh(), 3u) << "step " << step;
-    ScanCache primed(&database_);
-    ASSERT_EQ(primed.Refresh(), 40u);
-    ASSERT_EQ(rows(journal_fed), rows(primed)) << "step " << step;
-  }
-}
-
-TEST_F(BaselineTest, CentralReportsRefreshWorkViaStats) {
-  AddMachines(30, "x86");
-  auto central = std::make_shared<CentralScheduler>(CentralSchedulerConfig{},
-                                                    &database_);
-  network_.AddNode("sched", central, {"alpha", 1});
-  network_.Post("probe", "sched",
-                QueryMessage("punch.rsrc.arch = x86\n", 1));
-  network_.Post("probe", "sched",
-                QueryMessage("punch.rsrc.arch = x86\n", 2));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kAllocation), 2);
-  // One priming sweep; the second query's refresh sees a quiet journal.
-  EXPECT_EQ(central->stats().entries_refreshed, 30u);
 }
 
 }  // namespace

@@ -91,12 +91,24 @@ class PipelineTest : public ::testing::Test {
     return pool;
   }
 
-  net::Message QueryMessage(const std::string& body,
-                            std::uint64_t request_id = 1) {
+  // A query as a client sends it to a query manager: no sched hints.
+  net::Message ClientMessage(const std::string& body,
+                             std::uint64_t request_id = 1) {
     net::Message m{net::msg::kQuery};
     m.SetHeader(net::hdr::kReplyTo, "probe");
     m.SetHeader(net::hdr::kRequestId, std::to_string(request_id));
     m.body = body;
+    return m;
+  }
+
+  // A query as the entry stage forwards it: stamped with the sched
+  // hints of its body, when that parses as a basic query.
+  net::Message QueryMessage(const std::string& body,
+                            std::uint64_t request_id = 1) {
+    net::Message m = ClientMessage(body, request_id);
+    if (auto q = query::Parser::ParseBasic(body); q.ok()) {
+      StampSchedHints(*q, &m);
+    }
     return m;
   }
 
@@ -392,13 +404,18 @@ TEST_F(PipelineTest, PoolShutdownUnregistersAndReleasesClaims) {
   EXPECT_EQ(database_.free_count(), 5u);
 }
 
-TEST_F(PipelineTest, PoolRejectsMalformedQuery) {
+// A pool reads only the sched hints, never the body: a query that
+// carries none fails, however well-formed its text.
+TEST_F(PipelineTest, PoolFailsQueryWithoutSchedHints) {
   AddMachines(1, "sun");
   auto pool = MakePool("punch.rsrc.arch = sun\n");
   network_.AddNode("pool0", pool, {"alpha", 1});
-  network_.Post("probe", "pool0", QueryMessage("not a query"));
+  network_.Post("probe", "pool0", ClientMessage(kSunQuery));
   kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
+  ASSERT_EQ(probe_->messages.size(), 1u);
+  EXPECT_EQ(probe_->messages[0].type, net::msg::kFailure);
+  EXPECT_EQ(probe_->messages[0].Header(net::hdr::kError), kNoSchedHints);
+  EXPECT_EQ(pool->stats().allocations, 0u);
 }
 
 // --- co-allocation (extension; the 2001 prototype lacked it, §8) ---
@@ -501,6 +518,7 @@ TEST(PoolPolicyEquivalence, IndexedMatchesLinearOnSameTrace) {
       net::Message query{net::msg::kQuery};
       query.SetHeader(net::hdr::kReplyTo, "probe");
       query.SetHeader(net::hdr::kRequestId, std::to_string(request_id++));
+      StampSchedHints(*criteria, &query);
       query.body = "punch.rsrc.arch = sun\n";
       network.Post("probe", "pool0", std::move(query));
       kernel.Run();
@@ -608,6 +626,7 @@ TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
       net::Message query{net::msg::kQuery};
       query.SetHeader(net::hdr::kReplyTo, "probe");
       query.SetHeader(net::hdr::kRequestId, std::to_string(request_id++));
+      StampSchedHints(*criteria, &query);
       query.body = "punch.rsrc.arch = sun\n";
       network.Post("probe", "pool0", std::move(query));
       kernel.RunUntil(now);
@@ -796,6 +815,27 @@ TEST_F(PipelineTest, PoolManagerForwardsToExistingPool) {
   EXPECT_EQ(pm->stats().forwarded, 1u);
 }
 
+// A pool manager routes by the sched hints alone: a query that carries
+// none fails instead of reaching the pool its body names.
+TEST_F(PipelineTest, PoolManagerFailsQueryWithoutSchedHints) {
+  AddMachines(4, "sun");
+  auto pool = MakePool("punch.rsrc.arch = sun\n");
+  network_.AddNode("pool0", pool, {"alpha", 1});
+
+  PoolManagerConfig pm_config;
+  pm_config.name = "pm0";
+  auto pm = std::make_shared<PoolManager>(pm_config, &directory_);
+  network_.AddNode("pm0", pm, {"alpha", 1});
+
+  network_.Post("probe", "pm0", ClientMessage(kSunQuery));
+  kernel_.Run();
+  ASSERT_EQ(probe_->messages.size(), 1u);
+  EXPECT_EQ(probe_->messages[0].type, net::msg::kFailure);
+  EXPECT_EQ(probe_->messages[0].Header(net::hdr::kError), kNoSchedHints);
+  EXPECT_EQ(pm->stats().forwarded + pm->stats().delegated, 0u);
+  EXPECT_EQ(pool->stats().queries, 0u);
+}
+
 TEST_F(PipelineTest, PoolManagerCreatesPoolThroughProxy) {
   AddMachines(6, "sun");
 
@@ -906,13 +946,8 @@ TEST_F(PipelineTest, TtlBoundsDelegationChain) {
                      std::make_shared<PoolManager>(config, &directory_),
                      {"alpha", 1});
   }
-  auto q = query::Parser::ParseBasic("punch.rsrc.arch = vax\n");
-  ASSERT_TRUE(q.ok());
-  q->set_ttl(3);
-  net::Message m{net::msg::kQuery};
-  m.SetHeader(net::hdr::kReplyTo, "probe");
-  m.SetHeader(net::hdr::kRequestId, "9");
-  m.body = q->ToText();
+  net::Message m = QueryMessage("punch.rsrc.arch = vax\n", 9);
+  m.SetHeader(phdr::kTtl, "3");
   network_.Post("probe", "pm0", std::move(m));
   kernel_.Run();
 
@@ -925,9 +960,8 @@ TEST_F(PipelineTest, TtlBoundsDelegationChain) {
 // --- query manager ---
 
 // Fragment bookkeeping travels on headers: QoS duplicates of one
-// alternative share a single serialized body (no per-fragment
-// actyp.meta.* rewrite), with fragment coordinates, sched hints, and
-// the TTL all carried as message headers.
+// alternative share a single body, with fragment coordinates, sched
+// hints, and the TTL all carried as message headers.
 TEST_F(PipelineTest, QueryManagerCarriesFragmentStateOnHeaders) {
   QueryManagerConfig config;
   config.name = "qm";
@@ -937,7 +971,7 @@ TEST_F(PipelineTest, QueryManagerCarriesFragmentStateOnHeaders) {
   auto qm = std::make_shared<QueryManager>(config);
   network_.AddNode("qm", qm, {"alpha", 1});
 
-  network_.Post("probe", "qm", QueryMessage(kSunQuery, 7));
+  network_.Post("probe", "qm", ClientMessage(kSunQuery, 7));
   kernel_.Run();
 
   std::vector<const net::Message*> fragments;
@@ -950,11 +984,10 @@ TEST_F(PipelineTest, QueryManagerCarriesFragmentStateOnHeaders) {
   EXPECT_EQ(fragments[0]->Header(phdr::kSchedHints), "1");
   EXPECT_EQ(fragments[0]->Header(phdr::kTtl), "8");
   EXPECT_EQ(fragments[0]->Header(phdr::kAccessGroup), "ece");
-  // A basic query's body is forwarded verbatim — shared across the
-  // duplicates, no actyp.meta.* stamped in.
+  // A basic query's body is forwarded verbatim, shared across the
+  // duplicates.
   EXPECT_EQ(fragments[0]->body, fragments[1]->body);
   EXPECT_EQ(fragments[0]->body, kSunQuery);
-  EXPECT_EQ(fragments[0]->body.find("actyp.meta."), std::string::npos);
 }
 
 // Delegation state travels on headers too: each hop appends itself to
@@ -1013,8 +1046,8 @@ TEST_F(PipelineTest, QueryManagerRoutesByParameterRule) {
   auto qm = std::make_shared<QueryManager>(qm_config);
   network_.AddNode("qm0", qm, {"alpha", 1});
 
-  network_.Post("probe", "qm0", QueryMessage("punch.rsrc.arch = hp\n", 1));
-  network_.Post("probe", "qm0", QueryMessage("punch.rsrc.arch = sun\n", 2));
+  network_.Post("probe", "qm0", ClientMessage("punch.rsrc.arch = hp\n", 1));
+  network_.Post("probe", "qm0", ClientMessage("punch.rsrc.arch = sun\n", 2));
   kernel_.Run();
   EXPECT_EQ(probe_->count(net::msg::kAllocation), 2);
   EXPECT_EQ(pm_hp_node->stats().queries, 1u);
@@ -1053,7 +1086,7 @@ TEST_F(PipelineTest, CompositeQueryReintegrates) {
   // "sun or hp": both fragments allocate; the reintegrator forwards the
   // better one and releases the loser.
   network_.Post("probe", "qm0",
-                QueryMessage("punch.rsrc.arch = sun|hp\n", 42));
+                ClientMessage("punch.rsrc.arch = sun|hp\n", 42));
   kernel_.Run();
 
   EXPECT_EQ(qm->stats().composites, 1u);
@@ -1074,7 +1107,7 @@ TEST_F(PipelineTest, QueryManagerFailsUnroutableQuery) {
   // No rules, no defaults.
   auto qm = std::make_shared<QueryManager>(qm_config);
   network_.AddNode("qm0", qm, {"alpha", 1});
-  network_.Post("probe", "qm0", QueryMessage(kSunQuery));
+  network_.Post("probe", "qm0", ClientMessage(kSunQuery));
   kernel_.Run();
   EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
   EXPECT_EQ(qm->stats().routing_failures, 1u);
@@ -1086,7 +1119,7 @@ TEST_F(PipelineTest, QueryManagerReportsParseErrors) {
   qm_config.default_pool_managers = {"pm0"};
   auto qm = std::make_shared<QueryManager>(qm_config);
   network_.AddNode("qm0", qm, {"alpha", 1});
-  network_.Post("probe", "qm0", QueryMessage("garbage query text"));
+  network_.Post("probe", "qm0", ClientMessage("garbage query text"));
   kernel_.Run();
   EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
   EXPECT_EQ(qm->stats().parse_failures, 1u);
@@ -1114,16 +1147,16 @@ TEST_F(PipelineTest, QueryManagerTranslatorHook) {
   });
   network_.AddNode("qm0", qm, {"alpha", 1});
 
-  net::Message m = QueryMessage("want sun");
+  net::Message m = ClientMessage("want sun");
   m.SetHeader("language", "toy");
   network_.Post("probe", "qm0", std::move(m));
   kernel_.Run();
   EXPECT_EQ(probe_->count(net::msg::kAllocation), 1);
 
-  net::Message bad = QueryMessage("want vax", 2);
+  net::Message bad = ClientMessage("want vax", 2);
   bad.SetHeader("language", "toy");
   network_.Post("probe", "qm0", std::move(bad));
-  net::Message unknown = QueryMessage("x", 3);
+  net::Message unknown = ClientMessage("x", 3);
   unknown.SetHeader("language", "martian");
   network_.Post("probe", "qm0", std::move(unknown));
   kernel_.Run();

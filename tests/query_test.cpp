@@ -1,6 +1,6 @@
 // Tests for the query language: values/operators, the paper's exact
-// signature/identifier example, composite decomposition, TTL/visited
-// state, and the wire round-trip.
+// signature/identifier example, composite decomposition, and the wire
+// round-trip.
 #include <gtest/gtest.h>
 
 #include "query/parser.hpp"
@@ -201,54 +201,27 @@ TEST(Parser, ParseBasicRejectsComposite) {
   EXPECT_FALSE(Parser::ParseBasic("punch.rsrc.arch = sun|hp\n").ok());
 }
 
-// --- pipeline state carried with the query ---
-
-TEST(Query, TtlDecrementsToFailure) {
-  Query q;
-  q.set_ttl(2);
-  EXPECT_TRUE(q.DecrementTtl());   // 2 -> 1, still alive
-  EXPECT_FALSE(q.DecrementTtl());  // 1 -> 0, expired
-  EXPECT_FALSE(q.DecrementTtl());  // stays expired
-}
-
-TEST(Query, VisitedListDeduplicates) {
-  Query q;
-  q.AddVisited("pm0");
-  q.AddVisited("pm1");
-  q.AddVisited("pm0");
-  EXPECT_EQ(q.visited().size(), 2u);
-  EXPECT_TRUE(q.HasVisited("pm0"));
-  EXPECT_FALSE(q.HasVisited("pm2"));
+// Pipeline state rides on message headers, so the parser skips
+// actyp.meta.* terms and ToText writes none.
+TEST(Parser, IgnoresMetaTerms) {
+  auto plain = Parser::ParseBasic(kPaperQuery);
+  ASSERT_TRUE(plain.ok());
+  auto with_meta = Parser::ParseBasic(std::string(kPaperQuery) +
+                                      "actyp.meta.ttl = 3\n"
+                                      "actyp.meta.visited = pm0,pm3\n");
+  ASSERT_TRUE(with_meta.ok()) << with_meta.status().ToString();
+  EXPECT_EQ(*with_meta, *plain);
+  EXPECT_EQ(with_meta->ToText(), plain->ToText());
+  EXPECT_EQ(plain->ToText().find("actyp."), std::string::npos);
 }
 
 TEST(Query, WireRoundTripPreservesState) {
   auto q = Parser::ParseBasic(kPaperQuery);
   ASSERT_TRUE(q.ok());
-  q->set_ttl(5);
-  q->AddVisited("pm0");
-  q->AddVisited("pm3");
-  q->set_request_id(777);
-  FragmentInfo frag;
-  frag.composite_id = 42;
-  frag.index = 1;
-  frag.total = 3;
-  q->set_fragment(frag);
-
   auto round = Parser::ParseBasic(q->ToText());
   ASSERT_TRUE(round.ok()) << round.status().ToString();
   EXPECT_EQ(*round, *q);
-  EXPECT_EQ(round->ttl(), 5);
-  EXPECT_EQ(round->visited(), (std::vector<std::string>{"pm0", "pm3"}));
-  EXPECT_EQ(round->request_id(), 777u);
-  EXPECT_EQ(round->fragment().composite_id, 42u);
-  EXPECT_EQ(round->fragment().index, 1u);
-  EXPECT_EQ(round->fragment().total, 3u);
   EXPECT_EQ(round->PoolName(), q->PoolName());
-}
-
-TEST(Query, DefaultTtlMatchesConstant) {
-  Query q;
-  EXPECT_EQ(q.ttl(), kDefaultTtl);
 }
 
 // --- matching ---

@@ -137,8 +137,11 @@ TEST(Scenario, OnDemandPoolCreationServesQueries) {
   scenario.Measure(Seconds(10), Seconds(30));
   EXPECT_GT(scenario.collector().completed(), 50u);
   EXPECT_EQ(scenario.collector().failures(), 0u);
-  // All four cluster pools were created dynamically.
+  // All four cluster pools were created dynamically, and the pool
+  // totals count them.
   EXPECT_EQ(scenario.directory().PoolNames().size(), 4u);
+  EXPECT_GE(scenario.TotalPoolStats().allocations,
+            scenario.collector().completed());
 }
 
 TEST(Scenario, QosFanoutStillAnswersOnce) {
@@ -389,10 +392,12 @@ TEST(ScenarioBuild, EveryShapeReplaysItsPinnedDigest) {
             "{266, 0, 315, 31606, 3964, 0.075262503759398497, "
             "0.13224474999999999}");
 
+  // On-demand pools: the pool totals count the proxy-created pools.
   config = lan;
   config.precreate_pools = false;
   EXPECT_EQ(DigestText(config),
-            "{9148, 0, 0, 0, 128805, 0.0021859955181460443, 0.002797}");
+            "{9148, 0, 10730, 1076567, 128805, 0.0021859955181460443, "
+            "0.002797}");
 
   config = lan;
   config.pool_segments = 4;

@@ -11,53 +11,18 @@
 // flat while clients are still in flight, or a failure-count jump —
 // and blames the latest fault strike at or before it.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
+
 namespace {
 
-// Minimal line-local JSON field extraction. Every dump line is one
-// flat object written by our own serializers (no nested duplicate
-// keys we care about), so a direct key scan is sufficient.
-std::optional<std::string> JsonString(const std::string& line,
-                                      const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::string out;
-  for (std::size_t i = at + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      const char next = line[++i];
-      switch (next) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        default: out += next;
-      }
-      continue;
-    }
-    if (c == '"') return out;
-    out += c;
-  }
-  return std::nullopt;
-}
-
-std::optional<double> JsonNumber(const std::string& line,
-                                 const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const char* start = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double value = std::strtod(start, &end);
-  if (end == start) return std::nullopt;
-  return value;
-}
+using actyp::JsonNumber;
+using actyp::JsonString;
 
 struct Sample {
   double t_s = 0;

@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
     }
     std::printf("  signature  : %s\n", q.Signature().c_str());
     std::printf("  identifier : %s\n", q.Identifier().c_str());
-    std::printf("  pool name  : %s\n", q.PoolName().c_str());
-    std::printf("  ttl        : %d\n\n", q.ttl());
+    std::printf("  pool name  : %s\n\n", q.PoolName().c_str());
   }
   return 0;
 }

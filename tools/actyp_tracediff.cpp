@@ -14,9 +14,10 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
+
+#include "common/strings.hpp"
 
 namespace {
 
@@ -27,28 +28,8 @@ struct RequestStages {
 
 using TraceIndex = std::map<std::string, RequestStages>;
 
-std::optional<std::string> JsonString(const std::string& line,
-                                      const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const auto start = at + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return std::nullopt;
-  return line.substr(start, end - start);
-}
-
-std::optional<double> JsonNumber(const std::string& line,
-                                 const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const char* start = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double value = std::strtod(start, &end);
-  if (end == start) return std::nullopt;
-  return value;
-}
+using actyp::JsonNumber;
+using actyp::JsonString;
 
 bool LoadTrace(const std::string& path, TraceIndex* out) {
   std::ifstream in(path);
