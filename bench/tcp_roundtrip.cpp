@@ -1,99 +1,40 @@
 // tcp_roundtrip: end-to-end exercise of the real TCP transport
-// (src/net/tcp.cpp) through the scenario driver. The pipeline stages
-// run on the threaded in-process transport; the query-manager entry is
-// fronted by a loopback TcpServer speaking the production wire format
-// (4-byte frame + encoded Message), and the scenario issues real socket
-// calls against it. Latency numbers are wall-clock (this is the one
-// scenario that is not a discrete-event simulation), so --jobs is
-// deliberately ignored here; the call/success counters are
-// deterministic and are what perf tracking diffs.
+// (src/net/tcp.cpp) through the scenario driver. A loopback TcpServer
+// speaking the production wire format (4-byte frame + encoded Message)
+// fronts the query-manager entry of a simulated pipeline, and the
+// scenario issues real socket calls against it; each connection thread
+// hands its request to the simulation through simnet::CallGateway.
+// Latencies are wall-clock (the socket round trip plus what the
+// simulator costs on the host; modelled service times pass in
+// simulated time), so --jobs is deliberately ignored here. The
+// call/success counters are deterministic: the actyp_sim_tcp_smoke
+// ctest checks ok == calls in both modes.
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <map>
-#include <mutex>
 
 #include "bench_common.hpp"
 #include "common/stats.hpp"
-#include "net/inproc.hpp"
 #include "net/tcp.hpp"
-#include "pipeline/pool_manager.hpp"
-#include "pipeline/proxy.hpp"
-#include "pipeline/query_manager.hpp"
+#include "simnet/call_gateway.hpp"
 #include "workload/generator.hpp"
 
 namespace actyp {
 namespace {
-
-// Bridges the synchronous TCP handler onto the asynchronous pipeline:
-// replies land here by request id and wake the waiting handler.
-class Gateway final : public net::Node {
- public:
-  void OnMessage(const net::Envelope& envelope, net::NodeContext&) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    replies_[envelope.message.Header(net::hdr::kRequestId)] =
-        envelope.message;
-    cv_.notify_all();
-  }
-
-  net::Message Await(const std::string& request_id) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!cv_.wait_for(lock, std::chrono::seconds(5), [&] {
-          return replies_.count(request_id) > 0;
-        })) {
-      net::Message timeout{net::msg::kFailure};
-      timeout.SetHeader(net::hdr::kError, "gateway timeout");
-      return timeout;
-    }
-    net::Message reply = replies_.at(request_id);
-    replies_.erase(request_id);
-    return reply;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::string, net::Message> replies_;
-};
 
 ScenarioReport RunTcpRoundtrip(const ScenarioRunOptions& options) {
   ScenarioReport report;
   report.scenario = "tcp_roundtrip";
   report.title = "TCP transport — loopback roundtrips through the pipeline";
 
-  // --- substrate ---
-  db::ResourceDatabase database;
-  db::ShadowAccountRegistry shadows;
-  db::PolicyRegistry policies;
-  directory::DirectoryService directory;
-  Rng rng(options.seed.value_or(411));
-  workload::FleetSpec fleet;
-  fleet.machine_count = options.machines.value_or(64);
-  fleet.cluster_count = 2;
-  BuildFleet(fleet, rng, &database, &shadows);
-
-  // --- pipeline on the threaded transport, pools created on demand ---
-  net::InProcNetwork network;
-  pipeline::ProxyConfig proxy_config;
-  network.AddNode("proxy",
-                  std::make_shared<pipeline::ProxyServer>(
-                      proxy_config, &network, &database, &directory, &shadows,
-                      &policies),
-                  {});
-  pipeline::PoolManagerConfig pm_config;
-  pm_config.name = "pm0";
-  pm_config.proxies = {"proxy"};
-  network.AddNode("pm0",
-                  std::make_shared<pipeline::PoolManager>(pm_config,
-                                                          &directory),
-                  {});
-  pipeline::QueryManagerConfig qm_config;
-  qm_config.name = "qm0";
-  qm_config.default_pool_managers = {"pm0"};
-  network.AddNode("qm0", std::make_shared<pipeline::QueryManager>(qm_config),
-                  {});
-  auto gateway = std::make_shared<Gateway>();
-  network.AddNode("gateway", gateway, {});
+  // --- simulated pipeline, pools created on demand, no sim clients ---
+  ScenarioConfig config;
+  config.machines = options.machines.value_or(64);
+  config.clusters = 2;
+  config.precreate_pools = false;
+  config.clients = 0;
+  config.seed = options.seed.value_or(411);
+  SimScenario scenario(config);
+  simnet::CallGateway gateway(&scenario.network());
 
   // --- TCP frontend on an ephemeral loopback port ---
   net::TcpServer server;
@@ -114,20 +55,9 @@ ScenarioReport RunTcpRoundtrip(const ScenarioRunOptions& options) {
     fault.bytes = 3;
     return fault;
   });
-  std::mutex request_mu;
-  int next_request = 0;
-  const Status started =
-      server.Start(0, [&](const net::Message& request) {
-        std::string request_id;
-        {
-          std::lock_guard<std::mutex> lock(request_mu);
-          request_id = std::to_string(++next_request);
-        }
-        net::Message query = request;
-        query.SetHeader(net::hdr::kRequestId, request_id);
-        query.SetHeader(net::hdr::kReplyTo, "gateway");
-        network.Post("gateway", "qm0", std::move(query));
-        return gateway->Await(request_id);
+  const Status started = server.Start(
+      0, [&gateway](const net::Message& request) {
+        return gateway.Call("qm0", request);
       });
 
   const std::size_t calls = std::max<std::size_t>(
@@ -137,8 +67,9 @@ ScenarioReport RunTcpRoundtrip(const ScenarioRunOptions& options) {
     bool faulty;
   };
   const Phase phases[] = {{"clean", false}, {"reset", true}};
+  Rng rng(config.seed);
   workload::QuerySpec query_spec;
-  query_spec.cluster_count = 2;
+  query_spec.cluster_count = config.clusters;
   workload::QueryGenerator generator(query_spec);
   for (const Phase& phase : phases) {
     faults_on.store(phase.faulty);
@@ -179,25 +110,22 @@ ScenarioReport RunTcpRoundtrip(const ScenarioRunOptions& options) {
     report.cells.push_back(std::move(cell));
   }
   if (started.ok()) server.Stop();
-  network.Shutdown();
 
   report.note =
-      "every call crosses a real loopback socket into the threaded "
+      "every call crosses a real loopback socket into the simulated "
       "pipeline and back; ok == calls is the invariant for both modes — "
       "the reset mode injects connection resets and partial frames at "
       "the socket layer and the retrying client absorbs them (latencies "
-      "are wall-clock and excluded from deterministic perf diffs). Clean "
-      "mode runs first, so its first call for each pool builds that pool "
-      "on demand: the threaded transport's Consume sleeps the modelled "
-      "pool_create_fixed (25 ms) in real time, which sets clean's max_ms "
-      "and lifts its mean at small call counts; reset mode finds the "
-      "pools built.";
+      "are wall-clock and excluded from deterministic perf diffs). The "
+      "modelled service times, pool creation's 25 ms included, pass in "
+      "simulated time, so a latency is the socket round trip plus the "
+      "simulator's host cost.";
   return report;
 }
 
 const ScenarioRegistrar kRegistrar(
     "tcp_roundtrip",
-    "real TCP loopback roundtrips through the threaded pipeline",
+    "real TCP loopback roundtrips through the simulated pipeline",
     RunTcpRoundtrip, /*wall_clock=*/true);
 
 }  // namespace

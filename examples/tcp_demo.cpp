@@ -2,117 +2,36 @@
 //
 // The production PUNCH portal spoke to ActYP over TCP (§6: "queries
 // propagate from one stage to the next via TCP or UDP"). This example
-// runs the pipeline stages on the threaded in-process transport, exposes
-// the query-manager entry point on a loopback TCP socket, and issues
-// real socket calls against it — the same wire format a remote network
-// desktop would use.
+// builds the pipeline on the discrete-event simulator with pools created
+// on demand, exposes the query-manager entry point on a loopback TCP
+// socket, and issues real socket calls against it — the same wire
+// format a remote network desktop would use. Each connection thread
+// hands its request to the simulation through simnet::CallGateway.
 //
-//   ./build/examples/tcp_demo
-#include <chrono>
-#include <condition_variable>
+//   ./build/tcp_demo
 #include <cstdio>
-#include <mutex>
 
-#include "db/database.hpp"
-#include "db/shadow.hpp"
-#include "directory/directory.hpp"
-#include "net/inproc.hpp"
+#include "actyp/scenario.hpp"
 #include "net/tcp.hpp"
-#include "pipeline/pool_manager.hpp"
-#include "pipeline/proxy.hpp"
-#include "pipeline/query_manager.hpp"
-#include "workload/generator.hpp"
+#include "simnet/call_gateway.hpp"
 
 using namespace actyp;
 
-namespace {
-
-// Bridges a synchronous TCP request onto the asynchronous pipeline: the
-// gateway node forwards the query and wakes the waiting TCP handler when
-// the answer comes back.
-class Gateway final : public net::Node {
- public:
-  void OnMessage(const net::Envelope& env, net::NodeContext&) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    replies_[env.message.Header(net::hdr::kRequestId)] = env.message;
-    cv_.notify_all();
-  }
-
-  net::Message Await(const std::string& request_id) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!cv_.wait_for(lock, std::chrono::seconds(5), [&] {
-          return replies_.count(request_id) > 0;
-        })) {
-      net::Message timeout{net::msg::kFailure};
-      timeout.SetHeader(net::hdr::kError, "gateway timeout");
-      return timeout;
-    }
-    net::Message reply = replies_.at(request_id);
-    replies_.erase(request_id);
-    return reply;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::string, net::Message> replies_;
-};
-
-}  // namespace
-
 int main() {
-  // --- substrate: white pages + shadow accounts + directory ---
-  db::ResourceDatabase database;
-  db::ShadowAccountRegistry shadows;
-  db::PolicyRegistry policies;
-  directory::DirectoryService directory;
-  Rng rng(3);
-  workload::FleetSpec fleet;
-  fleet.machine_count = 64;
-  fleet.cluster_count = 2;
-  BuildFleet(fleet, rng, &database, &shadows);
-
-  // --- pipeline on the threaded transport ---
-  net::InProcConfig net_config;
-  net_config.latency = [](const net::Address&, const net::Address&) {
-    return Micros(200);  // LAN-ish
-  };
-  net::InProcNetwork network(net_config);
-
-  pipeline::ProxyConfig proxy_config;
-  network.AddNode("proxy",
-                  std::make_shared<pipeline::ProxyServer>(
-                      proxy_config, &network, &database, &directory, &shadows,
-                      &policies),
-                  {});
-
-  pipeline::PoolManagerConfig pm_config;
-  pm_config.name = "pm0";
-  pm_config.proxies = {"proxy"};
-  network.AddNode("pm0",
-                  std::make_shared<pipeline::PoolManager>(pm_config,
-                                                          &directory),
-                  {});
-
-  pipeline::QueryManagerConfig qm_config;
-  qm_config.name = "qm0";
-  qm_config.default_pool_managers = {"pm0"};
-  network.AddNode("qm0", std::make_shared<pipeline::QueryManager>(qm_config),
-                  {});
-
-  auto gateway = std::make_shared<Gateway>();
-  network.AddNode("gateway", gateway, {});
+  // --- pipeline on the simulator, pools created on demand ---
+  ScenarioConfig config;
+  config.machines = 64;
+  config.clusters = 2;
+  config.precreate_pools = false;
+  config.clients = 0;
+  config.seed = 3;
+  SimScenario scenario(config);
+  simnet::CallGateway gateway(&scenario.network());
 
   // --- TCP frontend ---
   net::TcpServer server;
-  int next_request = 0;
-  auto status = server.Start(0, [&](const net::Message& request) {
-    net::Message query = request;
-    const std::string request_id = std::to_string(++next_request);
-    query.SetHeader(net::hdr::kRequestId, request_id);
-    query.SetHeader(net::hdr::kReplyTo, "gateway");
-    network.Post("gateway", "qm0", std::move(query));
-    return gateway->Await(request_id);
+  auto status = server.Start(0, [&gateway](const net::Message& request) {
+    return gateway.Call("qm0", request);
   });
   if (!status.ok()) {
     std::printf("failed to start TCP server: %s\n",
@@ -144,8 +63,8 @@ int main() {
     }
   }
 
-  std::printf("\npools created on demand: %zu\n", directory.PoolNames().size());
   server.Stop();
-  network.Shutdown();
+  std::printf("\npools created on demand: %zu\n",
+              scenario.directory().PoolNames().size());
   return 0;
 }

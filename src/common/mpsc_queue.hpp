@@ -1,6 +1,5 @@
-// Blocking multi-producer queue used by the threaded transport and the
-// thread pool. Close() wakes all waiters; Pop returns nullopt once the
-// queue is closed and drained.
+// Blocking multi-producer queue behind the thread pool. Close() wakes
+// all waiters; Pop returns nullopt once the queue is closed and drained.
 #pragma once
 
 #include <condition_variable>

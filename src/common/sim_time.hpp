@@ -1,6 +1,6 @@
-// Simulation time: microseconds as a signed 64-bit count. All pipeline
-// components take time from a Clock so the same code runs under the
-// discrete-event kernel and on the wall clock.
+// Simulation time: microseconds as a signed 64-bit count. Pipeline
+// components read it only from NodeContext::Now(), which the
+// discrete-event kernel advances.
 #pragma once
 
 #include <cstdint>

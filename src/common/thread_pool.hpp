@@ -1,6 +1,5 @@
-// Fixed-size worker pool. Stages of the threaded runtime share one pool
-// per process so replication experiments control concurrency explicitly;
-// the scenario driver runs independent sweep cells on one.
+// Fixed-size worker pool. The scenario driver runs independent sweep
+// cells on one, and the LP engine runs a window's shards on another.
 //
 // Semantics (audited for lost wakeups and shutdown races):
 //   - Submit is safe from any number of producer threads. After the

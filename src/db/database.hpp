@@ -2,9 +2,10 @@
 // (§4.1). Resource pools walk it at initialization, marking matched
 // machines as taken; the monitor updates dynamic fields in place.
 //
-// Thread-safe: the threaded runtime has the monitor, pool managers, and
-// pools touching it concurrently. The discrete-event runtime serializes
-// access but uses the same interface.
+// Thread-safe: every method holds the database's lock. Simulations
+// already serialize access (each white pages belongs to one serial
+// kernel or to one LP shard), so the lock matters only to a caller
+// that shares a database across threads.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,9 @@
 // Actor-style node abstraction. Every pipeline stage (query manager,
 // pool manager, resource pool, reintegrator, proxy server, client) is a
-// Node bound to an Address on some Network. The same component code runs
-// on the discrete-event simulator, on the threaded in-process transport,
-// or behind a TCP frontend — this is how the paper's "stages can be
-// independently distributed and replicated" is expressed in code.
+// Node bound to an Address on some Network. The component code runs on
+// the discrete-event simulator, in every scenario and behind the TCP
+// frontend alike — this is how the paper's "stages can be independently
+// distributed and replicated" is expressed in code.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,7 @@ struct Envelope {
   SimTime sent_at = 0;
 };
 
-// Handle for a self-scheduled timer; 0 means "not cancellable" (either
-// an invalid id or a transport without cancellation support).
+// Handle for a self-scheduled timer; 0 is never issued.
 using TimerId = std::uint64_t;
 
 // Execution context handed to a node while it processes one message.
@@ -40,29 +39,24 @@ class NodeContext {
   // Asynchronously sends a message; delivery incurs transport latency.
   virtual void Send(const Address& to, Message message) = 0;
 
-  // Declares service time consumed by the current processing step. Under
-  // the discrete-event kernel this occupies the node (and a host core)
-  // for `duration`; under the threaded runtime it is a scaled sleep.
+  // Declares service time consumed by the current processing step: it
+  // occupies the node (and a host core) for `duration`.
   virtual void Consume(SimDuration duration) = 0;
 
   // Service time accumulated by Consume() calls so far in the current
   // processing step. Now() does not advance while a handler runs, so
   // Now() + Consumed() is the sim time at which this step completes —
-  // the profiler's span-exit stamp. Transports that execute Consume
-  // inline (real sleeps) report 0.
-  [[nodiscard]] virtual SimDuration Consumed() const { return 0; }
+  // the profiler's span-exit stamp.
+  [[nodiscard]] virtual SimDuration Consumed() const = 0;
 
   // Delivers `message` back to this node after `delay` (timer). Returns
-  // a handle for CancelSelf, or 0 when the transport cannot cancel.
+  // a handle for CancelSelf.
   virtual TimerId ScheduleSelf(SimDuration delay, Message message) = 0;
 
   // Cancels a timer from a previous ScheduleSelf on this node before it
-  // delivers. Returns false for stale/unknown ids and on transports
-  // without cancellation; a cancelled timer never delivers its message.
-  virtual bool CancelSelf(TimerId id) {
-    (void)id;
-    return false;
-  }
+  // delivers. Returns false for stale/unknown ids; a cancelled timer
+  // never delivers its message.
+  virtual bool CancelSelf(TimerId id) = 0;
 
   // Per-node deterministic random stream.
   virtual Rng& rng() = 0;
@@ -81,7 +75,7 @@ class Node {
   virtual void OnMessage(const Envelope& envelope, NodeContext& ctx) = 0;
 };
 
-// Placement of a node in the (simulated or real) deployment.
+// Placement of a node in the simulated deployment.
 struct NodePlacement {
   std::string host = "localhost";  // host name, for latency & core limits
   int servers = 1;  // how many messages the node processes concurrently

@@ -16,7 +16,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/sim_time.hpp"
 
 namespace actyp::simnet {
@@ -32,7 +31,6 @@ class SimKernel {
   SimKernel() = default;
 
   [[nodiscard]] SimTime Now() const { return now_; }
-  [[nodiscard]] const Clock& clock() const { return clock_adapter_; }
 
   // Schedules `fn` to run `delay` microseconds from now (>= 0).
   TimerId Schedule(SimDuration delay, std::function<void()> fn);
@@ -105,15 +103,6 @@ class SimKernel {
     }
   };
 
-  class ClockAdapter final : public Clock {
-   public:
-    explicit ClockAdapter(const SimKernel* kernel) : kernel_(kernel) {}
-    [[nodiscard]] SimTime Now() const override { return kernel_->now_; }
-
-   private:
-    const SimKernel* kernel_;
-  };
-
   void Place(std::size_t pos, const HeapEntry& entry) {
     heap_[pos] = entry;
     slot_pos_[entry.slot] = static_cast<std::uint32_t>(pos);
@@ -134,7 +123,6 @@ class SimKernel {
   std::vector<std::uint32_t> slot_pos_;
   std::vector<std::uint32_t> free_;  // free slot indices
   std::vector<HeapEntry> heap_;      // 4-ary min-heap
-  ClockAdapter clock_adapter_{this};
 };
 
 }  // namespace actyp::simnet

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: status/result, strings, config,
-// RNG, statistics, queues, thread pool, clocks.
+// RNG, statistics, queues, thread pool, sim-time helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,10 +8,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/config.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/rng.hpp"
+#include "common/sim_time.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "common/strings.hpp"
@@ -470,23 +470,7 @@ TEST(ThreadPool, DestructorRunsAcceptedTasks) {
   EXPECT_EQ(executed.load(), 64);
 }
 
-// --- clocks ---
-
-TEST(ManualClock, AdvanceAndSet) {
-  ManualClock clock(100);
-  EXPECT_EQ(clock.Now(), 100);
-  clock.Advance(50);
-  EXPECT_EQ(clock.Now(), 150);
-  clock.Set(10);
-  EXPECT_EQ(clock.Now(), 10);
-}
-
-TEST(WallClock, MonotonicNonDecreasing) {
-  WallClock clock;
-  const SimTime a = clock.Now();
-  const SimTime b = clock.Now();
-  EXPECT_LE(a, b);
-}
+// --- sim time ---
 
 TEST(SimTimeHelpers, Conversions) {
   EXPECT_EQ(Millis(3), 3000);

@@ -1,15 +1,14 @@
-// Tests for the message wire format, the threaded in-process transport,
-// and the TCP transport.
+// Tests for the message wire format, the TCP transport, and the TCP
+// edge into a simulated pipeline.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <thread>
 
+#include "actyp/scenario.hpp"
 #include "common/rng.hpp"
-#include "net/inproc.hpp"
 #include "net/message.hpp"
 #include "net/tcp.hpp"
+#include "simnet/call_gateway.hpp"
 
 namespace actyp::net {
 namespace {
@@ -88,158 +87,6 @@ TEST_P(MessageFuzz, RandomRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, MessageFuzz, ::testing::Range(0, 20));
-
-// --- in-process transport ---
-
-class EchoNode final : public Node {
- public:
-  void OnMessage(const Envelope& env, NodeContext& ctx) override {
-    if (env.message.type == "ping") {
-      Message reply{"pong"};
-      reply.body = env.message.body;
-      ctx.Send(env.from, std::move(reply));
-    }
-  }
-};
-
-class CollectorNode final : public Node {
- public:
-  void OnMessage(const Envelope& env, NodeContext&) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    received_.push_back(env.message.type + ":" + env.message.body);
-    ++count_;
-  }
-  std::vector<std::string> received() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return received_;
-  }
-  int count() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> received_;
-  int count_ = 0;
-};
-
-void WaitFor(const std::function<bool()>& cond, int timeout_ms = 3000) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (!cond() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(cond()) << "condition not met within timeout";
-}
-
-TEST(InProc, RequestReply) {
-  InProcNetwork network;
-  auto echo = std::make_shared<EchoNode>();
-  auto sink = std::make_shared<CollectorNode>();
-  ASSERT_TRUE(network.AddNode("echo", echo, {}).ok());
-  ASSERT_TRUE(network.AddNode("sink", sink, {}).ok());
-
-  Message ping{"ping"};
-  ping.body = "hello";
-  network.Post("sink", "echo", std::move(ping));
-  WaitFor([&] { return sink->count() == 1; });
-  EXPECT_EQ(sink->received()[0], "pong:hello");
-}
-
-TEST(InProc, DuplicateAddressRejected) {
-  InProcNetwork network;
-  ASSERT_TRUE(network.AddNode("a", std::make_shared<EchoNode>(), {}).ok());
-  EXPECT_FALSE(network.AddNode("a", std::make_shared<EchoNode>(), {}).ok());
-  EXPECT_TRUE(network.HasNode("a"));
-  EXPECT_FALSE(network.HasNode("b"));
-}
-
-TEST(InProc, RemoveNodeStopsDelivery) {
-  InProcNetwork network;
-  auto sink = std::make_shared<CollectorNode>();
-  ASSERT_TRUE(network.AddNode("sink", sink, {}).ok());
-  network.Post("x", "sink", Message{"m"});
-  WaitFor([&] { return sink->count() == 1; });
-  ASSERT_TRUE(network.RemoveNode("sink").ok());
-  EXPECT_FALSE(network.RemoveNode("sink").ok());
-  network.Post("x", "sink", Message{"m"});  // silently dropped
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(sink->count(), 1);
-}
-
-TEST(InProc, LatencyDelaysDelivery) {
-  InProcConfig config;
-  config.latency = [](const Address&, const Address&) { return Millis(60); };
-  InProcNetwork network(config);
-  auto sink = std::make_shared<CollectorNode>();
-  ASSERT_TRUE(network.AddNode("sink", sink, {}).ok());
-
-  const auto start = std::chrono::steady_clock::now();
-  network.Post("x", "sink", Message{"m"});
-  WaitFor([&] { return sink->count() == 1; });
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  EXPECT_GE(elapsed, 50);
-}
-
-class SelfSchedulingNode final : public Node {
- public:
-  void OnStart(NodeContext& ctx) override {
-    ctx.ScheduleSelf(Millis(10), Message{"tick"});
-  }
-  void OnMessage(const Envelope& env, NodeContext& ctx) override {
-    if (env.message.type != "tick") return;
-    const int n = ++ticks_;
-    if (n < 3) ctx.ScheduleSelf(Millis(10), Message{"tick"});
-  }
-  std::atomic<int> ticks_{0};
-};
-
-TEST(InProc, ScheduleSelfFiresRepeatedly) {
-  InProcNetwork network;
-  auto node = std::make_shared<SelfSchedulingNode>();
-  ASSERT_TRUE(network.AddNode("timer", node, {}).ok());
-  WaitFor([&] { return node->ticks_.load() == 3; });
-}
-
-// Destroying a network right after constructing it races the scheduler
-// thread's first wait: a shutdown notify that lands between its stop
-// check and its wait must still wake it, or the destructor's join hangs.
-// 10,000 networks are enough to hit that window every time (4-vCPU x86
-// VM) when the stop flag is set outside the scheduler's lock.
-TEST(InProc, ImmediateShutdownNeverHangs) {
-  for (int i = 0; i < 10000; ++i) {
-    InProcNetwork network;
-  }
-}
-
-TEST(InProc, ParallelServersProcessConcurrently) {
-  InProcNetwork network;
-  class SlowNode final : public Node {
-   public:
-    void OnMessage(const Envelope& env, NodeContext& ctx) override {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      ctx.Send(env.from, Message{"done"});
-    }
-  };
-  auto slow = std::make_shared<SlowNode>();
-  auto sink = std::make_shared<CollectorNode>();
-  NodePlacement placement;
-  placement.servers = 4;
-  ASSERT_TRUE(network.AddNode("slow", slow, placement).ok());
-  ASSERT_TRUE(network.AddNode("sink", sink, {}).ok());
-
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 4; ++i) network.Post("sink", "slow", Message{"go"});
-  WaitFor([&] { return sink->count() == 4; });
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  // Serial execution would need >= 200ms; allow generous slack.
-  EXPECT_LT(elapsed, 160);
-}
 
 // --- TCP transport ---
 
@@ -375,6 +222,45 @@ TEST(Tcp, InjectedPartialFrameFailsCallAndRetryRecovers) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->body, "partial-frame-check\n");
   server.Stop();
+}
+
+// --- TCP edge into the simulated pipeline ---
+
+TEST(TcpEdge, CallsRunThroughTheSimulatedPipeline) {
+  ScenarioConfig config;
+  config.machines = 64;
+  config.clusters = 2;
+  config.precreate_pools = false;
+  config.clients = 0;
+  SimScenario scenario(config);
+  simnet::CallGateway gateway(&scenario.network());
+  TcpServer server;
+  ASSERT_TRUE(server
+                  .Start(0,
+                         [&gateway](const Message& request) {
+                           return gateway.Call("qm0", request);
+                         })
+                  .ok());
+
+  int allocations = 0;
+  for (const char* cluster : {"c0", "c1", "c0"}) {
+    Message request{msg::kQuery};
+    request.body = std::string("punch.rsrc.cluster = ") + cluster +
+                   "\npunch.user.login = demo\n";
+    auto reply = TcpClient::Call("127.0.0.1", server.port(), request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->type, msg::kAllocation) << reply->Header(hdr::kError);
+    allocations += reply->type == msg::kAllocation ? 1 : 0;
+  }
+  server.Stop();  // joins the connection threads that ran the simulation
+
+  EXPECT_EQ(allocations, 3);
+  // Each cluster's pool was built on demand, once, and the stages
+  // recorded their spans into the scenario's profiler.
+  EXPECT_EQ(scenario.proxy_stats().pools_created, 2u);
+  EXPECT_EQ(scenario.TotalPoolStats().allocations, 3u);
+  EXPECT_EQ(scenario.profiler()->histogram(profile::Stage::kQmAdmit).count(),
+            3u);
 }
 
 }  // namespace

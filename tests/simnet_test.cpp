@@ -1,10 +1,14 @@
-// Tests for the discrete-event kernel, the topology/latency model, and
-// the simulated network's queueing behaviour (service times, node
-// serialization, host core limits).
+// Tests for the discrete-event kernel, the topology/latency model, the
+// simulated network's queueing behaviour (service times, node
+// serialization, host core limits), and the call gateway that drives it
+// from outside threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
+#include "simnet/call_gateway.hpp"
 #include "simnet/kernel.hpp"
 #include "simnet/sim_network.hpp"
 #include "simnet/topology.hpp"
@@ -70,14 +74,6 @@ TEST(Kernel, NegativeDelayClampsToNow) {
   kernel.Run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(kernel.Now(), Millis(5));
-}
-
-TEST(Kernel, ClockAdapterTracksKernel) {
-  SimKernel kernel;
-  const Clock& clock = kernel.clock();
-  kernel.Schedule(Millis(7), [] {});
-  kernel.Run();
-  EXPECT_EQ(clock.Now(), Millis(7));
 }
 
 // --- cancellation ---
@@ -248,7 +244,8 @@ TEST(Topology, PerLinkOverride) {
 
 // --- simulated network ---
 
-// Consumes a fixed service time and acknowledges to the sender.
+// Consumes a fixed service time and acknowledges to the sender, echoing
+// the request's "n" and request id.
 class ServerNode final : public net::Node {
  public:
   explicit ServerNode(SimDuration service) : service_(service) {}
@@ -256,6 +253,8 @@ class ServerNode final : public net::Node {
     ctx.Consume(service_);
     net::Message done{"done"};
     done.SetHeader("n", env.message.Header("n"));
+    done.SetHeader(net::hdr::kRequestId,
+                   env.message.Header(net::hdr::kRequestId));
     ctx.Send(env.from, std::move(done));
   }
 
@@ -375,6 +374,17 @@ TEST(SimNetwork, DropsToUnknownNodeCounted) {
   network.Post("x", "ghost", net::Message{"m"});
   kernel.Run();
   EXPECT_EQ(network.dropped_messages(), 1u);
+}
+
+TEST(SimNetwork, DuplicateAddressRejected) {
+  SimKernel kernel;
+  SimNetwork network(&kernel, Topology{});
+  ASSERT_TRUE(
+      network.AddNode("a", std::make_shared<RecorderNode>(), {}).ok());
+  EXPECT_FALSE(
+      network.AddNode("a", std::make_shared<RecorderNode>(), {}).ok());
+  EXPECT_TRUE(network.HasNode("a"));
+  EXPECT_FALSE(network.HasNode("b"));
 }
 
 TEST(SimNetwork, RemoveNodeStopsProcessing) {
@@ -503,6 +513,105 @@ TEST(SimNetwork, RemoveNodeCancelsItsSelfTimers) {
   EXPECT_EQ(first->times.size(), 1u);
   EXPECT_EQ(second->times.size(), 3u);
   EXPECT_EQ(network.dropped_messages(), 0u);
+}
+
+// --- call gateway ---
+
+TEST(CallGateway, ReturnsTheEntrysReplyInSimulatedTime) {
+  SimKernel kernel;
+  Topology topology;
+  topology.SetIntraSiteLink(LinkSpec{Micros(100), 0, 0});  // fixed latency
+  SimNetwork network(&kernel, topology);
+  network.AddNode("server0", std::make_shared<ServerNode>(Millis(10)),
+                  {"server", 1});
+  CallGateway gateway(&network);
+
+  net::Message request{"work"};
+  request.SetHeader("n", "7");
+  const net::Message reply = gateway.Call("server0", std::move(request));
+  EXPECT_EQ(reply.type, "done");
+  EXPECT_EQ(reply.Header("n"), "7");
+  // 100us there + 10ms service + 100us back, all simulated.
+  EXPECT_EQ(kernel.Now(), Micros(100) + Millis(10) + Micros(100));
+}
+
+TEST(CallGateway, ReportsATakenAddress) {
+  SimKernel kernel;
+  SimNetwork network(&kernel, Topology{});
+  network.AddNode(CallGateway::kAddress, std::make_shared<RecorderNode>(),
+                  {});
+  CallGateway gateway(&network);
+  const net::Message reply = gateway.Call("anywhere", net::Message{"work"});
+  EXPECT_EQ(reply.type, net::msg::kFailure);
+  EXPECT_NE(reply.Header(net::hdr::kError).find(CallGateway::kAddress),
+            std::string::npos);
+  EXPECT_EQ(kernel.pending(), 0u);  // nothing was posted
+}
+
+// Ticks every 300 ms forever and answers nothing, so the kernel never
+// runs dry: only the deadline can end a call routed here. No tick lands
+// on a 5 s deadline, so a timed-out call must advance the clock itself.
+class TickForeverNode final : public net::Node {
+ public:
+  void OnStart(net::NodeContext& ctx) override {
+    ctx.ScheduleSelf(Millis(300), net::Message{"tick"});
+  }
+  void OnMessage(const net::Envelope& env, net::NodeContext& ctx) override {
+    if (env.message.type == "tick") {
+      ctx.ScheduleSelf(Millis(300), net::Message{"tick"});
+    }
+  }
+};
+
+TEST(CallGateway, TimesOutWhenNoReplyComes) {
+  SimKernel kernel;
+  SimNetwork network(&kernel, Topology{});
+  network.AddNode("ticker", std::make_shared<TickForeverNode>(),
+                  {"ticker", 1});
+  network.AddNode("slow", std::make_shared<ServerNode>(Seconds(6.0)),
+                  {"slow", 1});
+  network.AddNode("server0", std::make_shared<ServerNode>(Millis(10)),
+                  {"server", 1});
+  CallGateway gateway(&network);
+
+  // The slow server answers after the deadline...
+  const net::Message late = gateway.Call("slow", net::Message{"work"});
+  EXPECT_EQ(late.type, net::msg::kFailure);
+  EXPECT_EQ(late.Header(net::hdr::kError), "gateway timeout");
+  EXPECT_EQ(kernel.Now(), CallGateway::kCallTimeout);
+
+  // ...and its straggling reply lands inside the next call, which must
+  // not take it for its own.
+  const net::Message unanswered =
+      gateway.Call("ticker", net::Message{"work"});
+  EXPECT_EQ(unanswered.Header(net::hdr::kError), "gateway timeout");
+  EXPECT_EQ(kernel.Now(), 2 * CallGateway::kCallTimeout);
+
+  EXPECT_EQ(gateway.Call("server0", net::Message{"work"}).type, "done");
+}
+
+TEST(CallGateway, CallsFromThreadsTakeTurns) {
+  SimKernel kernel;
+  SimNetwork network(&kernel, Topology{});
+  network.AddNode("server0", std::make_shared<ServerNode>(Millis(1)), {});
+  CallGateway gateway(&network);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&gateway, &mismatches, t] {
+      for (int i = 0; i < 50; ++i) {
+        const std::string n = std::to_string(t) + "." + std::to_string(i);
+        net::Message request{"work"};
+        request.SetHeader("n", n);
+        const net::Message reply = gateway.Call("server0", std::move(request));
+        if (reply.type != "done" || reply.Header("n") != n) ++mismatches;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(network.StatsFor("server0").messages, 200u);
 }
 
 }  // namespace
