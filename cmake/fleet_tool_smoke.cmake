@@ -1,6 +1,6 @@
-# Fleet-tool smoke: `gen` is deterministic for a seed and rejects a
-# malformed one; `info` summarizes a snapshot, including machines whose
-# state was edited in the text.
+# Fleet-tool smoke: `gen` is deterministic for a seed, writes the pinned
+# snapshot bytes and rejects a malformed seed; `info` summarizes a
+# snapshot, including machines whose state was edited in the text.
 # Invoked by ctest with -DFLEET=<path-to-actyp_fleet_tool> -DOUT=<build-dir>.
 execute_process(COMMAND ${FLEET} gen 2000 8 5
                 OUTPUT_VARIABLE first RESULT_VARIABLE first_rc)
@@ -14,6 +14,15 @@ if(first STREQUAL "")
 endif()
 if(NOT first STREQUAL second)
   message(FATAL_ERROR "gen 2000 8 5 differs between two runs")
+endif()
+# The snapshot line format is a contract: this seed's snapshot is
+# pinned byte for byte.
+string(LENGTH "${first}" size)
+string(SHA256 digest "${first}")
+set(pinned 69344bbf966c89acb3c095d85f6025d9498c89de436d8cb0848f507fedbfb977)
+if(NOT size EQUAL 366324 OR NOT digest STREQUAL pinned)
+  message(FATAL_ERROR "gen 2000 8 5 wrote ${size} bytes, sha256 ${digest}; "
+          "expected 366324 bytes, sha256 ${pinned}")
 endif()
 
 file(WRITE ${OUT}/fleet_smoke.db "${first}")
@@ -53,4 +62,5 @@ foreach(seed 7junk xyz -5)
             "on stderr and no snapshot:\n${out}${err}")
   endif()
 endforeach()
-message(STATUS "fleet tool OK: gen repeatable, info counts, bad seeds rejected")
+message(STATUS "fleet tool OK: gen repeatable and pinned, info counts, "
+        "bad seeds rejected")

@@ -87,10 +87,10 @@ int main() {
       [&ids](const db::MachineRecord& rec) { ids.push_back(rec.id); });
   for (const db::MachineId id : ids) {
     scenario.database().Update(id, [](db::MachineRecord& r) {
-      r.params["license"] = "tsuprem4";
-      r.params["domain"] = "purdue";
-      r.params["memory"] = "1024";
-      r.params["arch"] = r.id % 3 == 0 ? "hp" : "sun";
+      r.params.Set("license", "tsuprem4");
+      r.params.Set("domain", "purdue");
+      r.params.Set("memory", "1024");
+      r.params.Set("arch", r.id % 3 == 0 ? "hp" : "sun");
     });
   }
 

@@ -1,7 +1,9 @@
 #include "chaos/invariants.hpp"
 
 #include <cstdio>
+#include <functional>
 #include <set>
+#include <string_view>
 
 #include "actyp/scenario.hpp"
 
@@ -67,7 +69,7 @@ std::vector<Violation> InvariantChecker::Check(
     // Every taken_by in the white pages must belong to a live pool
     // instance (segments claim under "<pool>#<segment>", replicas share
     // the pool name).
-    std::set<std::string> valid;
+    std::set<std::string, std::less<>> valid;
     for (const auto& [address, pool] : live_pools) {
       const auto& config = pool->config();
       valid.insert(config.claim_name.empty() ? config.pool_name
@@ -76,13 +78,12 @@ std::vector<Violation> InvariantChecker::Check(
     std::size_t leaked = 0;
     std::string first;
     scenario.database().VisitAll([&](const db::MachineRecord& record) {
-      if (record.taken_by.empty() || valid.count(record.taken_by) != 0) {
-        return;
-      }
+      const std::string_view claim = record.taken_by.text();
+      if (claim.empty() || valid.count(claim) != 0) return;
       ++leaked;
       if (first.empty()) {
         first = "machine " + std::to_string(record.id) + " taken by '" +
-                record.taken_by + "'";
+                std::string(claim) + "'";
       }
     });
     if (leaked > 0) {

@@ -38,6 +38,8 @@ bool IsLower(std::string_view text);
 std::string_view TrimView(std::string_view text);
 std::string Trim(std::string_view text);
 std::string ToLower(std::string_view text);
+// ASCII case-insensitive equality, without ToLower's copies.
+bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);

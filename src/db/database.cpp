@@ -128,6 +128,7 @@ void ResourceDatabase::ApplyDynamic(
 std::vector<MachineId> ResourceDatabase::ClaimMatching(
     const query::Query& query, const std::string& pool_name,
     std::size_t limit) {
+  const Symbol claim = Intern(pool_name);
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MachineId> claimed;
   for (auto& [id, rec] : records_) {
@@ -139,7 +140,7 @@ std::vector<MachineId> ResourceDatabase::ClaimMatching(
         })) {
       continue;
     }
-    rec.taken_by = pool_name;
+    rec.taken_by = claim;
     MarkDirtyLocked(rec);
     claimed.push_back(id);
   }
@@ -147,11 +148,12 @@ std::vector<MachineId> ResourceDatabase::ClaimMatching(
 }
 
 std::size_t ResourceDatabase::ReleaseAllFrom(const std::string& pool_name) {
+  const Symbol claim = Intern(pool_name);
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t released = 0;
   for (auto& [id, rec] : records_) {
-    if (rec.taken_by == pool_name) {
-      rec.taken_by.clear();
+    if (rec.taken_by == claim) {
+      rec.taken_by = Symbol();
       MarkDirtyLocked(rec);
       ++released;
     }
@@ -165,21 +167,22 @@ Status ResourceDatabase::Release(MachineId id, const std::string& pool_name) {
   if (it == records_.end()) {
     return NotFound("machine id " + std::to_string(id));
   }
-  if (it->second.taken_by != pool_name) {
+  if (it->second.taken_by.text() != pool_name) {
     return PermissionDenied("machine " + std::to_string(id) +
                             " is not taken by '" + pool_name + "'");
   }
-  it->second.taken_by.clear();
+  it->second.taken_by = Symbol();
   MarkDirtyLocked(it->second);
   return Status::Ok();
 }
 
 std::vector<MachineId> ResourceDatabase::ListTakenBy(
     const std::string& pool_name) const {
+  const Symbol claim = Intern(pool_name);
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MachineId> out;
   for (const auto& [id, rec] : records_) {
-    if (rec.taken_by == pool_name) out.push_back(id);
+    if (rec.taken_by == claim) out.push_back(id);
   }
   return out;
 }
@@ -236,7 +239,12 @@ std::string ResourceDatabase::Serialize() const {
 }
 
 Status ResourceDatabase::LoadFrom(std::string_view text) {
-  for (const auto& line : Split(text, '\n')) {
+  // Walks the text's lines in place; only the parsed records are kept.
+  while (!text.empty()) {
+    const std::size_t end = text.find('\n');
+    const std::string_view line = text.substr(0, end);
+    text = end == std::string_view::npos ? std::string_view()
+                                         : text.substr(end + 1);
     if (TrimView(line).empty()) continue;
     auto rec = MachineRecord::Deserialize(line);
     if (!rec.ok()) return rec.status();

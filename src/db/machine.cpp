@@ -32,12 +32,45 @@ std::string FormatDouble(double v) {
 }
 }  // namespace
 
+bool GroupListAdmits(const SymbolList& groups, std::string_view group) {
+  return groups.empty() ||
+         std::any_of(groups.begin(), groups.end(), [group](Symbol g) {
+           return EqualsIgnoreCase(g.text(), group);
+         });
+}
+
+void ParamList::Set(Symbol key, Symbol value) {
+  // Scan from the back: builders mostly add keys in order.
+  const std::string_view text = key.text();
+  auto it = entries_.end();
+  while (it != entries_.begin() && text < std::prev(it)->key.text()) --it;
+  if (it != entries_.begin() && std::prev(it)->key == key) {
+    std::prev(it)->value = value;
+    return;
+  }
+  entries_.insert(it, Entry{key, value});
+}
+
+std::optional<std::string_view> ParamList::Get(std::string_view key) const {
+  for (const Entry& entry : entries_) {
+    const int order = entry.key.text().compare(key);
+    if (order == 0) return entry.value.text();
+    if (order > 0) break;
+  }
+  return std::nullopt;
+}
+
+bool ParamList::Erase(std::string_view key) {
+  return std::erase_if(entries_, [key](const Entry& entry) {
+           return entry.key.text() == key;
+         }) > 0;
+}
+
 std::optional<std::string> MachineRecord::Attribute(
-    const std::string& name) const {
+    std::string_view name) const {
   // Administrator-defined parameters take precedence (field 20); this is
   // what makes aggregation criteria extensible "on the fly".
-  auto it = params.find(name);
-  if (it != params.end()) return it->second;
+  if (const auto param = params.Get(name)) return std::string(*param);
 
   if (name == "state") return std::string(MachineStateName(state));
   if (name == "load") return FormatDouble(dyn.load);
@@ -48,76 +81,96 @@ std::optional<std::string> MachineRecord::Attribute(
   if (name == "cpus" || name == "ncpus") return std::to_string(num_cpus);
   if (name == "maxload") return FormatDouble(max_allowed_load);
   if (name == "name" || name == "machine") return this->name;
-  if (name == "sharedaccount") {
-    return shared_account.empty() ? std::optional<std::string>()
-                                  : std::optional<std::string>(shared_account);
+  if (name == "sharedaccount" && !shared_account.empty()) {
+    return std::string(shared_account.text());
   }
   return std::nullopt;
 }
 
-bool MachineRecord::AllowsUserGroup(const std::string& group) const {
-  if (user_groups.empty()) return true;  // unrestricted
-  const std::string lower = ToLower(group);
-  return std::any_of(user_groups.begin(), user_groups.end(),
-                     [&](const std::string& g) { return ToLower(g) == lower; });
+bool MachineRecord::AllowsUserGroup(std::string_view group) const {
+  return GroupListAdmits(user_groups, group);
 }
 
-bool MachineRecord::SupportsToolGroup(const std::string& group) const {
-  if (tool_groups.empty()) return true;
-  const std::string lower = ToLower(group);
-  return std::any_of(tool_groups.begin(), tool_groups.end(),
-                     [&](const std::string& g) { return ToLower(g) == lower; });
+bool MachineRecord::SupportsToolGroup(std::string_view group) const {
+  return GroupListAdmits(tool_groups, group);
 }
 
 std::string MachineRecord::Serialize() const {
   // Order mirrors Fig. 3. Lists use ','; params use 'k=v' joined by ','.
-  std::vector<std::string> fields;
-  fields.emplace_back(std::to_string(id));
-  fields.emplace_back(MachineStateName(state));
-  fields.emplace_back(FormatDouble(dyn.load));
-  fields.emplace_back(std::to_string(dyn.active_jobs));
-  fields.emplace_back(FormatDouble(dyn.available_memory_mb));
-  fields.emplace_back(FormatDouble(dyn.available_swap_mb));
-  fields.emplace_back(std::to_string(dyn.last_update));
-  fields.emplace_back(std::to_string(dyn.service_flags));
-  fields.emplace_back(FormatDouble(effective_speed));
-  fields.emplace_back(std::to_string(num_cpus));
-  fields.emplace_back(FormatDouble(max_allowed_load));
-  fields.emplace_back(name);
-  fields.emplace_back(object_path);
-  fields.emplace_back(shared_account);
-  fields.emplace_back(std::to_string(execution_unit_port));
-  fields.emplace_back(std::to_string(pvfs_mount_port));
-  fields.emplace_back(Join(user_groups, ","));
-  fields.emplace_back(Join(tool_groups, ","));
-  fields.emplace_back(shadow_pool);
-  fields.emplace_back(usage_policy);
-  std::vector<std::string> kv;
-  kv.reserve(params.size());
-  for (const auto& [k, v] : params) kv.push_back(k + "=" + v);
-  fields.emplace_back(Join(kv, ","));
-  return Join(fields, ";");
+  std::string out = std::to_string(id);
+  out.reserve(256);
+  auto field = [&out](std::string_view text) {
+    out += ';';
+    out += text;
+  };
+  auto list = [&out](const SymbolList& symbols) {
+    out += ';';
+    for (std::size_t i = 0; i < symbols.size(); ++i) {
+      if (i > 0) out += ',';
+      out += symbols[i].text();
+    }
+  };
+  field(MachineStateName(state));
+  field(FormatDouble(dyn.load));
+  field(std::to_string(dyn.active_jobs));
+  field(FormatDouble(dyn.available_memory_mb));
+  field(FormatDouble(dyn.available_swap_mb));
+  field(std::to_string(dyn.last_update));
+  field(std::to_string(dyn.service_flags));
+  field(FormatDouble(effective_speed));
+  field(std::to_string(num_cpus));
+  field(FormatDouble(max_allowed_load));
+  field(name);
+  field(object_path.text());
+  field(shared_account.text());
+  field(std::to_string(execution_unit_port));
+  field(std::to_string(pvfs_mount_port));
+  list(user_groups);
+  list(tool_groups);
+  field(shadow_pool.text());
+  field(usage_policy.text());
+  out += ';';
+  for (auto it = params.begin(); it != params.end(); ++it) {
+    if (it != params.begin()) out += ',';
+    out += it->key.text();
+    out += '=';
+    out += it->value.text();
+  }
+  return out;
 }
 
 Result<MachineRecord> MachineRecord::Deserialize(std::string_view line) {
-  const auto fields = Split(line, ';');
-  if (fields.size() != 21) {
-    return InvalidArgument("machine record has " +
-                           std::to_string(fields.size()) +
+  constexpr std::size_t kFields = 21;
+  std::string_view fields[kFields];
+  std::size_t count = 0;
+  ForEachPiece(line, ';', [&](std::string_view piece) {
+    if (count < kFields) fields[count] = piece;
+    ++count;
+  });
+  if (count != kFields) {
+    return InvalidArgument("machine record has " + std::to_string(count) +
                            " fields, expected 21");
   }
   MachineRecord rec;
-  auto want_int = [](const std::string& s,
+  auto want_int = [](std::string_view s,
                      std::string_view what) -> Result<std::int64_t> {
     auto v = ParseInt(s);
     if (!v) return InvalidArgument("bad integer for " + std::string(what));
     return *v;
   };
-  auto want_double = [](const std::string& s,
+  auto want_double = [](std::string_view s,
                         std::string_view what) -> Result<double> {
     auto v = ParseDouble(s);
     if (!v) return InvalidArgument("bad number for " + std::string(what));
     return *v;
+  };
+  // Non-empty ','-separated pieces, interned in order.
+  auto symbols = [](std::string_view text) {
+    SymbolList out;
+    ForEachPiece(text, ',', [&out](std::string_view piece) {
+      if (!piece.empty()) out.push_back(Intern(piece));
+    });
+    return out;
   };
 
   auto id = want_int(fields[0], "id");
@@ -125,7 +178,10 @@ Result<MachineRecord> MachineRecord::Deserialize(std::string_view line) {
   rec.id = static_cast<MachineId>(*id);
 
   auto state = ParseMachineState(fields[1]);
-  if (!state) return InvalidArgument("bad machine state '" + fields[1] + "'");
+  if (!state) {
+    return InvalidArgument("bad machine state '" + std::string(fields[1]) +
+                           "'");
+  }
   rec.state = *state;
 
   auto load = want_double(fields[2], "load");
@@ -158,8 +214,8 @@ Result<MachineRecord> MachineRecord::Deserialize(std::string_view line) {
   rec.max_allowed_load = *maxload;
 
   rec.name = fields[11];
-  rec.object_path = fields[12];
-  rec.shared_account = fields[13];
+  rec.object_path = Intern(fields[12]);
+  rec.shared_account = Intern(fields[13]);
 
   auto eport = want_int(fields[14], "execution_unit_port");
   if (!eport.ok()) return eport.status();
@@ -168,18 +224,24 @@ Result<MachineRecord> MachineRecord::Deserialize(std::string_view line) {
   if (!pport.ok()) return pport.status();
   rec.pvfs_mount_port = static_cast<std::uint16_t>(*pport);
 
-  rec.user_groups = SplitSkipEmpty(fields[16], ',');
-  rec.tool_groups = SplitSkipEmpty(fields[17], ',');
-  rec.shadow_pool = fields[18];
-  rec.usage_policy = fields[19];
+  rec.user_groups = symbols(fields[16]);
+  rec.tool_groups = symbols(fields[17]);
+  rec.shadow_pool = Intern(fields[18]);
+  rec.usage_policy = Intern(fields[19]);
 
-  for (const auto& pair : SplitSkipEmpty(fields[20], ',')) {
+  Status status;
+  ForEachPiece(fields[20], ',', [&](std::string_view pair) {
+    if (pair.empty() || !status.ok()) return;
     const std::size_t eq = pair.find('=');
-    if (eq == std::string::npos) {
-      return InvalidArgument("bad admin param '" + pair + "'");
+    if (eq == std::string_view::npos) {
+      status = InvalidArgument("bad admin param '" + std::string(pair) + "'");
+      return;
     }
-    rec.params[ToLower(Trim(pair.substr(0, eq)))] = Trim(pair.substr(eq + 1));
-  }
+    const std::string_view key = TrimView(pair.substr(0, eq));
+    rec.params.Set(IsLower(key) ? Intern(key) : Intern(ToLower(key)),
+                   Intern(TrimView(pair.substr(eq + 1))));
+  });
+  if (!status.ok()) return status;
   return rec;
 }
 

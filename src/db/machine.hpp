@@ -1,15 +1,24 @@
 // MachineRecord: one white-pages entry, carrying every field of the
 // PUNCH resource database (paper Fig. 3, fields 1-20).
+//
+// Compact layout: the record keeps only its host name as a string of
+// its own. Every other string field (object path, shared account, user
+// and tool groups, shadow pool and policy names, param keys and values,
+// the taken mark) is a 4-byte Symbol from the process-wide symbol
+// table, so the few dozen strings a fleet repeats are stored once.
+// Symbol numbers never reach output: params sort by key text, and
+// Serialize() writes text.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/sim_time.hpp"
 #include "common/status.hpp"
+#include "common/symbols.hpp"
 
 namespace actyp::db {
 
@@ -39,6 +48,44 @@ enum ServiceFlag : std::uint32_t {
   kProxyServerUp = 1u << 2,
 };
 
+// Field 20: administrator-defined key-value parameters, a flat list of
+// interned (key, value) pairs kept sorted by key text, so it walks and
+// serializes in the order a std::map<std::string, std::string> would.
+class ParamList {
+ public:
+  struct Entry {
+    Symbol key;
+    Symbol value;
+    friend bool operator==(const Entry&, const Entry&) = default;
+  };
+
+  // Sets `key` to `value`, replacing any value it had.
+  void Set(Symbol key, Symbol value);
+  void Set(std::string_view key, std::string_view value) {
+    Set(Intern(key), Intern(value));
+  }
+  // The value of `key`, if set.
+  [[nodiscard]] std::optional<std::string_view> Get(std::string_view key) const;
+  // Removes `key`; returns whether it was set.
+  bool Erase(std::string_view key);
+
+  void clear() { entries_.clear(); }
+  void reserve(std::size_t n) { entries_.reserve(n); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] auto begin() const { return entries_.begin(); }
+  [[nodiscard]] auto end() const { return entries_.end(); }
+
+  friend bool operator==(const ParamList&, const ParamList&) = default;
+
+ private:
+  std::vector<Entry> entries_;
+};
+
+// Fields 16-17: true when `groups` is empty (open to all) or names
+// `group`, ignoring case.
+[[nodiscard]] bool GroupListAdmits(const SymbolList& groups,
+                                   std::string_view group);
+
 struct MachineRecord {
   MachineId id = kInvalidMachine;
 
@@ -53,37 +100,38 @@ struct MachineRecord {
 
   // Field 12: machine object pointer — path to access/audit info (ssh
   // key, owner, server start instructions).
-  std::string object_path;
+  Symbol object_path;
 
   // Field 13: shared account identifier (e.g. "nobody"); empty if none.
-  std::string shared_account;
+  Symbol shared_account;
 
   // Fields 14-15: TCP ports of the PUNCH execution unit and the PVFS
   // mount manager.
   std::uint16_t execution_unit_port = 0;
   std::uint16_t pvfs_mount_port = 0;
 
+  // Marker used by resource pools (§5.2.3): claim name of the pool
+  // currently owning this machine in its cache, empty when free. Not a
+  // Fig. 3 field — it is the "taken" mark the paper describes.
+  Symbol taken_by;
+
   // Fields 16-17: user groups allowed on this machine and tool groups it
   // supports.
-  std::vector<std::string> user_groups;
-  std::vector<std::string> tool_groups;
+  SymbolList user_groups;
+  SymbolList tool_groups;
 
   // Field 18: shadow account pool pointer (name resolved through the
   // ShadowAccountRegistry).
-  std::string shadow_pool;
+  Symbol shadow_pool;
 
   // Field 19: usage policy pointer (name resolved through the
   // PolicyRegistry); empty = no policy.
-  std::string usage_policy;
+  Symbol usage_policy;
 
   // Field 20: administrator-defined key-value parameters (arch, memory,
-  // ostype, osversion, owner, swap, cms, ...). Keys are lower-case.
-  std::map<std::string, std::string> params;
-
-  // Marker used by resource pools (§5.2.3): name of the pool currently
-  // owning this machine in its cache, empty when free. Not a Fig. 3
-  // field — it is the "taken" mark the paper describes.
-  std::string taken_by;
+  // ostype, osversion, owner, swap, cms, ...). Keys read by Deserialize
+  // are lower-cased.
+  ParamList params;
 
   // Change-tracking stamp maintained by ResourceDatabase: the global
   // database version at this record's last mutation. Lets consumers
@@ -95,14 +143,15 @@ struct MachineRecord {
   // params win; a set of built-in names map onto structured fields so
   // queries can constrain load, speed, cpus, memory, swap, and state.
   [[nodiscard]] std::optional<std::string> Attribute(
-      const std::string& name) const;
+      std::string_view name) const;
 
   [[nodiscard]] bool IsUsable() const {
     return state == MachineState::kUp;
   }
 
-  [[nodiscard]] bool AllowsUserGroup(const std::string& group) const;
-  [[nodiscard]] bool SupportsToolGroup(const std::string& group) const;
+  // Case-insensitive; an empty list admits every group.
+  [[nodiscard]] bool AllowsUserGroup(std::string_view group) const;
+  [[nodiscard]] bool SupportsToolGroup(std::string_view group) const;
 
   // One-record-per-line text serialization (field;field;...), used for
   // database snapshots.

@@ -99,7 +99,7 @@ bool PolicyRegistry::Allows(const MachineRecord& machine,
                             const std::string& group) const {
   if (machine.usage_policy.empty()) return true;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = policies_.find(machine.usage_policy);
+  auto it = policies_.find(machine.usage_policy.text());
   if (it == policies_.end()) return true;
   return it->second.Evaluate(machine, group);
 }

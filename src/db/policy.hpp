@@ -15,6 +15,7 @@
 // Example:  "deny public if load >= 0.5; allow"
 #pragma once
 
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -64,7 +65,7 @@ class PolicyRegistry {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, UsagePolicy> policies_;
+  std::map<std::string, UsagePolicy, std::less<>> policies_;
 };
 
 }  // namespace actyp::db

@@ -82,13 +82,17 @@ void ResourcePool::Initialize(net::NodeContext& ctx) {
     cache_ids_.push_back(rec->id);
 
     EntryMeta meta;
-    meta.name = rec->name;
+    meta.name = Intern(rec->name);
     meta.user_groups = rec->user_groups;
-    meta.usage_policy = rec->usage_policy;
-    meta.shadow_pool = rec->shadow_pool;
+    if (shadows_ != nullptr && !rec->shadow_pool.empty()) {
+      meta.shadow_accounts = shadows_->Find(rec->shadow_pool);
+    }
+    if (policies_ != nullptr && !rec->usage_policy.empty()) {
+      meta.policy_view = std::make_unique<db::MachineRecord>(*rec);
+    }
     meta.execution_port = rec->execution_unit_port;
     any_user_groups_ |= !meta.user_groups.empty();
-    any_usage_policy_ |= !meta.usage_policy.empty();
+    any_usage_policy_ |= meta.policy_view != nullptr;
     meta_.push_back(std::move(meta));
   });
   if (index_) index_->Rebuild(cache_);
@@ -174,37 +178,27 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
     resv_duration_s =
         ParseDouble(message.Header(phdr::kResvDuration)).value_or(3600.0);
   }
-  const std::string access_group_lower = ToLower(access_group);
 
   // Per-query eligibility: user group lists (Fig. 3 field 16) and usage
   // policies (field 19) applied to the pool's cached view. Most pools
   // carry no such metadata — the selection scan must not pay an
   // indirect filter call per entry for a check that always passes.
   const bool needs_meta_filter =
-      (any_user_groups_ && !access_group.empty()) ||
-      (policies_ != nullptr && any_usage_policy_);
-  auto meta_allows = [this, &access_group, &access_group_lower](
-                         std::size_t i, const sched::CacheEntry& entry) {
-    const EntryMeta& meta = meta_[i];
-    if (!meta.user_groups.empty() && !access_group_lower.empty()) {
-      const bool allowed =
-          std::any_of(meta.user_groups.begin(), meta.user_groups.end(),
-                      [&access_group_lower](const std::string& g) {
-                        return ToLower(g) == access_group_lower;
-                      });
-      if (!allowed) return false;
+      (any_user_groups_ && !access_group.empty()) || any_usage_policy_;
+  auto meta_allows = [this, &access_group](std::size_t i,
+                                           const sched::CacheEntry& entry) {
+    EntryMeta& meta = meta_[i];
+    if (!access_group.empty() &&
+        !db::GroupListAdmits(meta.user_groups, access_group)) {
+      return false;
     }
-    if (policies_ != nullptr && !meta.usage_policy.empty()) {
-      // Evaluate the policy against the cached dynamic view.
-      db::MachineRecord synth;
-      synth.name = meta.name;
-      synth.dyn.load = entry.load;
-      synth.dyn.available_memory_mb = entry.available_memory_mb;
-      synth.effective_speed = entry.effective_speed;
-      synth.num_cpus = entry.num_cpus;
-      synth.max_allowed_load = entry.max_allowed_load;
-      synth.usage_policy = meta.usage_policy;
-      if (!policies_->Allows(synth, access_group)) return false;
+    if (meta.policy_view != nullptr) {
+      // The record's static fields under the cached dynamic view.
+      db::MachineRecord& view = *meta.policy_view;
+      view.dyn.load = entry.load;
+      view.dyn.available_memory_mb = entry.available_memory_mb;
+      view.dyn.active_jobs = entry.active_jobs;
+      if (!policies_->Allows(view, access_group)) return false;
     }
     return true;
   };
@@ -340,7 +334,7 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
   const std::size_t primary = picked.front();
   sched::CacheEntry& chosen = cache_[primary];
   Allocation allocation;
-  allocation.machine_name = meta_[primary].name;
+  allocation.machine_name = meta_[primary].name.text();
   allocation.machine_id = chosen.id;
   allocation.port = meta_[primary].execution_port;
   allocation.session_key = session_key;
@@ -351,14 +345,11 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
   allocation.fragment_index = frag_index;
   allocation.fragment_total = frag_total;
 
-  if (shadows_ != nullptr && !meta_[primary].shadow_pool.empty()) {
-    auto* pool = shadows_->Find(meta_[primary].shadow_pool);
-    if (pool != nullptr) {
-      auto uid = pool->Acquire(allocation.session_key);
-      if (uid.ok()) {
-        allocation.shadow_uid = *uid;
-        session_uid_[allocation.session_key] = *uid;
-      }
+  if (auto* accounts = meta_[primary].shadow_accounts; accounts != nullptr) {
+    auto uid = accounts->Acquire(allocation.session_key);
+    if (uid.ok()) {
+      allocation.shadow_uid = *uid;
+      session_uid_[allocation.session_key] = *uid;
     }
   }
 
@@ -368,7 +359,7 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
     config_.recorder->Record(ctx.Now(), obs::FlightKind::kPoolClaim,
                              request_id, ctx.self(),
                              config_.pool_name + " -> " +
-                                 meta_[primary].name);
+                                 std::string(meta_[primary].name.text()));
   }
   if (!reply_to.empty()) {
     net::Message out = MakeAllocationMessage(allocation);
@@ -382,7 +373,7 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
       std::vector<std::string> names;
       names.reserve(picked.size());
       for (const std::size_t index : picked) {
-        names.push_back(meta_[index].name);
+        names.emplace_back(meta_[index].name.text());
       }
       out.SetHeader("machines", Join(names, ","));
     }
@@ -417,9 +408,10 @@ void ResourcePool::HandleRelease(const net::Envelope& envelope,
 
   auto uid_it = session_uid_.find(session);
   if (uid_it != session_uid_.end()) {
-    if (shadows_ != nullptr && !it->second.empty()) {
-      auto* pool = shadows_->Find(meta_[it->second.front()].shadow_pool);
-      if (pool != nullptr) pool->Release(uid_it->second, session);
+    if (!it->second.empty()) {
+      if (auto* accounts = meta_[it->second.front()].shadow_accounts) {
+        accounts->Release(uid_it->second, session);
+      }
     }
     session_uid_.erase(uid_it);
   }
@@ -452,6 +444,7 @@ void ResourcePool::HandleTick(net::NodeContext& ctx) {
 
 void ResourcePool::ApplyRecord(std::size_t index,
                                const db::MachineRecord& rec) {
+  if (meta_[index].policy_view != nullptr) *meta_[index].policy_view = rec;
   sched::CacheEntry& entry = cache_[index];
   if (!rec.IsUsable()) {
     // The machine went down or was blocked since the last sweep: make

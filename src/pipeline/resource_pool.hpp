@@ -117,12 +117,19 @@ class ResourcePool final : public net::Node {
   }
 
  private:
+  // Per-machine identity and access control, parallel to cache_ and
+  // kept off the scheduling scan's hot entries. The machine and group
+  // names are interned symbols (a pool and its replicas share one copy
+  // of each), and the shadow-account pool is resolved once at
+  // Initialize.
   struct EntryMeta {
-    std::string name;  // machine name (identity lives here, off the
-                       // scheduling scan's hot cache entries)
-    std::vector<std::string> user_groups;
-    std::string usage_policy;
-    std::string shadow_pool;
+    Symbol name;                     // field 11
+    SymbolList user_groups;          // field 16; empty = open
+    db::ShadowAccountPool* shadow_accounts = nullptr;  // field 18
+    // Field 19 machines only (null otherwise): the record the usage
+    // policy reads, params and swap included. Before each evaluation
+    // its load, memory and active jobs are set from the cache entry.
+    std::unique_ptr<db::MachineRecord> policy_view;
     std::uint16_t execution_port = 0;
   };
 

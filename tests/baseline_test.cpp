@@ -41,7 +41,7 @@ class BaselineTest : public ::testing::Test {
     for (int i = 0; i < count; ++i) {
       db::MachineRecord rec;
       rec.name = arch + std::to_string(next_id_++);
-      rec.params["arch"] = arch;
+      rec.params.Set("arch", arch);
       rec.dyn.available_memory_mb = 512;
       rec.execution_unit_port = 7000;
       ASSERT_TRUE(database_.Add(std::move(rec)).ok());

@@ -258,7 +258,7 @@ TEST(InvariantChecker, DetectsLeakedClaim) {
   ASSERT_TRUE(scenario.database()
                   .Update(victim,
                           [](db::MachineRecord& record) {
-                            record.taken_by = "ghost-pool";
+                            record.taken_by = Intern("ghost-pool");
                           })
                   .ok());
 

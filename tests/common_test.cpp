@@ -1,10 +1,12 @@
-// Unit tests for the common substrate: status/result, strings, config,
-// RNG, statistics, queues, thread pool, sim-time helpers.
+// Unit tests for the common substrate: status/result, strings, symbols,
+// config, RNG, statistics, queues, thread pool, sim-time helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "common/strings.hpp"
+#include "common/symbols.hpp"
 #include "common/thread_pool.hpp"
 
 namespace actyp {
@@ -131,6 +134,74 @@ INSTANTIATE_TEST_SUITE_P(
         GlobCase{"", "", true}, GlobCase{"", "x", false}));
 
 // --- config ---
+
+TEST(Strings, EqualsIgnoreCase) {
+  EXPECT_TRUE(EqualsIgnoreCase("ECE", "ece"));
+  EXPECT_TRUE(EqualsIgnoreCase("", ""));
+  EXPECT_FALSE(EqualsIgnoreCase("ece", "ec"));
+  EXPECT_FALSE(EqualsIgnoreCase("ece", "eca"));
+}
+
+// --- Symbols ---
+
+TEST(Symbols, SameTextSameSymbol) {
+  const Symbol a = Intern("symbols-test-alpha");
+  EXPECT_EQ(a, Intern(std::string("symbols-test-") + "alpha"));
+  EXPECT_NE(a, Intern("symbols-test-beta"));
+  EXPECT_EQ(a.text(), "symbols-test-alpha");
+  EXPECT_FALSE(a.empty());
+}
+
+TEST(Symbols, EmptyStringIsTheDefaultSymbol) {
+  EXPECT_EQ(Intern(""), Symbol());
+  EXPECT_TRUE(Intern("").empty());
+  EXPECT_EQ(Symbol().text(), "");
+  EXPECT_EQ(Intern(std::string_view()).text().size(), 0u);
+}
+
+TEST(Symbols, ViewsStayValidWhileTheTableGrows) {
+  const Symbol first = Intern("symbols-test-first");
+  const std::string_view view = first.text();
+  // Enough symbols to grow the hash index, the view chunks and the text
+  // blocks several times over.
+  constexpr int kCount = 100000;
+  std::vector<Symbol> grown;
+  grown.reserve(kCount);
+  for (int i = 0; i < kCount; ++i) {
+    grown.push_back(Intern("symbols-test-grow-" + std::to_string(i)));
+  }
+  EXPECT_EQ(first.text().data(), view.data());
+  EXPECT_EQ(view, "symbols-test-first");
+  for (int i = 0; i < kCount; ++i) {
+    ASSERT_EQ(grown[i].text(), "symbols-test-grow-" + std::to_string(i));
+    ASSERT_EQ(Intern(grown[i].text()), grown[i]);
+  }
+}
+
+TEST(Symbols, SameTextSameSymbolAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kTexts = 2000;
+  std::vector<std::vector<Symbol>> seen(kThreads,
+                                        std::vector<Symbol>(kTexts));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &seen] {
+      // Each thread interns every text, in its own order, and reads
+      // back what it got.
+      for (int k = 0; k < kTexts; ++k) {
+        const int i = (7 * k + 500 * t) % kTexts;
+        const std::string text = "symbols-test-mt-" + std::to_string(i);
+        seen[t][i] = Intern(text);
+        if (seen[t][i].text() != text) seen[t][i] = Symbol();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int i = 0; i < kTexts; ++i) {
+    ASSERT_EQ(seen[0][i].text(), "symbols-test-mt-" + std::to_string(i));
+    for (int t = 1; t < kThreads; ++t) ASSERT_EQ(seen[t][i], seen[0][i]);
+  }
+}
 
 TEST(Config, ParsesSectionsAndComments) {
   auto config = Config::Parse(

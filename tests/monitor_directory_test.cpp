@@ -15,7 +15,7 @@ db::MachineRecord Machine(const std::string& name) {
   rec.name = name;
   rec.dyn.available_memory_mb = 512;
   rec.dyn.available_swap_mb = 1024;
-  rec.params["arch"] = "sun";
+  rec.params.Set("arch", "sun");
   return rec;
 }
 

@@ -65,12 +65,14 @@ class PipelineTest : public ::testing::Test {
     for (int i = 0; i < count; ++i) {
       db::MachineRecord rec;
       rec.name = arch + std::to_string(next_machine_++);
-      rec.params["arch"] = arch;
+      rec.params.Set("arch", arch);
       rec.dyn.available_memory_mb = 512;
       rec.effective_speed = 1.0;
-      rec.user_groups = user_groups;
+      for (const auto& group : user_groups) {
+        rec.user_groups.push_back(Intern(group));
+      }
       rec.execution_unit_port = 7000;
-      rec.shadow_pool = "shadow." + arch;
+      rec.shadow_pool = Intern("shadow." + arch);
       shadows_.GetOrCreate(rec.shadow_pool, 9000, 64);
       ASSERT_TRUE(database_.Add(std::move(rec)).ok());
     }
@@ -241,7 +243,7 @@ TEST_F(PipelineTest, PoolEnforcesUsagePolicy) {
           .ok());
   AddMachines(1, "sun");
   database_.Update(1, [](db::MachineRecord& rec) {
-    rec.usage_policy = "public-load";
+    rec.usage_policy = Intern("public-load");
     rec.dyn.load = 0.9;
   });
   auto pool = MakePool("punch.rsrc.arch = sun\n",
@@ -255,6 +257,39 @@ TEST_F(PipelineTest, PoolEnforcesUsagePolicy) {
                              "punch.user.accessgroup = public\n"));
   kernel_.Run();
   EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
+
+  network_.Post("probe", "pool0",
+                QueryMessage("punch.rsrc.arch = sun\n"
+                             "punch.user.accessgroup = ece\n",
+                             2));
+  kernel_.Run();
+  EXPECT_EQ(probe_->count(net::msg::kAllocation), 1);
+}
+
+// A pool evaluates usage policies against the machine's own record
+// (admin params included) under its cached load, not against a record
+// that holds only the load figures.
+TEST_F(PipelineTest, PoolUsagePolicySeesAdminParams) {
+  ASSERT_TRUE(
+      policies_.Register("no-public-suns", "deny public if arch == sun; allow")
+          .ok());
+  AddMachines(1, "sun");
+  database_.Update(1, [](db::MachineRecord& rec) {
+    rec.usage_policy = Intern("no-public-suns");
+  });
+  ASSERT_FALSE(policies_.Allows(*database_.Get(1), "public"));
+  auto pool = MakePool("punch.rsrc.arch = sun\n",
+                       [](ResourcePoolConfig& c) {
+                         c.allow_oversubscribe = false;
+                       });
+  network_.AddNode("pool0", pool, {"alpha", 1});
+
+  network_.Post("probe", "pool0",
+                QueryMessage("punch.rsrc.arch = sun\n"
+                             "punch.user.accessgroup = public\n"));
+  kernel_.Run();
+  EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
+  EXPECT_EQ(probe_->count(net::msg::kAllocation), 0);
 
   network_.Post("probe", "pool0",
                 QueryMessage("punch.rsrc.arch = sun\n"
@@ -494,7 +529,7 @@ TEST(PoolPolicyEquivalence, IndexedMatchesLinearOnSameTrace) {
     for (int i = 0; i < 24; ++i) {
       db::MachineRecord rec;
       rec.name = "sun" + std::to_string(i);
-      rec.params["arch"] = "sun";
+      rec.params.Set("arch", "sun");
       rec.dyn.load = 0.1 * static_cast<double>(i % 7);
       rec.dyn.available_memory_mb = 256 + 64 * (i % 5);
       rec.effective_speed = 1.0 + 0.5 * static_cast<double>(i % 3);
@@ -571,7 +606,7 @@ TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
     for (int i = 0; i < 30; ++i) {
       db::MachineRecord rec;
       rec.name = "sun" + std::to_string(i);
-      rec.params["arch"] = "sun";
+      rec.params.Set("arch", "sun");
       rec.dyn.load = 0.05 * static_cast<double>(i % 9);
       rec.dyn.available_memory_mb = 256;
       ids.push_back(*database.Add(std::move(rec)));
@@ -673,7 +708,7 @@ TEST(PoolRefreshEquivalence, QuietTicksRefreshNothing) {
   for (int i = 0; i < 20; ++i) {
     db::MachineRecord rec;
     rec.name = "sun" + std::to_string(i);
-    rec.params["arch"] = "sun";
+    rec.params.Set("arch", "sun");
     database.Add(std::move(rec));
   }
   auto criteria = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");

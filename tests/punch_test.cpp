@@ -224,10 +224,10 @@ class DesktopEndToEnd : public ::testing::Test {
         [&ids](const db::MachineRecord& rec) { ids.push_back(rec.id); });
     for (const db::MachineId id : ids) {
       scenario_->database().Update(id, [](db::MachineRecord& r) {
-        r.params["license"] = "tsuprem4";
-        r.params["domain"] = "purdue";
-        r.params["arch"] = "sun";
-        r.params["memory"] = "1024";
+        r.params.Set("license", "tsuprem4");
+        r.params.Set("domain", "purdue");
+        r.params.Set("arch", "sun");
+        r.params.Set("memory", "1024");
       });
     }
 

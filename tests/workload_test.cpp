@@ -80,7 +80,7 @@ TEST(Fleet, ClustersAreUniform) {
   BuildFleet(spec, rng, &database, nullptr);
   std::map<std::string, int> per_cluster;
   database.VisitAll([&](const db::MachineRecord& rec) {
-    ++per_cluster[rec.params.at("cluster")];
+    ++per_cluster[std::string(rec.params.Get("cluster").value())];
   });
   ASSERT_EQ(per_cluster.size(), 8u);
   for (const auto& [cluster, count] : per_cluster) EXPECT_EQ(count, 40);
@@ -95,7 +95,7 @@ TEST(Fleet, MachinesHaveUsableAttributes) {
   BuildFleet(spec, rng, &database, &shadows);
   database.VisitAll([&](const db::MachineRecord& rec) {
     EXPECT_TRUE(rec.IsUsable());
-    EXPECT_TRUE(rec.params.count("arch"));
+    EXPECT_TRUE(rec.params.Get("arch").has_value());
     EXPECT_GT(rec.dyn.available_memory_mb, 0);
     EXPECT_GT(rec.effective_speed, 0);
     EXPECT_FALSE(rec.shadow_pool.empty());

@@ -8,9 +8,7 @@
 // be loaded with db::ResourceDatabase::LoadFrom.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "common/strings.hpp"
@@ -47,22 +45,42 @@ int Generate(int argc, char** argv) {
   spec.cluster_count = static_cast<std::size_t>(*clusters);
   actyp::Rng rng(seed);
   BuildFleet(spec, rng, &database, nullptr);
-  std::fputs(database.Serialize().c_str(), stdout);
+  // One line at a time: the snapshot is never held whole in memory.
+  database.VisitAll([](const actyp::db::MachineRecord& rec) {
+    const std::string line = rec.Serialize();
+    std::fwrite(line.data(), 1, line.size(), stdout);
+    std::fputc('\n', stdout);
+  });
   return 0;
+}
+
+// Reads the whole file into one string (the snapshot's only copy).
+bool ReadFile(const char* path, std::string* out) {
+  std::FILE* file = std::fopen(path, "rb");
+  if (file == nullptr) return false;
+  if (std::fseek(file, 0, SEEK_END) == 0) {
+    const long size = std::ftell(file);
+    if (size > 0) out->reserve(static_cast<std::size_t>(size));
+    std::rewind(file);
+  }
+  char buf[1 << 16];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) out->append(buf, n);
+  const bool ok = std::ferror(file) == 0;
+  std::fclose(file);
+  return ok;
 }
 
 int Info(int argc, char** argv) {
   if (argc < 3) return Usage();
-  std::ifstream in(argv[2]);
-  if (!in) {
+  std::string text;
+  if (!ReadFile(argv[2], &text)) {
     std::fprintf(stderr, "cannot open '%s'\n", argv[2]);
     return 1;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
 
   actyp::db::ResourceDatabase database;
-  const actyp::Status status = database.LoadFrom(buffer.str());
+  const actyp::Status status = database.LoadFrom(text);
   if (!status.ok()) {
     std::fprintf(stderr, "parse error: %s\n", status.ToString().c_str());
     return 1;
@@ -72,10 +90,8 @@ int Info(int argc, char** argv) {
   double total_memory = 0, total_speed = 0;
   int cpus = 0;
   database.VisitAll([&](const actyp::db::MachineRecord& rec) {
-    auto arch = rec.params.find("arch");
-    auto cluster = rec.params.find("cluster");
-    ++by_arch[arch == rec.params.end() ? "?" : arch->second];
-    ++by_cluster[cluster == rec.params.end() ? "?" : cluster->second];
+    ++by_arch[std::string(rec.params.Get("arch").value_or("?"))];
+    ++by_cluster[std::string(rec.params.Get("cluster").value_or("?"))];
     ++by_state[std::string(actyp::db::MachineStateName(rec.state))];
     total_memory += rec.dyn.available_memory_mb;
     total_speed += rec.effective_speed;
