@@ -474,7 +474,6 @@ void SimScenario::Build() {
     client_config.job_duration = config_.job_duration;
     client_config.collector = &stack.collector;
     client_config.profiler = stack.profiler.get();
-    client_config.qos_first_match = config_.qos_first_match;
     client_config.request_timeout = config_.client_request_timeout;
     client_config.retry_max = config_.retry_max;
     client_config.retry_backoff = config_.retry_backoff;

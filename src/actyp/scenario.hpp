@@ -88,7 +88,6 @@ struct ScenarioConfig {
   SimDuration think_time = 0;
   std::function<SimDuration(Rng&)> job_duration;  // nullptr = release now
   double hot_fraction = 0.0;
-  bool qos_first_match = false;
   // Client give-up timer for lossy-network experiments (0 = off).
   SimDuration client_request_timeout = 0;
   // Absolute sim time after which clients stop opening new interactions

@@ -42,20 +42,6 @@ Status ShadowAccountPool::Release(std::uint32_t uid,
   return Status::Ok();
 }
 
-std::size_t ShadowAccountPool::ReleaseSession(const std::string& session_key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t released = 0;
-  for (auto& account : used_) {
-    if (account.current_session == session_key) {
-      account.current_session.clear();
-      ++released;
-    }
-  }
-  // Accounts never handed out count as held by the empty session.
-  if (session_key.empty()) released += count_ - used_.size();
-  return released;
-}
-
 std::size_t ShadowAccountPool::total() const {
   std::lock_guard<std::mutex> lock(mu_);
   return count_;

@@ -34,8 +34,6 @@ class ShadowAccountPool {
   // Claims the lowest free uid for `session_key`.
   Result<std::uint32_t> Acquire(const std::string& session_key);
   Status Release(std::uint32_t uid, const std::string& session_key);
-  // Releases every account held by the session (crash cleanup).
-  std::size_t ReleaseSession(const std::string& session_key);
 
   [[nodiscard]] std::size_t total() const;
   [[nodiscard]] std::size_t free_count() const;

@@ -4,13 +4,6 @@
 
 namespace actyp::directory {
 
-std::optional<PoolInstance> DirectoryApi::PickRandom(
-    const std::string& pool_name, Rng& rng) const {
-  auto instances = Lookup(pool_name);
-  if (instances.empty()) return std::nullopt;
-  return instances[rng.NextBounded(instances.size())];
-}
-
 std::vector<PoolManagerEntry> DirectoryApi::PoolManagersExcluding(
     const std::vector<std::string>& exclude) const {
   auto all = PoolManagers();

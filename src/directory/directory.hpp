@@ -7,17 +7,17 @@
 // `DirectoryApi` is the abstract surface the pipeline consumes:
 // `DirectoryService` is the single authoritative implementation, and
 // `replica::ReplicaHandle` (src/replica/) routes the same calls to the
-// nearest reachable replica of a replicated directory group.
+// nearest reachable replica of a replicated directory group. The
+// directory only lists instances; choosing one is the caller's (a pool
+// manager draws one of Lookup's instances with its own RNG).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/status.hpp"
 
 namespace actyp::directory {
@@ -66,12 +66,6 @@ class DirectoryApi {
   virtual Status RegisterPoolManager(const PoolManagerEntry& entry) = 0;
   virtual Status UnregisterPoolManager(const std::string& name) = 0;
   [[nodiscard]] virtual std::vector<PoolManagerEntry> PoolManagers() const = 0;
-
-  // Random instance selection, as the paper prescribes for pool
-  // managers. Defined on the base in terms of Lookup so every
-  // implementation consumes the caller's RNG identically.
-  [[nodiscard]] std::optional<PoolInstance> PickRandom(
-      const std::string& pool_name, Rng& rng) const;
 
   // Peers excluding the given names (used with the query's visited list).
   [[nodiscard]] std::vector<PoolManagerEntry> PoolManagersExcluding(

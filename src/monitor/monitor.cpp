@@ -45,10 +45,8 @@ std::size_t ResourceMonitor::Step(SimTime now) {
     pm.last_update = now;
 
     db::DynamicState dyn;
-    dyn.load = pm.background_load + config_.job_load * pm.jobs;
-    dyn.active_jobs = pm.jobs;
-    dyn.available_memory_mb =
-        std::max(0.0, pm.base_memory_mb - config_.job_memory_mb * pm.jobs);
+    dyn.load = pm.background_load;
+    dyn.available_memory_mb = std::max(0.0, pm.base_memory_mb);
     dyn.available_swap_mb = pm.base_swap_mb;
     dyn.last_update = now;
     dyn.service_flags = rec.dyn.service_flags;
@@ -56,41 +54,6 @@ std::size_t ResourceMonitor::Step(SimTime now) {
   });
   database_->ApplyDynamic(batch_);
   return batch_.size();
-}
-
-void ResourceMonitor::OnJobStart(db::MachineId id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = machines_.find(id);
-    if (it != machines_.end()) ++it->second.jobs;
-  }
-  // Reflect the new job immediately (the execution unit reports back
-  // without waiting for the next monitoring sweep).
-  database_->Update(id, [this](db::MachineRecord& rec) {
-    rec.dyn.active_jobs += 1;
-    rec.dyn.load += config_.job_load;
-    rec.dyn.available_memory_mb =
-        std::max(0.0, rec.dyn.available_memory_mb - config_.job_memory_mb);
-  });
-}
-
-void ResourceMonitor::OnJobEnd(db::MachineId id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = machines_.find(id);
-    if (it != machines_.end() && it->second.jobs > 0) --it->second.jobs;
-  }
-  database_->Update(id, [this](db::MachineRecord& rec) {
-    rec.dyn.active_jobs = std::max(0, rec.dyn.active_jobs - 1);
-    rec.dyn.load = std::max(0.0, rec.dyn.load - config_.job_load);
-    rec.dyn.available_memory_mb += config_.job_memory_mb;
-  });
-}
-
-int ResourceMonitor::active_jobs(db::MachineId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = machines_.find(id);
-  return it == machines_.end() ? 0 : it->second.jobs;
 }
 
 }  // namespace actyp::monitor

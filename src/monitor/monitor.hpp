@@ -1,11 +1,12 @@
 // Resource monitoring service (§4.2): keeps white-pages fields 2-7
 // fresh. The paper delegates this to any off-the-shelf monitor (they
 // were evaluating SGI's Performance Co-Pilot); here the monitor is a
-// synthetic one that combines
-//   - background load: a mean-reverting (Ornstein-Uhlenbeck style)
-//     process per machine, representing interactive users, and
-//   - job load: +1 load and a memory bite per active ActYP-placed job
-// so scheduling policies have realistic, time-varying state to act on.
+// synthetic one whose background load is a mean-reverting
+// (Ornstein-Uhlenbeck style) process per machine, representing
+// interactive users, so scheduling policies have realistic,
+// time-varying state to act on. The load of ActYP-placed jobs is not
+// the monitor's: each resource pool adds its own allocations to its
+// cached view of the machine.
 #pragma once
 
 #include <map>
@@ -23,8 +24,6 @@ struct MonitorConfig {
   double background_load_mean = 0.25;  // long-run mean of background load
   double reversion_rate = 0.2;         // pull toward the mean, per second
   double volatility = 0.15;            // diffusion per sqrt(second)
-  double job_load = 1.0;               // load added by one active job
-  double job_memory_mb = 64.0;         // memory consumed by one active job
   SimDuration update_period = Seconds(5.0);  // refresh cadence (field 6)
 };
 
@@ -40,18 +39,11 @@ class ResourceMonitor {
   // monitor_sweep span models its cost from.
   std::size_t Step(SimTime now);
 
-  // Job placement notifications from the pipeline.
-  void OnJobStart(db::MachineId id);
-  void OnJobEnd(db::MachineId id);
-
-  [[nodiscard]] int active_jobs(db::MachineId id) const;
-
  private:
   struct PerMachine {
     double background_load;
     double base_memory_mb;
     double base_swap_mb;
-    int jobs = 0;
     SimTime last_update = 0;
   };
 
@@ -60,7 +52,7 @@ class ResourceMonitor {
   db::ResourceDatabase* database_;
   MonitorConfig config_;
   Rng rng_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::map<db::MachineId, PerMachine> machines_;
   // Scratch for Step's batched write-back, reused across sweeps.
   std::vector<std::pair<db::MachineId, db::DynamicState>> batch_;

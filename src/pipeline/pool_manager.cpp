@@ -157,10 +157,9 @@ void PoolManager::Fail(const net::Envelope& envelope, net::NodeContext& ctx,
   ParseFragmentHeader(envelope.message, &frag_index, &frag_total);
   net::Message failure =
       MakeFailureMessage(request_id, reason, frag_index, frag_total);
-  for (const auto key : {phdr::kFinalReplyTo, phdr::kQosFirstMatch}) {
-    if (envelope.message.HasHeader(key)) {
-      failure.SetHeader(key, envelope.message.Header(key));
-    }
+  if (envelope.message.HasHeader(phdr::kFinalReplyTo)) {
+    failure.SetHeader(phdr::kFinalReplyTo,
+                      envelope.message.Header(phdr::kFinalReplyTo));
   }
   ctx.Send(reply_to, std::move(failure));
 }

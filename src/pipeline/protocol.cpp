@@ -11,15 +11,6 @@ void StampSchedHints(const query::Query& q, net::Message* message) {
   if (std::string group = q.GetUser("accessgroup"); !group.empty()) {
     message->SetHeader(phdr::kAccessGroup, std::move(group));
   }
-  if (std::string count = q.GetAppl("count"); !count.empty()) {
-    message->SetHeader(phdr::kCoAlloc, std::move(count));
-  }
-  if (std::string start = q.GetAppl("starttime"); !start.empty()) {
-    message->SetHeader(phdr::kResvStart, std::move(start));
-    if (std::string duration = q.GetAppl("duration"); !duration.empty()) {
-      message->SetHeader(phdr::kResvDuration, std::move(duration));
-    }
-  }
 }
 
 net::Message MakeQueryMessage(const query::Query& q,

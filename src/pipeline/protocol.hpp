@@ -34,16 +34,12 @@ inline constexpr std::string_view kFinalReplyTo = "final-reply-to";
 inline constexpr std::string_view kFragment = "fragment";      // "i/n"
 inline constexpr std::string_view kPoolAddress = "pool-address";
 inline constexpr std::string_view kLoad = "machine-load";
-inline constexpr std::string_view kQosFirstMatch = "qos-first-match";
 // Scheduling hints (§6), stamped by StampSchedHints at the pipeline
 // entry so that pool managers and pools route and select without
 // parsing the query text. kSchedHints marks them present; a query
 // without it fails at the first pool manager or pool it reaches.
 inline constexpr std::string_view kSchedHints = "sched-hints";
 inline constexpr std::string_view kAccessGroup = "access-group";
-inline constexpr std::string_view kCoAlloc = "co-alloc";       // count
-inline constexpr std::string_view kResvStart = "resv-start";   // seconds
-inline constexpr std::string_view kResvDuration = "resv-duration";
 // Delegation state (§5.2.2): the remaining TTL and the comma-joined
 // visited pool-manager list. Each delegation hop rewrites both and
 // forwards the body untouched.
@@ -61,9 +57,11 @@ inline constexpr std::string_view kNoSchedHints =
     "query carries no sched-hints header";
 
 // Stamps the sched hints of `q` on `message`, in this order: pool-name,
-// sched-hints, ttl (kDefaultTtl), then access-group, co-alloc,
-// resv-start and resv-duration when the query sets them. Every sender
-// of a query to a pool manager or pool stamps through this function.
+// sched-hints, ttl (kDefaultTtl), then access-group when the query sets
+// one. Every sender of a query to a pool manager or pool stamps through
+// this function. Application terms (count, starttime, duration,
+// expectedcpuuse, ...) stamp nothing: a pool grants one machine per
+// query, immediately.
 void StampSchedHints(const query::Query& q, net::Message* message);
 
 // Builds a client query message: routing headers plus the query text.

@@ -1,7 +1,8 @@
 #include "pipeline/reintegrator.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
-#include "common/strings.hpp"
 
 namespace actyp::pipeline {
 
@@ -32,17 +33,15 @@ void Reintegrator::OnMessage(const net::Envelope& envelope,
     for (auto it = requests_.begin(); it != requests_.end();) {
       PendingRequest& pending = it->second;
       if (now - pending.last_activity > config_.request_timeout) {
-        if (!pending.answered) {
-          ++stats_.timed_out;
-          if (!pending.final_reply_to.empty()) {
-            ctx.Send(pending.final_reply_to,
-                     MakeFailureMessage(it->first,
-                                        "reintegration timeout: " +
-                                            std::to_string(pending.received) +
-                                            "/" +
-                                            std::to_string(pending.expected) +
-                                            " fragments"));
-          }
+        ++stats_.timed_out;
+        if (!pending.final_reply_to.empty()) {
+          ctx.Send(pending.final_reply_to,
+                   MakeFailureMessage(it->first,
+                                      "reintegration timeout: " +
+                                          std::to_string(pending.received) +
+                                          "/" +
+                                          std::to_string(pending.expected) +
+                                          " fragments"));
         }
         it = requests_.erase(it);
       } else {
@@ -66,14 +65,9 @@ void Reintegrator::HandleResult(const net::Envelope& envelope,
   std::uint32_t frag_index = 0, frag_total = 1;
   ParseFragmentHeader(message, &frag_index, &frag_total);
 
-  PendingRequest& pending = requests_[request_id];
-  if (pending.received == 0 && !pending.answered) {
-    pending.expected = frag_total;
-    pending.first_match =
-        message.Header(phdr::kQosFirstMatch) == "1" ||
-        ToLower(message.Header(phdr::kQosFirstMatch)) == "true";
-  }
+  // A new request starts at expected = 1 and every total is at least 1.
   // Fragments agree on the total; keep the max defensively.
+  PendingRequest& pending = requests_[request_id];
   pending.expected = std::max(pending.expected, frag_total);
   const std::string final_reply = message.Header(phdr::kFinalReplyTo);
   if (!final_reply.empty()) pending.final_reply_to = final_reply;
@@ -83,18 +77,7 @@ void Reintegrator::HandleResult(const net::Envelope& envelope,
   if (message.type == net::msg::kAllocation) {
     auto allocation = ParseAllocationMessage(message);
     if (allocation.ok()) {
-      if (pending.answered) {
-        // A straggler after the request was answered: give it back.
-        ReleaseAllocation(*allocation, ctx);
-      } else if (pending.first_match) {
-        pending.answered = true;
-        ++stats_.completed;
-        if (!pending.final_reply_to.empty()) {
-          net::Message out = MakeAllocationMessage(*allocation);
-          out.SetHeader(phdr::kFragment, "0/1");
-          ctx.Send(pending.final_reply_to, std::move(out));
-        }
-      } else if (!pending.has_best) {
+      if (!pending.has_best) {
         pending.has_best = true;
         pending.best = std::move(allocation.value());
       } else if (allocation->machine_load < pending.best.machine_load) {
@@ -113,21 +96,19 @@ void Reintegrator::FinishIfComplete(std::uint64_t request_id,
                                     PendingRequest& pending,
                                     net::NodeContext& ctx) {
   if (pending.received < pending.expected) return;
-  if (!pending.answered) {
-    if (pending.has_best) {
-      ++stats_.completed;
-      if (!pending.final_reply_to.empty()) {
-        net::Message out = MakeAllocationMessage(pending.best);
-        out.SetHeader(phdr::kFragment, "0/1");
-        ctx.Send(pending.final_reply_to, std::move(out));
-      }
-    } else {
-      ++stats_.failed;
-      if (!pending.final_reply_to.empty()) {
-        ctx.Send(pending.final_reply_to,
-                 MakeFailureMessage(request_id,
-                                    "all fragments failed to allocate"));
-      }
+  if (pending.has_best) {
+    ++stats_.completed;
+    if (!pending.final_reply_to.empty()) {
+      net::Message out = MakeAllocationMessage(pending.best);
+      out.SetHeader(phdr::kFragment, "0/1");
+      ctx.Send(pending.final_reply_to, std::move(out));
+    }
+  } else {
+    ++stats_.failed;
+    if (!pending.final_reply_to.empty()) {
+      ctx.Send(pending.final_reply_to,
+               MakeFailureMessage(request_id,
+                                  "all fragments failed to allocate"));
     }
   }
   requests_.erase(request_id);

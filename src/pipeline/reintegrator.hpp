@@ -2,12 +2,9 @@
 // reassembles composite-query fragments (§5.2.1's TCP/IP-fragmentation
 // analogy), split-pool fan-outs (Fig. 7), and QoS duplicates (§6).
 //
-// Two aggregation modes, chosen per request via the qos-first-match
-// header:
-//   best-response (default): wait for every fragment, forward the
-//     allocation with the lowest machine load, release the rest.
-//   first-match: forward the first successful allocation immediately
-//     (minimizing composite response time), release stragglers.
+// One aggregation mode, §6's best response: wait for every fragment,
+// forward the allocation with the lowest machine load, release the
+// rest. A request whose fragments never all arrive times out.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +52,6 @@ class Reintegrator final : public net::Node {
     net::Address final_reply_to;
     std::uint32_t expected = 1;
     std::uint32_t received = 0;
-    bool first_match = false;
-    bool answered = false;
     bool has_best = false;
     Allocation best;
     SimTime last_activity = 0;

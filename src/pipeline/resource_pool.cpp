@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "common/strings.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace actyp::pipeline {
@@ -152,8 +151,7 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
 
   // Facts selection needs, all read from the sched hints the entry
   // stage stamped (§6 — parsed state travels with the message): the
-  // fragment coordinates, the access group, the co-allocation count and
-  // the reservation window.
+  // fragment coordinates and the access group.
   std::uint32_t frag_index = 0, frag_total = 1;
   ParseFragmentHeader(message, &frag_index, &frag_total);
   if (!message.HasHeader(phdr::kSchedHints)) {
@@ -166,137 +164,66 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
     return;
   }
   const std::string access_group = message.Header(phdr::kAccessGroup);
-  std::size_t want = 1;
-  if (auto count = ParseInt(message.Header(phdr::kCoAlloc));
-      count && *count > 1) {
-    want = static_cast<std::size_t>(*count);
-  }
-  std::optional<double> resv_start_s;
-  double resv_duration_s = 3600.0;
-  if (auto start = ParseDouble(message.Header(phdr::kResvStart))) {
-    resv_start_s = *start;
-    resv_duration_s =
-        ParseDouble(message.Header(phdr::kResvDuration)).value_or(3600.0);
-  }
 
   // Per-query eligibility: user group lists (Fig. 3 field 16) and usage
   // policies (field 19) applied to the pool's cached view. Most pools
-  // carry no such metadata — the selection scan must not pay an
-  // indirect filter call per entry for a check that always passes.
-  const bool needs_meta_filter =
-      (any_user_groups_ && !access_group.empty()) || any_usage_policy_;
-  auto meta_allows = [this, &access_group](std::size_t i,
-                                           const sched::CacheEntry& entry) {
-    EntryMeta& meta = meta_[i];
-    if (!access_group.empty() &&
-        !db::GroupListAdmits(meta.user_groups, access_group)) {
-      return false;
-    }
-    if (meta.policy_view != nullptr) {
-      // The record's static fields under the cached dynamic view.
-      db::MachineRecord& view = *meta.policy_view;
-      view.dyn.load = entry.load;
-      view.dyn.available_memory_mb = entry.available_memory_mb;
-      view.dyn.active_jobs = entry.active_jobs;
-      if (!policies_->Allows(view, access_group)) return false;
-    }
-    return true;
-  };
-
-  // Co-allocation and advance reservations (extensions beyond the 2001
-  // prototype, which the paper lists as unsupported): `punch.appl.count
-  // = N` machines granted atomically or not at all; `punch.appl.
-  // starttime` (absolute seconds) + `punch.appl.duration` turn the
-  // request into a booking of that future window.
-  SimTime resv_start = 0, resv_end = 0;
-  bool is_reservation = false;
-  if (resv_start_s.has_value()) {
-    resv_start = Seconds(*resv_start_s);
-    resv_end = resv_start + Seconds(resv_duration_s);
-    is_reservation = resv_end > resv_start && resv_start >= ctx.Now();
-    if (!is_reservation) {
-      ++stats_.failures;
-      if (!reply_to.empty()) {
-        ctx.Send(reply_to, MakeFailureMessage(
-                               request_id, "invalid reservation window"));
+  // carry no such metadata and select with no filter at all — the scan
+  // must not pay an indirect call per entry for a check that always
+  // passes.
+  std::function<bool(std::size_t, const sched::CacheEntry&)> meta_filter;
+  if ((any_user_groups_ && !access_group.empty()) || any_usage_policy_) {
+    meta_filter = [this, &access_group](std::size_t i,
+                                        const sched::CacheEntry& entry) {
+      EntryMeta& meta = meta_[i];
+      if (!access_group.empty() &&
+          !db::GroupListAdmits(meta.user_groups, access_group)) {
+        return false;
       }
-      return;
-    }
+      if (meta.policy_view != nullptr) {
+        // The record's static fields under the cached dynamic view.
+        db::MachineRecord& view = *meta.policy_view;
+        view.dyn.load = entry.load;
+        view.dyn.available_memory_mb = entry.available_memory_mb;
+        view.dyn.active_jobs = entry.active_jobs;
+        if (!policies_->Allows(view, access_group)) return false;
+      }
+      return true;
+    };
   }
 
   sched::SelectionContext sel_ctx;
   sel_ctx.instance = config_.instance;
   sel_ctx.instance_count = config_.instance_count;
   sel_ctx.rng = &ctx.rng();
-
-  // Select `want` distinct machines; already-picked indices are excluded
-  // through the filter. A plain single allocation with no access-control
-  // metadata in play needs no filter at all — the common fast path.
-  std::vector<std::size_t> picked;
-  std::size_t examined = 0;
+  if (meta_filter) sel_ctx.filter = &meta_filter;
+  sched::Selection selection = index_ ? index_->Select(cache_, sel_ctx)
+                                      : policy_->Select(cache_, sel_ctx);
   bool oversubscribed = false;
-  std::function<bool(std::size_t, const sched::CacheEntry&)> pick_filter;
-  if (needs_meta_filter || is_reservation || want > 1) {
-    pick_filter = [this, &meta_allows, &picked, is_reservation,
-                   needs_meta_filter, resv_start, resv_end](
-                      std::size_t i, const sched::CacheEntry& entry) {
-      if (std::find(picked.begin(), picked.end(), i) != picked.end()) {
-        return false;
+  if (!selection.found() && config_.allow_oversubscribe) {
+    // Every machine is at its ceiling: time-share the least-loaded one
+    // that passes access control.
+    double best_load = 0.0;
+    for (std::size_t i = 0; i < cache_.size(); ++i) {
+      ++selection.examined;
+      if (cache_[i].load >= kUnusableLoad) continue;  // machine is down
+      if (meta_filter && !meta_filter(i, cache_[i])) continue;
+      if (!selection.found() || cache_[i].load < best_load) {
+        selection.index = i;
+        best_load = cache_[i].load;
       }
-      if (is_reservation &&
-          !reservations_.IsFree(entry.id, resv_start, resv_end)) {
-        return false;
-      }
-      return !needs_meta_filter || meta_allows(i, entry);
-    };
-    sel_ctx.filter = &pick_filter;
-  }
-  while (picked.size() < want) {
-    sched::Selection selection = index_ ? index_->Select(cache_, sel_ctx)
-                                        : policy_->Select(cache_, sel_ctx);
-    if (!selection.found() && config_.allow_oversubscribe &&
-        !is_reservation) {
-      // Every machine is at its ceiling: time-share the least-loaded one
-      // that passes access control.
-      double best_load = 0.0;
-      for (std::size_t i = 0; i < cache_.size(); ++i) {
-        ++selection.examined;
-        if (cache_[i].load >= kUnusableLoad) continue;  // machine is down
-        if (pick_filter && !pick_filter(i, cache_[i])) continue;
-        if (!selection.found() || cache_[i].load < best_load) {
-          selection.index = i;
-          best_load = cache_[i].load;
-        }
-      }
-      oversubscribed |= selection.found();
     }
-    examined += selection.examined;
-    if (!selection.found()) break;
-    picked.push_back(selection.index);
+    oversubscribed = selection.found();
   }
-
-  sched::Selection selection;  // summary view for the reply logic below
-  if (picked.size() == want) selection.index = picked.front();
-  selection.examined = examined;
 
   stats_.entries_examined += selection.examined;
   ctx.Consume(config_.costs.pool_per_machine *
               static_cast<SimDuration>(selection.examined));
 
-  if (!selection.found() && !picked.empty()) {
-    // Partial co-allocation: all-or-nothing, so nothing was committed
-    // (loads are only bumped once the full set is granted below).
-    picked.clear();
-  }
-
-  // Aggregation metadata that must survive this stage: the reintegrator
-  // needs the final client address and the QoS mode on every fragment
+  // The reintegrator needs the final client address on every fragment
   // result (all state travels with the messages, §6).
   auto propagate = [&message](net::Message& out) {
-    for (const auto key : {phdr::kFinalReplyTo, phdr::kQosFirstMatch}) {
-      if (message.HasHeader(key)) {
-        out.SetHeader(key, message.Header(key));
-      }
+    if (message.HasHeader(phdr::kFinalReplyTo)) {
+      out.SetHeader(phdr::kFinalReplyTo, message.Header(phdr::kFinalReplyTo));
     }
   };
 
@@ -315,28 +242,17 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
   }
   if (oversubscribed) ++stats_.oversubscribed;
 
-  const std::string session_key = MakeSessionKey(ctx);
-  if (is_reservation) {
-    // A booking promises future capacity; present load is untouched.
-    for (const std::size_t index : picked) {
-      reservations_.Book(cache_[index].id, resv_start, resv_end, session_key);
-    }
-    reservation_sessions_.insert(session_key);
-    ++stats_.reservations;
-  } else {
-    for (const std::size_t index : picked) {
-      cache_[index].active_jobs += 1;
-      cache_[index].load += 1.0;
-      TouchIndex(index);
-    }
-  }
+  std::string session_key = MakeSessionKey(ctx);
+  const std::size_t index = selection.index;
+  sched::CacheEntry& chosen = cache_[index];
+  chosen.active_jobs += 1;
+  chosen.load += 1.0;
+  TouchIndex(index);
 
-  const std::size_t primary = picked.front();
-  sched::CacheEntry& chosen = cache_[primary];
   Allocation allocation;
-  allocation.machine_name = meta_[primary].name.text();
+  allocation.machine_name = meta_[index].name.text();
   allocation.machine_id = chosen.id;
-  allocation.port = meta_[primary].execution_port;
+  allocation.port = meta_[index].execution_port;
   allocation.session_key = session_key;
   allocation.pool_name = config_.pool_name;
   allocation.pool_address = ctx.self();
@@ -345,38 +261,24 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
   allocation.fragment_index = frag_index;
   allocation.fragment_total = frag_total;
 
-  if (auto* accounts = meta_[primary].shadow_accounts; accounts != nullptr) {
-    auto uid = accounts->Acquire(allocation.session_key);
-    if (uid.ok()) {
+  Session session{index, std::nullopt};
+  if (auto* accounts = meta_[index].shadow_accounts; accounts != nullptr) {
+    if (auto uid = accounts->Acquire(session_key); uid.ok()) {
       allocation.shadow_uid = *uid;
-      session_uid_[allocation.session_key] = *uid;
+      session.shadow_uid = *uid;
     }
   }
+  sessions_.insert_or_assign(std::move(session_key), session);
 
-  session_entry_[allocation.session_key] = picked;
   ++stats_.allocations;
   if (config_.recorder != nullptr) {
     config_.recorder->Record(ctx.Now(), obs::FlightKind::kPoolClaim,
                              request_id, ctx.self(),
                              config_.pool_name + " -> " +
-                                 std::string(meta_[primary].name.text()));
+                                 std::string(meta_[index].name.text()));
   }
   if (!reply_to.empty()) {
     net::Message out = MakeAllocationMessage(allocation);
-    if (is_reservation) {
-      out.SetHeader("reserved-start", std::to_string(ToSeconds(resv_start)));
-      out.SetHeader("reserved-end", std::to_string(ToSeconds(resv_end)));
-    }
-    if (picked.size() > 1) {
-      // Co-allocated set: full machine list rides in one header so the
-      // client can reach every member.
-      std::vector<std::string> names;
-      names.reserve(picked.size());
-      for (const std::size_t index : picked) {
-        names.emplace_back(meta_[index].name.text());
-      }
-      out.SetHeader("machines", Join(names, ","));
-    }
     propagate(out);
     ctx.Send(reply_to, std::move(out));
   }
@@ -388,34 +290,22 @@ void ResourcePool::HandleRelease(const net::Envelope& envelope,
   const std::string session = message.Header(net::hdr::kSessionKey);
   ctx.Consume(config_.costs.pool_fixed / 2);
 
-  auto it = session_entry_.find(session);
-  if (it == session_entry_.end()) {
+  const auto it = sessions_.find(session);
+  if (it == sessions_.end()) {
     ACTYP_DEBUG << "pool '" << config_.pool_name
                 << "': release for unknown session";
     return;
   }
-  if (reservation_sessions_.erase(session) > 0) {
-    // Cancelling a booking frees the future window, not present load.
-    reservations_.Cancel(session);
-  } else {
-    for (const std::size_t index : it->second) {
-      sched::CacheEntry& entry = cache_[index];
-      entry.active_jobs = std::max(0, entry.active_jobs - 1);
-      entry.load = std::max(0.0, entry.load - 1.0);
-      TouchIndex(index);
-    }
+  const auto [index, shadow_uid] = it->second;
+  sched::CacheEntry& entry = cache_[index];
+  entry.active_jobs = std::max(0, entry.active_jobs - 1);
+  entry.load = std::max(0.0, entry.load - 1.0);
+  TouchIndex(index);
+  if (auto* accounts = meta_[index].shadow_accounts;
+      accounts != nullptr && shadow_uid.has_value()) {
+    accounts->Release(*shadow_uid, session);
   }
-
-  auto uid_it = session_uid_.find(session);
-  if (uid_it != session_uid_.end()) {
-    if (!it->second.empty()) {
-      if (auto* accounts = meta_[it->second.front()].shadow_accounts) {
-        accounts->Release(uid_it->second, session);
-      }
-    }
-    session_uid_.erase(uid_it);
-  }
-  session_entry_.erase(it);
+  sessions_.erase(it);
   ++stats_.releases;
   if (config_.recorder != nullptr) {
     config_.recorder->Record(ctx.Now(), obs::FlightKind::kPoolRelease, 0,
@@ -438,7 +328,6 @@ void ResourcePool::HandleTick(net::NodeContext& ctx) {
     // cache, cheaper than re-positioning each refreshed entry.
     if (index_) index_->Rebuild(cache_);
   }
-  reservations_.Prune(ctx.Now());
   ctx.ScheduleSelf(config_.resort_period, net::Message{net::msg::kTick});
 }
 
@@ -511,8 +400,8 @@ void ResourcePool::TouchIndex(std::size_t index) {
 void ResourcePool::Resort(net::NodeContext& ctx) {
   ctx.Consume(config_.costs.pool_sort_per_machine *
               static_cast<SimDuration>(cache_.size()));
-  // Sort cache and keep meta/session maps consistent via an index
-  // permutation; the permutation buffers persist across ticks.
+  // Sort cache and keep meta and the session table consistent via an
+  // index permutation; the permutation buffers persist across ticks.
   sort_order_.resize(cache_.size());
   for (std::size_t i = 0; i < sort_order_.size(); ++i) sort_order_[i] = i;
   std::stable_sort(sort_order_.begin(), sort_order_.end(),
@@ -539,8 +428,8 @@ void ResourcePool::Resort(net::NodeContext& ctx) {
   cache_ = std::move(new_cache);
   meta_ = std::move(new_meta);
   cache_ids_ = std::move(new_ids);
-  for (auto& [session, indices] : session_entry_) {
-    for (auto& index : indices) index = sort_new_index_[index];
+  for (auto& [key, session] : sessions_) {
+    session.index = sort_new_index_[session.index];
   }
   for (std::size_t i = 0; i < cache_ids_.size(); ++i) {
     id_index_[cache_ids_[i]] = i;

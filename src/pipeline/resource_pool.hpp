@@ -12,9 +12,11 @@
 //
 // Lifecycle: OnStart walks the white pages, claims matching machines
 // (marking them "taken"), loads a local cache, registers itself with the
-// local directory service, and arms a periodic re-sort timer. Queries
-// allocate a machine, generate a session key, and grab a shadow-account
-// uid; releases return the job's capacity.
+// local directory service, and arms a periodic re-sort timer. Each query
+// is granted exactly one machine: the pool generates a session key and
+// grabs a shadow-account uid, and one session table maps the key to the
+// machine's cache entry and the uid. A release returns the job's
+// capacity and the uid.
 //
 // Replication: instances of the same pool share one machine set (the
 // first instance claims; later ones adopt the claim) and apply the
@@ -22,9 +24,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.hpp"
@@ -35,7 +37,6 @@
 #include "net/node.hpp"
 #include "pipeline/cost_model.hpp"
 #include "pipeline/protocol.hpp"
-#include "pipeline/reservations.hpp"
 #include "profile/stage_profiler.hpp"
 #include "query/query.hpp"
 #include "sched/index.hpp"
@@ -87,7 +88,6 @@ struct PoolStats {
   std::uint64_t releases = 0;
   std::uint64_t oversubscribed = 0;
   std::uint64_t entries_examined = 0;
-  std::uint64_t reservations = 0;  // advance reservations granted
   // Refresh economics: how many cache entries each periodic tick had to
   // re-read from the white pages. With dirty-id refresh this tracks
   // monitor/job churn, not cache size.
@@ -113,7 +113,7 @@ class ResourcePool final : public net::Node {
   // Sessions still open against this instance (allocation granted, no
   // release seen) — the chaos leaked-session audit reads this at drain.
   [[nodiscard]] std::size_t active_sessions() const {
-    return session_entry_.size();
+    return sessions_.size();
   }
 
  private:
@@ -133,7 +133,17 @@ class ResourcePool final : public net::Node {
     std::uint16_t execution_port = 0;
   };
 
+  // An open session: the cache entry its machine sits at (remapped by
+  // every re-sort) and the shadow-account uid it holds, if any.
+  struct Session {
+    std::size_t index = 0;
+    std::optional<std::uint32_t> shadow_uid;
+  };
+
   void Initialize(net::NodeContext& ctx);
+  // Grants one machine (§5.2.3): selection under the query's access
+  // group and the machines' usage policies, then the oversubscribe
+  // fallback when allowed. Replies with an allocation or a failure.
   void HandleQuery(const net::Envelope& envelope, net::NodeContext& ctx);
   void HandleRelease(const net::Envelope& envelope, net::NodeContext& ctx);
   void HandleTick(net::NodeContext& ctx);
@@ -177,12 +187,7 @@ class ResourcePool final : public net::Node {
   std::vector<std::size_t> fetch_index_;
   bool any_user_groups_ = false;            // per-query filter fast path
   bool any_usage_policy_ = false;
-  // session -> cache indices (one entry normally; several for
-  // co-allocated requests, released together).
-  std::unordered_map<std::string, std::vector<std::size_t>> session_entry_;
-  std::unordered_map<std::string, std::uint32_t> session_uid_;
-  ReservationBook reservations_;  // advance reservations (extension)
-  std::unordered_set<std::string> reservation_sessions_;
+  std::unordered_map<std::string, Session> sessions_;  // by session key
   // Scratch for Resort, reused across ticks.
   std::vector<std::size_t> sort_order_;
   std::vector<std::size_t> sort_new_index_;

@@ -64,11 +64,6 @@ std::optional<Condition> Query::GetRsrc(std::string_view name) const {
   return it->second;
 }
 
-void Query::RemoveRsrc(std::string_view name) {
-  auto it = FindTerm(rsrc_, name);
-  if (it != rsrc_.end()) rsrc_.erase(it);
-}
-
 void Query::SetAppl(std::string_view name, std::string value) {
   UpsertTerm(appl_, name, std::move(value));
 }

@@ -61,7 +61,6 @@ class Query {
   void SetRsrc(std::string_view name, CmpOp op, const std::string& value);
   [[nodiscard]] const RsrcList& rsrc() const { return rsrc_; }
   [[nodiscard]] std::optional<Condition> GetRsrc(std::string_view name) const;
-  void RemoveRsrc(std::string_view name);
 
   // --- application / user terms (plain values) ---
   void SetAppl(std::string_view name, std::string value);

@@ -129,7 +129,8 @@ void ClientNode::OnMessage(const net::Envelope& envelope,
       return;
     }
     if (allocation->request_id != inflight_request_) {
-      // Stale result (e.g. duplicate after first-match): release it.
+      // Stale result (e.g. the late answer to a timed-out attempt):
+      // release it.
       ctx.Send(allocation->pool_address,
                pipeline::MakeReleaseMessage(allocation->machine_id,
                                             allocation->session_key));
@@ -213,10 +214,6 @@ void ClientNode::PostInflightQuery(net::NodeContext& ctx) {
   net::Message query{net::msg::kQuery};
   query.SetHeader(net::hdr::kReplyTo, ctx.self());
   query.SetHeader(net::hdr::kRequestId, std::to_string(inflight_request_));
-  if (!config_.language.empty()) query.SetHeader("language", config_.language);
-  if (config_.qos_first_match) {
-    query.SetHeader(pipeline::phdr::kQosFirstMatch, "1");
-  }
   query.body = inflight_body_;
   ctx.Send(EntryForAttempt(), std::move(query));
 

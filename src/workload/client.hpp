@@ -58,8 +58,6 @@ struct ClientConfig {
   // Stage-span sink for the client_issue / reply spans (not owned).
   // Null disables profiling.
   profile::StageProfiler* profiler = nullptr;
-  std::string language;     // non-native query language tag, if any
-  bool qos_first_match = false;
   // Stop issuing queries after this sim time (0 = no horizon).
   SimTime horizon = 0;
   // Give up on an unanswered request after this long and move on

@@ -1,12 +1,9 @@
-// Tests for the baseline schedulers: centralized, matchmaker, and the
-// static-partition frontend.
+// Tests for the baseline schedulers: centralized and matchmaker.
 #include <gtest/gtest.h>
 
 #include "baseline/central.hpp"
 #include "baseline/matchmaker.hpp"
-#include "baseline/static_partition.hpp"
 #include "pipeline/protocol.hpp"
-#include "pipeline/resource_pool.hpp"
 #include "query/parser.hpp"
 #include "simnet/kernel.hpp"
 #include "simnet/sim_network.hpp"
@@ -176,77 +173,6 @@ TEST_F(BaselineTest, MatchmakerUnmatchedReported) {
   kernel_.RunUntil(Seconds(2));
   EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
   EXPECT_EQ(matchmaker->stats().unmatched, 1u);
-}
-
-// --- static partition frontend ---
-
-TEST_F(BaselineTest, StaticFrontendRoutesByKey) {
-  AddMachines(4, "sun");
-  AddMachines(4, "hp");
-  // Two static pools behind the frontend.
-  db::ShadowAccountRegistry shadows;
-  directory::DirectoryService dir;
-  auto make_pool = [&](const std::string& text, const std::string& addr) {
-    auto criteria = query::Parser::ParseBasic(text);
-    pipeline::ResourcePoolConfig config;
-    config.pool_name = criteria->PoolName();
-    config.criteria = *criteria;
-    config.resort_period = 0;
-    auto pool = std::make_shared<pipeline::ResourcePool>(
-        config, &database_, &dir, &shadows, nullptr);
-    network_.AddNode(addr, pool, {"alpha", 1});
-    return pool;
-  };
-  make_pool("punch.rsrc.arch = sun\n", "pool.sun");
-  make_pool("punch.rsrc.arch = hp\n", "pool.hp");
-
-  StaticPartitionConfig config;
-  config.route_key = "arch";
-  config.routes = {{"sun", "pool.sun"}, {"hp", "pool.hp"}};
-  auto frontend = std::make_shared<StaticPartitionFrontend>(config);
-  network_.AddNode("frontend", frontend, {"alpha", 1});
-
-  network_.Post("probe", "frontend", QueryMessage("punch.rsrc.arch = hp\n", 1));
-  network_.Post("probe", "frontend", QueryMessage("punch.rsrc.arch = sun\n", 2));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kAllocation), 2);
-  EXPECT_EQ(frontend->stats().routed, 2u);
-}
-
-TEST_F(BaselineTest, StaticFrontendFailsUnknownRoute) {
-  StaticPartitionConfig config;
-  config.route_key = "arch";
-  config.routes = {{"sun", "pool.sun"}};
-  auto frontend = std::make_shared<StaticPartitionFrontend>(config);
-  network_.AddNode("frontend", frontend, {"alpha", 1});
-  network_.Post("probe", "frontend", QueryMessage("punch.rsrc.arch = vax\n"));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
-  EXPECT_EQ(frontend->stats().failures, 1u);
-}
-
-TEST_F(BaselineTest, StaticFrontendUsesFallback) {
-  AddMachines(2, "sun");
-  db::ShadowAccountRegistry shadows;
-  directory::DirectoryService dir;
-  auto criteria = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
-  pipeline::ResourcePoolConfig pool_config;
-  pool_config.pool_name = criteria->PoolName();
-  pool_config.criteria = *criteria;
-  pool_config.resort_period = 0;
-  network_.AddNode("pool.any",
-                   std::make_shared<pipeline::ResourcePool>(
-                       pool_config, &database_, &dir, &shadows, nullptr),
-                   {"alpha", 1});
-
-  StaticPartitionConfig config;
-  config.route_key = "arch";
-  config.fallback = "pool.any";
-  auto frontend = std::make_shared<StaticPartitionFrontend>(config);
-  network_.AddNode("frontend", frontend, {"alpha", 1});
-  network_.Post("probe", "frontend", QueryMessage("punch.rsrc.arch = sun\n"));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kAllocation), 1);
 }
 
 }  // namespace

@@ -662,15 +662,6 @@ TEST(ShadowAccountPool, ExhaustionAndWrongSession) {
   EXPECT_FALSE(pool.Acquire("").ok());
 }
 
-TEST(ShadowAccountPool, ReleaseSessionCleansUp) {
-  ShadowAccountPool pool(5000, 4);
-  pool.Acquire("crashed");
-  pool.Acquire("crashed");
-  pool.Acquire("alive");
-  EXPECT_EQ(pool.ReleaseSession("crashed"), 2u);
-  EXPECT_EQ(pool.free_count(), 3u);
-}
-
 // Pools are lazy (first uid, size, records of the accounts handed out
 // so far) yet hand out uids as a full account table did: lowest free
 // first.
@@ -695,8 +686,6 @@ TEST(ShadowAccountPool, LazyPoolHandsOutTheLowestFreeUid) {
   EXPECT_EQ(pool.Release(5003, "e").code(), StatusCode::kNotFound);
   EXPECT_EQ(pool.total(), 3u);
   EXPECT_EQ(pool.free_count(), 1u);
-  EXPECT_EQ(pool.ReleaseSession("d"), 1u);
-  EXPECT_EQ(pool.free_count(), 2u);
 
   ShadowAccountPool empty(7000, 0);
   EXPECT_EQ(empty.Acquire("a").status().code(), StatusCode::kExhausted);

@@ -1,11 +1,15 @@
 // Integration tests for the resource management pipeline stages on the
-// discrete-event substrate: resource pools (claiming, allocation,
-// release, access control, oversubscription, re-sort), pool managers
-// (mapping, instance selection, creation via proxy, delegation with
-// TTL), and query managers (routing rules, decomposition).
+// discrete-event substrate: resource pools (claiming, one machine per
+// query, release, access control, oversubscription, re-sort, the heap
+// budget of a query), pool managers (mapping, instance selection,
+// creation via proxy, delegation with TTL), and query managers (routing
+// rules, decomposition).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <set>
 
 #include "common/rng.hpp"
@@ -23,6 +27,39 @@
 #include "query/parser.hpp"
 #include "simnet/kernel.hpp"
 #include "simnet/sim_network.hpp"
+
+// PoolQueryAllocationBudget counts heap allocations through a replaced
+// global operator new, which only sees every allocation where no
+// sanitizer replaces the allocator.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ACTYP_COUNT_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define ACTYP_COUNT_ALLOCATIONS 0
+#endif
+#endif
+#if !defined(ACTYP_COUNT_ALLOCATIONS)
+#define ACTYP_COUNT_ALLOCATIONS 1
+#endif
+
+#if ACTYP_COUNT_ALLOCATIONS
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// Array and nothrow forms forward to this one in libstdc++. The deletes
+// stay out of line: inlined, GCC would see free() on new'd pointers.
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace actyp::pipeline {
 namespace {
@@ -371,6 +408,7 @@ TEST_F(PipelineTest, LinearPoolPicksTheScanChoiceAcrossResorts) {
   std::set<std::string> free_machines;
   for (const auto& [name, load] : base_load) free_machines.insert(name);
   std::vector<Allocation> held;
+  Allocation first;
   for (int step = 0; step < 12; ++step) {
     std::string expected;
     for (const std::string& name : free_machines) {
@@ -385,6 +423,7 @@ TEST_F(PipelineTest, LinearPoolPicksTheScanChoiceAcrossResorts) {
     ASSERT_TRUE(allocation.ok());
     EXPECT_EQ(allocation->machine_name, expected) << "step " << step;
     free_machines.erase(allocation->machine_name);
+    if (step == 0) first = *allocation;
     held.push_back(*allocation);
     if (step % 2 == 1) {
       network_.Post("probe", "pool0",
@@ -397,6 +436,45 @@ TEST_F(PipelineTest, LinearPoolPicksTheScanChoiceAcrossResorts) {
   EXPECT_GE(pool->stats().refresh_ticks, 5u);
   EXPECT_EQ(pool->stats().allocations, 12u);
   EXPECT_EQ(pool->stats().entries_examined, 12u * kMachines);
+
+  // The session table followed every held entry through the re-sorts:
+  // each release finds its machine and hands its shadow uid back.
+  for (const Allocation& allocation : held) {
+    network_.Post("probe", "pool0",
+                  MakeReleaseMessage(allocation.machine_id,
+                                     allocation.session_key));
+  }
+  kernel_.RunUntil(Seconds(8.0));
+  EXPECT_EQ(pool->stats().releases, 12u);
+  EXPECT_EQ(pool->active_sessions(), 0u);
+  const db::ShadowAccountPool* accounts = shadows_.Find(Intern("shadow.sun"));
+  ASSERT_NE(accounts, nullptr);
+  EXPECT_EQ(accounts->free_count(), accounts->total());
+
+  // The least-loaded machine is held again, by a new session; a replayed
+  // release of the first session, which held the same machine, must not
+  // free it.
+  network_.Post("probe", "pool0", QueryMessage(kSunQuery, 200));
+  kernel_.RunUntil(Seconds(8.6));
+  auto again = ParseAllocationMessage(*probe_->last(net::msg::kAllocation));
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(again->machine_name, first.machine_name);
+  network_.Post("probe", "pool0",
+                MakeReleaseMessage(first.machine_id, first.session_key));
+  kernel_.RunUntil(Seconds(9.2));
+  EXPECT_EQ(pool->stats().releases, 12u);
+  EXPECT_EQ(pool->active_sessions(), 1u);
+
+  std::string expected;
+  for (const auto& [name, load] : base_load) {
+    if (name == first.machine_name) continue;
+    if (expected.empty() || load < base_load[expected]) expected = name;
+  }
+  network_.Post("probe", "pool0", QueryMessage(kSunQuery, 201));
+  kernel_.RunUntil(Seconds(9.8));
+  auto next = ParseAllocationMessage(*probe_->last(net::msg::kAllocation));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->machine_name, expected);
 }
 
 TEST_F(PipelineTest, DownedMachineExcludedAfterRefresh) {
@@ -453,63 +531,96 @@ TEST_F(PipelineTest, PoolFailsQueryWithoutSchedHints) {
   EXPECT_EQ(pool->stats().allocations, 0u);
 }
 
-// --- co-allocation (extension; the 2001 prototype lacked it, §8) ---
-
-TEST_F(PipelineTest, CoAllocationGrantsAtomically) {
+// A pool grants exactly one machine per query (§5.2.3). The count,
+// start time and duration application terms are ordinary terms that
+// selection ignores, like expectedcpuuse: no machine list, no booked
+// window, one session.
+TEST_F(PipelineTest, PoolGrantsOneMachineWhateverTheApplTerms) {
   AddMachines(6, "sun");
   auto pool = MakePool("punch.rsrc.arch = sun\n");
   network_.AddNode("pool0", pool, {"alpha", 1});
+  kernel_.RunUntil(Seconds(60));  // past the start time the query names
 
   network_.Post("probe", "pool0",
                 QueryMessage("punch.rsrc.arch = sun\n"
-                             "punch.appl.count = 4\n"));
+                             "punch.appl.count = 3\n"
+                             "punch.appl.starttime = 50\n"
+                             "punch.appl.duration = 100\n"));
   kernel_.Run();
-  ASSERT_EQ(probe_->count(net::msg::kAllocation), 1);
-  const auto* allocation = probe_->last(net::msg::kAllocation);
-  const auto machines = SplitSkipEmpty(allocation->Header("machines"), ',');
-  EXPECT_EQ(machines.size(), 4u);
-  EXPECT_EQ(std::set<std::string>(machines.begin(), machines.end()).size(),
-            4u);  // distinct machines
-
-  // One release returns the whole set.
-  network_.Post("probe", "pool0",
-                MakeReleaseMessage(0, allocation->Header(net::hdr::kSessionKey)));
-  kernel_.Run();
-  EXPECT_EQ(pool->stats().releases, 1u);
-
-  // After release all six machines are idle again: a second co-allocation
-  // of 6 succeeds.
-  network_.Post("probe", "pool0",
-                QueryMessage("punch.rsrc.arch = sun\n"
-                             "punch.appl.count = 6\n",
-                             2));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kAllocation), 2);
+  ASSERT_EQ(probe_->messages.size(), 1u);
+  const net::Message& reply = probe_->messages[0];
+  ASSERT_EQ(reply.type, net::msg::kAllocation)
+      << reply.Header(net::hdr::kError);
+  for (const char* key : {"machines", "reserved-start", "reserved-end"}) {
+    EXPECT_FALSE(reply.HasHeader(key)) << key;
+  }
+  EXPECT_EQ(pool->stats().allocations, 1u);
+  EXPECT_EQ(pool->active_sessions(), 1u);
+  const db::ShadowAccountPool* accounts = shadows_.Find(Intern("shadow.sun"));
+  ASSERT_NE(accounts, nullptr);
+  EXPECT_EQ(accounts->free_count(), accounts->total() - 1);
 }
 
-TEST_F(PipelineTest, CoAllocationIsAllOrNothing) {
-  AddMachines(2, "sun");
-  auto pool = MakePool("punch.rsrc.arch = sun\n",
-                       [](ResourcePoolConfig& c) {
-                         c.allow_oversubscribe = false;
-                       });
+// Keeps the release coordinates of the last allocation it receives,
+// reusing its buffers, so it adds no allocation of its own per reply.
+class ReleaseCoordinates final : public net::Node {
+ public:
+  void OnMessage(const net::Envelope& env, net::NodeContext&) override {
+    if (env.message.type != net::msg::kAllocation) return;
+    session_key = *env.message.FindHeader(net::hdr::kSessionKey);
+    machine_id = static_cast<db::MachineId>(
+        ParseInt(*env.message.FindHeader(net::hdr::kMachineId)).value_or(0));
+    ++allocations;
+  }
+  std::string session_key;
+  db::MachineId machine_id = 0;
+  int allocations = 0;
+};
+
+// A ratchet on the heap work of the pool's per-query path: allocations
+// per warm query + release pair through a pool with shadow accounts,
+// counting the pool, the network and this loop's own two messages.
+// Measured with GCC 12 (Release): 24 per pair, where the pool with
+// co-allocation, reservations and two session maps made 29. The bound
+// is 24 plus 10%.
+TEST_F(PipelineTest, PoolQueryAllocationBudget) {
+#if !ACTYP_COUNT_ALLOCATIONS
+  GTEST_SKIP() << "allocation counter unavailable (sanitizer build)";
+#else
+  constexpr int kWarmPairs = 100;
+  constexpr int kPairs = 1000;
+  constexpr double kBoundPerPair = 26.4;
+  AddMachines(8, "sun");
+  auto pool = MakePool("punch.rsrc.arch = sun\n");
   network_.AddNode("pool0", pool, {"alpha", 1});
+  auto client = std::make_shared<ReleaseCoordinates>();
+  network_.AddNode("client", client, {"alpha", 1});
+  net::Message query = QueryMessage(kSunQuery);
+  query.SetHeader(net::hdr::kReplyTo, "client");
 
-  network_.Post("probe", "pool0",
-                QueryMessage("punch.rsrc.arch = sun\n"
-                             "punch.appl.count = 3\n"));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
-  // Nothing was committed: a 2-machine request still succeeds.
-  network_.Post("probe", "pool0",
-                QueryMessage("punch.rsrc.arch = sun\n"
-                             "punch.appl.count = 2\n",
-                             2));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kAllocation), 1);
+  auto query_and_release = [&] {
+    network_.Post("client", "pool0", query);
+    kernel_.Run();
+    network_.Post("client", "pool0",
+                  MakeReleaseMessage(client->machine_id, client->session_key));
+    kernel_.Run();
+  };
+  for (int i = 0; i < kWarmPairs; ++i) query_and_release();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kPairs; ++i) query_and_release();
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+  RecordProperty("allocations", static_cast<int>(after - before));
+  const double per_pair = static_cast<double>(after - before) / kPairs;
+  EXPECT_EQ(client->allocations, kWarmPairs + kPairs);
+  EXPECT_EQ(pool->stats().releases,
+            static_cast<std::uint64_t>(kWarmPairs + kPairs));
+  EXPECT_EQ(pool->active_sessions(), 0u);
+  EXPECT_LE(per_pair, kBoundPerPair)
+      << "the pool's query path grew to " << per_pair
+      << " allocations per query + release pair";
+#endif
 }
-
-// --- advance reservations (extension; future work in the paper) ---
 
 // The indexed policies must grant exactly the allocations the legacy
 // linear scans grant on the same trace: same machines, same queries,
@@ -724,110 +835,6 @@ TEST(PoolRefreshEquivalence, QuietTicksRefreshNothing) {
   kernel.RunUntil(Seconds(10));
   EXPECT_GE(pool->stats().refresh_ticks, 9u);
   EXPECT_EQ(pool->stats().entries_refreshed, 0u);
-}
-
-TEST(ReservationBookUnit, BookConflictCancelPrune) {
-  ReservationBook book;
-  EXPECT_TRUE(book.IsFree(1, Seconds(10), Seconds(20)));
-  ASSERT_TRUE(book.Book(1, Seconds(10), Seconds(20), "sess-a").ok());
-  // Overlapping windows conflict; touching windows do not.
-  EXPECT_FALSE(book.IsFree(1, Seconds(15), Seconds(25)));
-  EXPECT_FALSE(book.Book(1, Seconds(19), Seconds(21), "sess-b").ok());
-  EXPECT_TRUE(book.Book(1, Seconds(20), Seconds(30), "sess-b").ok());
-  EXPECT_TRUE(book.Book(2, Seconds(10), Seconds(20), "sess-b").ok());
-  EXPECT_EQ(book.total(), 3u);
-  EXPECT_EQ(book.CountFor(1), 2u);
-
-  EXPECT_EQ(book.Cancel("sess-b"), 2u);
-  EXPECT_TRUE(book.IsFree(1, Seconds(20), Seconds(30)));
-
-  EXPECT_EQ(book.Prune(Seconds(20)), 1u);  // sess-a's window ended
-  EXPECT_EQ(book.total(), 0u);
-}
-
-TEST(ReservationBookUnit, RejectsBadWindows) {
-  ReservationBook book;
-  EXPECT_FALSE(book.Book(1, Seconds(10), Seconds(10), "s").ok());
-  EXPECT_FALSE(book.Book(1, Seconds(20), Seconds(10), "s").ok());
-  EXPECT_FALSE(book.Book(1, Seconds(10), Seconds(20), "").ok());
-}
-
-TEST_F(PipelineTest, AdvanceReservationBooksFutureWindow) {
-  AddMachines(1, "sun");
-  auto pool = MakePool("punch.rsrc.arch = sun\n");
-  network_.AddNode("pool0", pool, {"alpha", 1});
-
-  auto reserve = [&](double start_s, std::uint64_t id) {
-    return QueryMessage("punch.rsrc.arch = sun\n"
-                        "punch.appl.starttime = " +
-                            std::to_string(start_s) +
-                            "\n"
-                            "punch.appl.duration = 100\n",
-                        id);
-  };
-  network_.Post("probe", "pool0", reserve(1000, 1));
-  kernel_.Run();
-  ASSERT_EQ(probe_->count(net::msg::kAllocation), 1);
-  const auto* granted = probe_->last(net::msg::kAllocation);
-  EXPECT_EQ(granted->Header("reserved-start"), "1000.000000");
-  EXPECT_EQ(pool->stats().reservations, 1u);
-
-  // The single machine is booked for [1000, 1100): an overlapping
-  // reservation fails, a later one succeeds.
-  network_.Post("probe", "pool0", reserve(1050, 2));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
-  network_.Post("probe", "pool0", reserve(1100, 3));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kAllocation), 2);
-
-  // Reservations do not consume present capacity: an immediate query
-  // still allocates now.
-  network_.Post("probe", "pool0", QueryMessage(kSunQuery, 4));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kAllocation), 3);
-}
-
-TEST_F(PipelineTest, ReservationCancelFreesWindow) {
-  AddMachines(1, "sun");
-  auto pool = MakePool("punch.rsrc.arch = sun\n");
-  network_.AddNode("pool0", pool, {"alpha", 1});
-
-  network_.Post("probe", "pool0",
-                QueryMessage("punch.rsrc.arch = sun\n"
-                             "punch.appl.starttime = 500\n"
-                             "punch.appl.duration = 1000\n",
-                             1));
-  kernel_.Run();
-  ASSERT_EQ(probe_->count(net::msg::kAllocation), 1);
-  const std::string session =
-      probe_->last(net::msg::kAllocation)->Header(net::hdr::kSessionKey);
-
-  network_.Post("probe", "pool0", MakeReleaseMessage(0, session));
-  kernel_.Run();
-
-  // The freed window can be rebooked.
-  network_.Post("probe", "pool0",
-                QueryMessage("punch.rsrc.arch = sun\n"
-                             "punch.appl.starttime = 600\n"
-                             "punch.appl.duration = 100\n",
-                             2));
-  kernel_.Run();
-  EXPECT_EQ(probe_->count(net::msg::kAllocation), 2);
-  EXPECT_EQ(probe_->count(net::msg::kFailure), 0);
-}
-
-TEST_F(PipelineTest, PastReservationRejected) {
-  AddMachines(1, "sun");
-  auto pool = MakePool("punch.rsrc.arch = sun\n");
-  network_.AddNode("pool0", pool, {"alpha", 1});
-  kernel_.RunUntil(Seconds(100));
-  network_.Post("probe", "pool0",
-                QueryMessage("punch.rsrc.arch = sun\n"
-                             "punch.appl.starttime = 50\n"
-                             "punch.appl.duration = 10\n"));
-  kernel_.RunUntil(Seconds(101));
-  EXPECT_EQ(probe_->count(net::msg::kFailure), 1);
 }
 
 // --- pool manager ---

@@ -1,6 +1,6 @@
 // Focused tests for the reintegration stage: fragment accounting,
-// best-response vs first-match QoS, duplicate release, failure paths,
-// and timeout sweeps.
+// best-response aggregation, duplicate release, failure paths, and
+// timeout sweeps.
 #include <gtest/gtest.h>
 
 #include "pipeline/protocol.hpp"
@@ -48,8 +48,7 @@ class ReintegratorTest : public ::testing::Test {
   net::Message FragmentAllocation(std::uint64_t request_id,
                                   std::uint32_t index, std::uint32_t total,
                                   double load,
-                                  const std::string& machine,
-                                  bool first_match = false) {
+                                  const std::string& machine) {
     Allocation allocation;
     allocation.machine_name = machine;
     allocation.machine_id = 1;
@@ -62,7 +61,6 @@ class ReintegratorTest : public ::testing::Test {
     allocation.fragment_total = total;
     net::Message m = MakeAllocationMessage(allocation);
     m.SetHeader(phdr::kFinalReplyTo, "client");
-    if (first_match) m.SetHeader(phdr::kQosFirstMatch, "1");
     return m;
   }
 
@@ -97,22 +95,32 @@ TEST_F(ReintegratorTest, BestResponseWaitsForAllFragments) {
   EXPECT_EQ(reint_->open_requests(), 0u);
 }
 
-TEST_F(ReintegratorTest, FirstMatchForwardsImmediately) {
+// Best response is the only mode: a fragment that carries the retired
+// first-match header is aggregated like any other.
+TEST_F(ReintegratorTest, FirstMatchHeaderStillAggregatesBestResponse) {
   AddReintegrator();
+  auto with_header = [](net::Message m) {
+    m.SetHeader("qos-first-match", "1");
+    return m;
+  };
   network_.Post("pool", "reint",
-                FragmentAllocation(2, 0, 3, 2.0, "first", /*first_match=*/true));
+                with_header(FragmentAllocation(2, 0, 3, 2.0, "first")));
   kernel_.RunUntil(Seconds(1));
-  ASSERT_EQ(client_->count(net::msg::kAllocation), 1);
-  EXPECT_EQ(client_->messages[0].Header(net::hdr::kMachine), "first");
+  EXPECT_EQ(client_->count(net::msg::kAllocation), 0);
+  EXPECT_EQ(reint_->open_requests(), 1u);
 
-  // Stragglers are released, not forwarded.
   network_.Post("pool", "reint",
-                FragmentAllocation(2, 1, 3, 0.1, "better", true));
-  network_.Post("pool", "reint", FragmentFailure(2, 2, 3));
+                with_header(FragmentAllocation(2, 1, 3, 0.1, "better")));
   kernel_.RunUntil(Seconds(2));
-  EXPECT_EQ(client_->count(net::msg::kAllocation), 1);
-  EXPECT_EQ(pool_->count(net::msg::kRelease), 1);
+  EXPECT_EQ(client_->count(net::msg::kAllocation), 0);
+
+  network_.Post("pool", "reint", FragmentFailure(2, 2, 3));
+  kernel_.RunUntil(Seconds(3));
+  ASSERT_EQ(client_->count(net::msg::kAllocation), 1);
+  EXPECT_EQ(client_->messages[0].Header(net::hdr::kMachine), "better");
+  EXPECT_EQ(pool_->count(net::msg::kRelease), 1);  // "first" goes back
   EXPECT_EQ(reint_->open_requests(), 0u);
+  EXPECT_EQ(reint_->stats().completed, 1u);
 }
 
 TEST_F(ReintegratorTest, AllFragmentsFailedYieldsFailure) {
