@@ -27,6 +27,8 @@ net::Message MakeQueryMessage(const query::Query& q,
 
 net::Message MakeAllocationMessage(const Allocation& allocation) {
   net::Message message{net::msg::kAllocation};
+  // Ten headers, plus the final-reply-to a pool propagates.
+  message.headers.reserve(11);
   message.SetHeader(net::hdr::kMachine, allocation.machine_name);
   message.SetHeader(net::hdr::kMachineId,
                     std::to_string(allocation.machine_id));
@@ -88,6 +90,8 @@ net::Message MakeFailureMessage(std::uint64_t request_id,
                                 std::uint32_t fragment_index,
                                 std::uint32_t fragment_total) {
   net::Message message{net::msg::kFailure};
+  // Three headers, plus the final-reply-to a stage propagates.
+  message.headers.reserve(4);
   message.SetHeader(net::hdr::kRequestId, std::to_string(request_id));
   message.SetHeader(net::hdr::kError, error);
   message.SetHeader(phdr::kFragment, std::to_string(fragment_index) + "/" +
@@ -98,6 +102,7 @@ net::Message MakeFailureMessage(std::uint64_t request_id,
 net::Message MakeReleaseMessage(std::uint32_t machine_id,
                                 const std::string& session_key) {
   net::Message message{net::msg::kRelease};
+  message.headers.reserve(2);
   message.SetHeader(net::hdr::kMachineId, std::to_string(machine_id));
   message.SetHeader(net::hdr::kSessionKey, session_key);
   return message;
@@ -107,12 +112,18 @@ void ParseFragmentHeader(const net::Message& message, std::uint32_t* index,
                          std::uint32_t* total) {
   *index = 0;
   *total = 1;
-  const std::string value = message.Header(phdr::kFragment);
-  if (value.empty()) return;
-  const auto parts = Split(value, '/');
-  if (parts.size() != 2) return;
-  if (auto i = ParseInt(parts[0])) *index = static_cast<std::uint32_t>(*i);
-  if (auto n = ParseInt(parts[1])) {
+  const std::string* header = message.FindHeader(phdr::kFragment);
+  if (header == nullptr) return;
+  const std::string_view value = *header;
+  const std::size_t slash = value.find('/');
+  if (slash == std::string_view::npos ||
+      value.find('/', slash + 1) != std::string_view::npos) {
+    return;
+  }
+  if (auto i = ParseInt(value.substr(0, slash))) {
+    *index = static_cast<std::uint32_t>(*i);
+  }
+  if (auto n = ParseInt(value.substr(slash + 1))) {
     *total = std::max<std::uint32_t>(1, static_cast<std::uint32_t>(*n));
   }
 }

@@ -44,7 +44,8 @@ void QueryManager::HandleQuery(const net::Envelope& envelope,
   ctx.Consume(config_.costs.qm_translate);
 
   // 1. Translation into the native language (interoperability hook).
-  std::string native = message.body;
+  const std::string* native = &message.body;
+  std::string translated_text;
   const std::string language = ToLower(message.Header("language"));
   if (!language.empty() && language != "native") {
     auto it = translators_.find(language);
@@ -53,31 +54,37 @@ void QueryManager::HandleQuery(const net::Envelope& envelope,
       Fail(envelope, ctx, "no translator for language '" + language + "'");
       return;
     }
-    auto translated = it->second(native);
+    auto translated = it->second(*native);
     if (!translated.ok()) {
       ++stats_.translation_failures;
       Fail(envelope, ctx, translated.status().ToString());
       return;
     }
-    native = std::move(translated.value());
+    translated_text = std::move(translated.value());
+    native = &translated_text;
   }
 
-  // 2. Parse and decompose.
-  auto composite = query::Parser::Parse(native);
-  if (!composite.ok()) {
-    ++stats_.parse_failures;
-    Fail(envelope, ctx, composite.status().ToString());
-    return;
+  // 2. Parse, decompose and route: once per distinct native text.
+  auto planned = plans_.find(*native);
+  if (planned == plans_.end()) {
+    auto composite = query::Parser::Parse(*native);
+    if (!composite.ok()) {
+      ++stats_.parse_failures;
+      Fail(envelope, ctx, composite.status().ToString());
+      return;
+    }
+    if (plans_.size() >= kMaxPlans) plans_.clear();
+    planned = plans_.emplace(*native, MakePlan(*native, *composite)).first;
+    ++stats_.plans;
   }
+  const Plan& plan = planned->second;
 
   const std::uint64_t request_id = RequestIdOf(message);
   const net::Address client = message.Header(net::hdr::kReplyTo);
 
   // Expand QoS duplicates: each basic alternative is sent to `fanout`
   // distinct pool managers; the reintegrator keeps the best answer.
-  const auto& alternatives = composite->alternatives();
-  const std::size_t fragment_count =
-      alternatives.size() * config_.qos_fanout;
+  const std::size_t fragment_count = plan.size() * config_.qos_fanout;
   ctx.Consume(config_.costs.qm_per_fragment *
               static_cast<SimDuration>(fragment_count));
 
@@ -91,61 +98,75 @@ void QueryManager::HandleQuery(const net::Envelope& envelope,
   if (aggregated) ++stats_.composites;
 
   const auto total = static_cast<std::uint32_t>(fragment_count);
-  std::vector<net::Address> used_pms;
+  const net::Address& reply_to = aggregated ? config_.reintegrator : client;
+  const bool fan_out = config_.qos_fanout > 1;
+  std::vector<net::Address> used_pms;  // QoS duplicates only
+  std::vector<net::Address> unused;
   std::uint32_t index = 0;
-  for (const query::Query& alternative : alternatives) {
-    // Per-alternative state, shared by the QoS duplicates. Fragment
-    // coordinates and the sched hints ride on headers (§6 — the parsed
-    // state travels with the message), so a basic query reuses the
-    // incoming text verbatim and a composite serializes each
-    // alternative exactly once.
-    const std::string body =
-        composite->IsBasic() ? std::move(native) : alternative.ToText();
-    const auto base_candidates = CandidatePms(alternative);
+  for (const PlannedAlternative& alternative : plan) {
+    // Fragment coordinates and the sched hints ride on headers (§6 —
+    // the parsed state travels with the message).
     for (std::uint32_t dup = 0; dup < config_.qos_fanout; ++dup, ++index) {
-      if (base_candidates.empty()) {
+      if (alternative.candidates.empty()) {
         ++stats_.routing_failures;
-        const net::Address target =
-            aggregated ? config_.reintegrator : client;
-        if (!target.empty()) {
+        if (!reply_to.empty()) {
           net::Message failure = MakeFailureMessage(
               request_id, "no pool manager configured for this query",
               index, aggregated ? total : 1);
           if (aggregated) failure.SetHeader(phdr::kFinalReplyTo, client);
-          ctx.Send(target, std::move(failure));
+          ctx.Send(reply_to, std::move(failure));
         }
         continue;
       }
       // Spread QoS duplicates over distinct pool managers when possible.
-      auto candidates = base_candidates;
-      if (config_.qos_fanout > 1 && candidates.size() > 1) {
-        std::vector<net::Address> unused;
-        for (const auto& c : candidates) {
+      const std::vector<net::Address>* candidates = &alternative.candidates;
+      if (fan_out && candidates->size() > 1) {
+        unused.clear();
+        for (const auto& c : *candidates) {
           if (std::find(used_pms.begin(), used_pms.end(), c) ==
               used_pms.end()) {
             unused.push_back(c);
           }
         }
-        if (!unused.empty()) candidates = std::move(unused);
+        if (!unused.empty()) candidates = &unused;
       }
-      const net::Address pm = PickPm(candidates, ctx);
-      used_pms.push_back(pm);
+      const net::Address& pm = PickPm(*candidates, ctx);
+      if (fan_out) used_pms.push_back(pm);
 
       net::Message out{net::msg::kQuery};
-      out.headers = message.headers;
-      out.SetHeader(net::hdr::kReplyTo,
-                    aggregated ? config_.reintegrator : client);
+      out.headers.reserve(message.headers.size() + 3 +
+                          alternative.hints.size());
+      out.headers.assign(message.headers.begin(), message.headers.end());
+      out.SetHeader(net::hdr::kReplyTo, reply_to);
       out.SetHeader(phdr::kFinalReplyTo, client);
       if (aggregated) {
         out.SetHeader(phdr::kFragment,
                       std::to_string(index) + "/" + std::to_string(total));
       }
-      StampSchedHints(alternative, &out);
-      out.body = body;
+      for (const auto& [key, value] : alternative.hints) {
+        out.SetHeader(key, value);
+      }
+      out.body = alternative.body;
       ctx.Send(pm, std::move(out));
       ++stats_.fragments;
     }
   }
+}
+
+QueryManager::Plan QueryManager::MakePlan(
+    const std::string& native, const query::CompositeQuery& composite) const {
+  Plan plan;
+  plan.reserve(composite.size());
+  for (const query::Query& alternative : composite.alternatives()) {
+    // StampSchedHints stays the only renderer of the hints: it stamps a
+    // scratch message whose headers are replayed onto every fragment.
+    net::Message hints;
+    StampSchedHints(alternative, &hints);
+    plan.push_back(PlannedAlternative{
+        composite.IsBasic() ? native : alternative.ToText(),
+        CandidatePms(alternative), std::move(hints.headers)});
+  }
+  return plan;
 }
 
 std::vector<net::Address> QueryManager::CandidatePms(
@@ -160,8 +181,8 @@ std::vector<net::Address> QueryManager::CandidatePms(
   return config_.default_pool_managers;
 }
 
-net::Address QueryManager::PickPm(const std::vector<net::Address>& candidates,
-                                  net::NodeContext& ctx) {
+const net::Address& QueryManager::PickPm(
+    const std::vector<net::Address>& candidates, net::NodeContext& ctx) {
   if (candidates.size() == 1) return candidates.front();
   return candidates[ctx.rng().NextBounded(candidates.size())];
 }

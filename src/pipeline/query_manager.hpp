@@ -5,6 +5,13 @@
 // random — stamps each fragment's sched hints, and forwards it.
 // Composite fragments and QoS fan-out duplicates are aggregated by a
 // Reintegrator stage.
+//
+// Clients draw their texts from a small set (one per cluster), so the
+// host work that depends only on the native text (parse, decompose,
+// rule matching, rendering the sched hints) is done once per distinct
+// text and kept in a bounded plan memo. The simulated cost of that work
+// is charged on every query all the same (qm_translate and
+// qm_per_fragment), so the memo changes no simulated output.
 #pragma once
 
 #include <functional>
@@ -53,6 +60,9 @@ struct QueryManagerStats {
   std::uint64_t translation_failures = 0;
   std::uint64_t parse_failures = 0;
   std::uint64_t routing_failures = 0;
+  // Native texts parsed into a plan (memo misses; parse failures are
+  // not memoized and count under parse_failures).
+  std::uint64_t plans = 0;
 };
 
 class QueryManager final : public net::Node {
@@ -68,16 +78,34 @@ class QueryManager final : public net::Node {
   [[nodiscard]] const QueryManagerStats& stats() const { return stats_; }
 
  private:
+  // One basic alternative of a native text, ready to forward: the body
+  // (the text itself for a basic query, the alternative's ToText() for a
+  // composite), the pool managers it may go to, and its sched-hint
+  // headers as StampSchedHints renders them.
+  struct PlannedAlternative {
+    std::string body;
+    std::vector<net::Address> candidates;
+    net::Message::HeaderList hints;
+  };
+  using Plan = std::vector<PlannedAlternative>;
+  // Chaos and fuzz inputs bring unbounded distinct texts: a full memo is
+  // cleared, not grown.
+  static constexpr std::size_t kMaxPlans = 4096;
+
   void HandleQuery(const net::Envelope& envelope, net::NodeContext& ctx);
+  [[nodiscard]] Plan MakePlan(const std::string& native,
+                              const query::CompositeQuery& composite) const;
   [[nodiscard]] std::vector<net::Address> CandidatePms(
       const query::Query& q) const;
-  net::Address PickPm(const std::vector<net::Address>& candidates,
-                      net::NodeContext& ctx);
+  const net::Address& PickPm(const std::vector<net::Address>& candidates,
+                             net::NodeContext& ctx);
   void Fail(const net::Envelope& envelope, net::NodeContext& ctx,
             const std::string& reason);
 
   QueryManagerConfig config_;
   std::unordered_map<std::string, Translator> translators_;
+  // Keyed by the native text, after translation.
+  std::unordered_map<std::string, Plan> plans_;
   QueryManagerStats stats_;
 };
 

@@ -286,11 +286,12 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
 
 void ResourcePool::HandleRelease(const net::Envelope& envelope,
                                  net::NodeContext& ctx) {
-  const net::Message& message = envelope.message;
-  const std::string session = message.Header(net::hdr::kSessionKey);
+  const std::string* session =
+      envelope.message.FindHeader(net::hdr::kSessionKey);
   ctx.Consume(config_.costs.pool_fixed / 2);
 
-  const auto it = sessions_.find(session);
+  const auto it =
+      session == nullptr ? sessions_.end() : sessions_.find(*session);
   if (it == sessions_.end()) {
     ACTYP_DEBUG << "pool '" << config_.pool_name
                 << "': release for unknown session";
@@ -303,13 +304,13 @@ void ResourcePool::HandleRelease(const net::Envelope& envelope,
   TouchIndex(index);
   if (auto* accounts = meta_[index].shadow_accounts;
       accounts != nullptr && shadow_uid.has_value()) {
-    accounts->Release(*shadow_uid, session);
+    accounts->Release(*shadow_uid, *session);
   }
   sessions_.erase(it);
   ++stats_.releases;
   if (config_.recorder != nullptr) {
     config_.recorder->Record(ctx.Now(), obs::FlightKind::kPoolRelease, 0,
-                             ctx.self(), "session " + session);
+                             ctx.self(), "session " + *session);
   }
 }
 
@@ -438,7 +439,9 @@ void ResourcePool::Resort(net::NodeContext& ctx) {
 
 std::string ResourcePool::MakeSessionKey(net::NodeContext& ctx) {
   static const char kHex[] = "0123456789abcdef";
-  std::string key = "sess-";
+  std::string key;
+  key.reserve(37);  // "sess-" and 32 hex digits
+  key = "sess-";
   for (int i = 0; i < 4; ++i) {
     std::uint64_t word = ctx.rng().Next();
     for (int j = 0; j < 8; ++j) {

@@ -212,6 +212,7 @@ void ClientNode::SendNextQuery(net::NodeContext& ctx) {
 // header added to queries can never diverge between the two paths.
 void ClientNode::PostInflightQuery(net::NodeContext& ctx) {
   net::Message query{net::msg::kQuery};
+  query.headers.reserve(2);
   query.SetHeader(net::hdr::kReplyTo, ctx.self());
   query.SetHeader(net::hdr::kRequestId, std::to_string(inflight_request_));
   query.body = inflight_body_;

@@ -96,17 +96,29 @@ void BuildFleet(const FleetSpec& spec, Rng& rng,
   }
 }
 
-std::string QueryGenerator::Next(Rng& rng) const {
+QueryGenerator::QueryGenerator(QuerySpec spec) : spec_(std::move(spec)) {
+  const std::size_t clusters = std::max<std::size_t>(1, spec_.cluster_count);
+  std::vector<std::string> texts;
+  texts.reserve(clusters);
+  for (std::size_t c = 0; c < clusters; ++c) texts.push_back(Render(c));
+  texts_ = std::make_shared<const std::vector<std::string>>(std::move(texts));
+}
+
+const std::string& QueryGenerator::Next(Rng& rng) const {
   std::size_t cluster;
   if (spec_.hot_fraction > 0.0 && rng.Bernoulli(spec_.hot_fraction)) {
     cluster = 0;
   } else {
-    cluster = rng.NextBounded(std::max<std::size_t>(1, spec_.cluster_count));
+    cluster = rng.NextBounded(texts_->size());
   }
-  return ForCluster(cluster);
+  return (*texts_)[cluster];
 }
 
 std::string QueryGenerator::ForCluster(std::size_t c) const {
+  return c < texts_->size() ? (*texts_)[c] : Render(c);
+}
+
+std::string QueryGenerator::Render(std::size_t c) const {
   std::string text;
   text += "punch.rsrc.cluster = c" + std::to_string(c) + "\n";
   if (spec_.include_memory_constraint) {

@@ -5,10 +5,12 @@
 // Figs. 4-8 aggregate by cluster), with realistic architecture, memory,
 // and speed distributions plus shadow-account pools.
 //
-// QueryTemplate renders queries that stripe randomly across clusters
-// ("client queries were distributed randomly across pools").
+// QueryGenerator draws queries that stripe randomly across clusters
+// ("client queries were distributed randomly across pools"), from one
+// text per cluster rendered once.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,16 +63,24 @@ struct QuerySpec {
 
 class QueryGenerator {
  public:
-  explicit QueryGenerator(QuerySpec spec) : spec_(std::move(spec)) {}
+  // Renders every cluster's text once, into a table that copies of the
+  // generator share.
+  explicit QueryGenerator(QuerySpec spec);
 
-  // Renders one query; the target cluster is sampled from `rng`.
-  [[nodiscard]] std::string Next(Rng& rng) const;
+  // One query; the target cluster is sampled from `rng`. The text lives
+  // as long as the generator or any copy of it.
+  [[nodiscard]] const std::string& Next(Rng& rng) const;
 
-  // The query that aggregates cluster `c` (used to pre-create pools).
+  // The query that aggregates cluster `c` (used to pre-create pools);
+  // a cluster past the spec's count is rendered on demand.
   [[nodiscard]] std::string ForCluster(std::size_t c) const;
 
  private:
+  [[nodiscard]] std::string Render(std::size_t c) const;
+
   QuerySpec spec_;
+  // Cluster c's text at index c, for c < max(1, cluster_count).
+  std::shared_ptr<const std::vector<std::string>> texts_;
 };
 
 }  // namespace actyp::workload

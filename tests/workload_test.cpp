@@ -168,6 +168,44 @@ TEST(QueryGen, OptionalMemoryConstraint) {
   EXPECT_EQ(q->GetRsrc("memory")->value.text(), "128");
 }
 
+// Next draws from the pre-rendered table exactly as a hand-drawn
+// reference over ForCluster does: the same texts and the same RNG draws,
+// with and without the hot-cluster bias.
+TEST(QueryGen, NextMatchesHandDrawnReference) {
+  for (const double hot : {0.0, 0.3}) {
+    QuerySpec spec;
+    spec.cluster_count = 5;
+    spec.hot_fraction = hot;
+    const QueryGenerator generator(spec);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      Rng reference(seed);
+      for (int i = 0; i < 500; ++i) {
+        const std::size_t cluster =
+            (hot > 0.0 && reference.Bernoulli(hot))
+                ? 0
+                : reference.NextBounded(spec.cluster_count);
+        ASSERT_EQ(generator.Next(rng), generator.ForCluster(cluster))
+            << "hot " << hot << ", seed " << seed << ", query " << i;
+      }
+      EXPECT_EQ(rng.Next(), reference.Next()) << "hot " << hot
+                                              << ", seed " << seed;
+    }
+  }
+}
+
+TEST(QueryGen, ForClusterRendersPastTheTable) {
+  QuerySpec spec;
+  spec.cluster_count = 2;
+  const QueryGenerator generator(spec);
+  EXPECT_EQ(generator.ForCluster(1),
+            "punch.rsrc.cluster = c1\npunch.user.login = client\n"
+            "punch.user.accessgroup = ece\n");
+  EXPECT_EQ(generator.ForCluster(7),
+            "punch.rsrc.cluster = c7\npunch.user.login = client\n"
+            "punch.user.accessgroup = ece\n");
+}
+
 // --- response collector ---
 
 TEST(Collector, AggregatesAndResets) {
