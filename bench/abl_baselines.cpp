@@ -20,9 +20,9 @@ namespace {
 
 // Assembles fleet + baseline scheduler + clients on the standard
 // topology and measures client response time.
-bench::CellMetrics RunBaseline(const std::string& kind,
-                               std::size_t machines, std::size_t clients,
-                               std::uint64_t seed, double time_scale) {
+CellMetrics RunBaseline(const std::string& kind, std::size_t machines,
+                        std::size_t clients, std::uint64_t seed,
+                        double time_scale) {
   simnet::SimKernel kernel;
   simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), seed);
   network.AddHost("alpha", 12);
@@ -69,38 +69,28 @@ bench::CellMetrics RunBaseline(const std::string& kind,
   collector.Reset();
   kernel.RunUntil(Seconds(18 * time_scale));
 
-  bench::CellMetrics metrics;
+  CellMetrics metrics;
   metrics.AddResponse(collector);
   return metrics;
 }
 
 ScenarioReport RunAblBaselines(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "abl_baselines";
-  report.title = "Ablation — ActYP pipeline vs centralized baselines";
   const std::size_t machines = options.machines.value_or(3200);
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(options,
+                     "Ablation — ActYP pipeline vs centralized baselines");
   for (const std::size_t clients :
        bench::SweepOr(options.clients, {8, 32, 64})) {
-    {
-      ScenarioConfig config;
-      config.machines = machines;
-      config.clusters = 4;
-      config.clients = clients;
-      config.seed = bench::CellSeed(options, 100, clients);
-      tasks.push_back([config = std::move(config), &options, clients] {
-        const auto metrics =
-            bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
-                           bench::ScaledSeconds(options, 15));
-        ScenarioCell cell;
-        cell.labels.emplace_back("system", "actyp");
-        cell.dims.emplace_back("clients", static_cast<double>(clients));
-        metrics.Select(bench::kStandard, &cell);
-        return cell;
-      });
-    }
+    ScenarioConfig config;
+    config.machines = machines;
+    config.clusters = 4;
+    config.clients = clients;
+    config.seed = bench::CellSeed(options, 100, clients);
+    ScenarioCell row;
+    row.labels.emplace_back("system", "actyp");
+    row.dims.emplace_back("clients", static_cast<double>(clients));
+    sweep.Add(std::move(config), std::move(row), kStandard);
     for (const char* kind : {"central", "matchmaker"}) {
-      tasks.push_back([kind, machines, clients, &options] {
+      sweep.Add([kind, machines, clients, &options] {
         const auto metrics =
             RunBaseline(kind, machines, clients,
                         bench::CellSeed(options, 200, clients),
@@ -108,19 +98,17 @@ ScenarioReport RunAblBaselines(const ScenarioRunOptions& options) {
         ScenarioCell cell;
         cell.labels.emplace_back("system", kind);
         cell.dims.emplace_back("clients", static_cast<double>(clients));
-        metrics.Select(bench::kResponse, &cell);
+        metrics.Select(kResponse, &cell);
         return cell;
       });
     }
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: ActYP's pooled, decentralized scan beats the "
       "centralized full-database scan as clients grow, and beats the "
       "matchmaker's negotiation-cycle latency floor (>= one 5s cycle for "
       "closed-loop clients) by orders of magnitude for the short jobs "
-      "PUNCH serves.";
-  return report;
+      "PUNCH serves.");
 }
 
 const ScenarioRegistrar kRegistrar(

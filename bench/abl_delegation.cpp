@@ -29,13 +29,11 @@ struct Probe final : net::Node {
 };
 
 ScenarioReport RunAblDelegation(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "abl_delegation";
-  report.title = "Ablation — delegation chains (TTL walk to failure)";
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(options,
+                     "Ablation — delegation chains (TTL walk to failure)");
   for (const int peers : {4, 8, 16}) {
     for (const int ttl : {2, 4, 8, 16}) {
-      tasks.push_back([peers, ttl, &options] {
+      sweep.Add([peers, ttl, &options] {
         // Declared before the network so it outlives the pool-manager
         // nodes holding a pointer to it.
         profile::StageProfiler profiler;
@@ -78,7 +76,7 @@ ScenarioReport RunAblDelegation(const ScenarioRunOptions& options) {
                                   ToMillis(probe->failed_at));
         if (options.profile) {
           // Only the pool-manager hop exists in this micro-topology.
-          bench::CellMetrics stages;
+          CellMetrics stages;
           stages.AddStages(profiler);
           stages.Select(
               {"pm_delegate_p50_s", "pm_delegate_p95_s", "pm_delegate_p99_s"},
@@ -88,12 +86,10 @@ ScenarioReport RunAblDelegation(const ScenarioRunOptions& options) {
       });
     }
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: time-to-failure grows with min(ttl, peers); with few "
       "peers the visited list terminates the walk, with many peers the TTL "
-      "does — queries can never circulate forever.";
-  return report;
+      "does — queries can never circulate forever.");
 }
 
 const ScenarioRegistrar kRegistrar(

@@ -9,10 +9,8 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunAblQosFanout(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "abl_qos_fanout";
-  report.title = "Ablation — QoS fan-out (best-of-N duplicates)";
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(options,
+                    "Ablation — QoS fan-out (best-of-N duplicates)");
   for (const std::uint32_t fanout : {1u, 2u, 4u}) {
     ScenarioConfig config;
     config.machines = options.machines.value_or(1600);
@@ -22,22 +20,14 @@ ScenarioReport RunAblQosFanout(const ScenarioRunOptions& options) {
     config.qos_fanout = fanout;
     config.clients = options.clients.value_or(8);
     config.seed = bench::CellSeed(options, 4242, fanout);
-    tasks.push_back([config = std::move(config), &options, fanout] {
-      const auto metrics =
-          bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
-                         bench::ScaledSeconds(options, 20));
-      ScenarioCell cell;
-      cell.dims.emplace_back("fanout", static_cast<double>(fanout));
-      metrics.Select(bench::kStandard, &cell);
-      return cell;
-    });
+    ScenarioCell row;
+    row.dims.emplace_back("fanout", static_cast<double>(fanout));
+    sweep.Add(std::move(config), std::move(row), kStandard, 3, 20);
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: fan-out trades aggregate work for tail latency — the "
       "p95 narrows toward the p50 as N grows, while total pool work (and "
-      "released duplicates) increases.";
-  return report;
+      "released duplicates) increases.");
 }
 
 const ScenarioRegistrar kRegistrar(

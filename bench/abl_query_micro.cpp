@@ -54,7 +54,6 @@ std::pair<double, double> TimeOp(Op&& op, double min_seconds) {
 
 ScenarioReport RunAblQueryMicro(const ScenarioRunOptions& options) {
   ScenarioReport report;
-  report.scenario = "abl_query_micro";
   report.title = "Ablation — query-language microbenchmarks";
 
   // --time-scale shrinks/stretches the per-op timing budget.

@@ -9,48 +9,42 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunAblSchedPolicy(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "abl_sched_policy";
-  report.title = "Ablation — scheduling policy under held jobs";
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(options, "Ablation — scheduling policy under held jobs");
   for (const char* policy :
        {"least-load", "linear-least-load", "most-memory", "fastest",
         "round-robin", "random"}) {
-    tasks.push_back([policy, &options] {
-      ScenarioConfig config;
-      // Demand exceeds supply: 48 closed-loop clients holding ~8s jobs
-      // on 40 machines, so placement quality shows up as forced
-      // oversubscription and response-time spread.
-      config.machines = options.machines.value_or(40);
-      config.clusters = 1;
-      config.clients = options.clients.value_or(48);
-      config.policy = policy;
-      config.seed = options.seed.value_or(31337);
-      config.job_duration = [](Rng& rng) {
-        return static_cast<SimDuration>(rng.Exponential(8e6));
-      };
-      const auto metrics =
-          bench::RunCell(config, options, bench::ScaledSeconds(options, 5),
-                         bench::ScaledSeconds(options, 60));
-      ScenarioCell cell;
-      cell.labels.emplace_back("policy", policy);
-      metrics.Select({"mean_s", "p95_s", "completed", "oversubscribed",
-                      "entries_examined"},
-                     &cell);
-      metrics.Select(bench::kStages, &cell);
-      return cell;
-    });
+    ScenarioConfig config;
+    // Demand exceeds supply: 48 closed-loop clients holding ~8s jobs on
+    // 40 machines, so placement quality shows up as forced
+    // oversubscription and response-time spread.
+    config.machines = options.machines.value_or(40);
+    config.clusters = 1;
+    config.clients = options.clients.value_or(48);
+    config.policy = policy;
+    config.seed = options.seed.value_or(31337);
+    config.job_duration = [](Rng& rng) {
+      return static_cast<SimDuration>(rng.Exponential(8e6));
+    };
+    ScenarioCell row;
+    row.labels.emplace_back("policy", policy);
+    sweep.Add(
+        std::move(config), std::move(row),
+        [](const CellMetrics& metrics, ScenarioCell* cell) {
+          metrics.Select({"mean_s", "p95_s", "completed", "oversubscribed",
+                          "entries_examined"},
+                         cell);
+          metrics.Select(kStages, cell);
+        },
+        5, 60);
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: at saturation every policy is forced to oversubscribe "
       "occasionally and throughput converges (the load ceiling in "
       "Eligible() equalizes placement); the residual difference is "
       "per-query scan cost — round-robin/random stop at the first eligible "
       "machine and linear-least-load examines the whole cache, while the "
       "indexed least-load answers the same allocations in near-constant "
-      "entries_examined.";
-  return report;
+      "entries_examined.");
 }
 
 const ScenarioRegistrar kRegistrar(

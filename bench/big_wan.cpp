@@ -16,14 +16,11 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunBigWan(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "big_wan";
-  report.title =
-      "big WAN — 8-site LP-parallel deployment, 40k machines, "
-      "linear least-load";
   const std::size_t machines = options.machines.value_or(40000);
   const std::size_t clients = options.clients.value_or(96);
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(options,
+                     "big WAN — 8-site LP-parallel deployment, 40k machines, "
+                     "linear least-load");
   ScenarioConfig config;
   config.machines = machines;
   config.clusters = 32;
@@ -33,24 +30,16 @@ ScenarioReport RunBigWan(const ScenarioRunOptions& options) {
   config.clients = clients;
   config.policy = "linear-least-load";
   config.seed = bench::CellSeed(options, 910000, 0);
-  tasks.push_back([config = std::move(config), &options, machines, clients] {
-    const auto metrics =
-        bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
-                       bench::ScaledSeconds(options, 15));
-    ScenarioCell cell;
-    cell.dims.emplace_back("sites", 8.0);
-    cell.dims.emplace_back("machines", static_cast<double>(machines));
-    cell.dims.emplace_back("clients", static_cast<double>(clients));
-    metrics.Select(bench::kStandard | bench::kEngine, &cell);
-    return cell;
-  });
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  ScenarioCell row;
+  row.dims.emplace_back("sites", 8.0);
+  row.dims.emplace_back("machines", static_cast<double>(machines));
+  row.dims.emplace_back("clients", static_cast<double>(clients));
+  sweep.Add(std::move(config), std::move(row), kStandard | kEngine);
+  return sweep.Run(
       "shape check: completed > 0 with failures 0 on the healthy "
       "network; the report (and --trace-out) is byte-identical for any "
       "--cell-jobs value, and wall clock scales down with workers until "
-      "the 8 LPs are saturated.";
-  return report;
+      "the 8 LPs are saturated.");
 }
 
 const ScenarioRegistrar kRegistrar(

@@ -17,7 +17,6 @@ namespace {
 
 ScenarioReport RunChaosCell(const ScenarioRunOptions& options) {
   ScenarioReport report;
-  report.scenario = "chaos_cell";
   report.title = "Chaos — single trial replay (regime x fault plan x seed)";
 
   chaos::ChaosTrial trial;
@@ -51,17 +50,9 @@ ScenarioReport RunChaosCell(const ScenarioRunOptions& options) {
   cell.labels.emplace_back("seed", std::to_string(trial.seed));
   cell.dims.emplace_back("events",
                          static_cast<double>(trial.plan.events.size()));
-  cell.metrics.emplace_back("mean_s", outcome.mean_s);
-  cell.metrics.emplace_back("p50_s", outcome.p50_s);
-  cell.metrics.emplace_back("p95_s", outcome.p95_s);
-  cell.metrics.emplace_back("completed",
-                            static_cast<double>(outcome.completed));
-  cell.metrics.emplace_back("failures",
-                            static_cast<double>(outcome.failures));
-  cell.metrics.emplace_back("success_rate", outcome.success_rate);
-  cell.metrics.emplace_back("lost", static_cast<double>(outcome.lost));
-  cell.metrics.emplace_back("retries",
-                            static_cast<double>(outcome.retries));
+  outcome.metrics.Select({"mean_s", "p50_s", "p95_s", "completed",
+                          "failures", "success_rate", "lost", "retries"},
+                         &cell);
   cell.metrics.emplace_back("violations",
                             static_cast<double>(outcome.violations.size()));
   report.cells.push_back(std::move(cell));

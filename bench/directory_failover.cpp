@@ -11,9 +11,6 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunDirectoryFailover(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "directory_failover";
-  report.title = "Replica — directory failover under churn (LAN)";
   const std::size_t machines = options.machines.value_or(800);
   const std::size_t clients = options.clients.value_or(16);
   const double ts = options.time_scale;
@@ -29,8 +26,8 @@ ScenarioReport RunDirectoryFailover(const ScenarioRunOptions& options) {
       {"replica_churn", 3, true},  // crash/restore replicas under churn
   };
 
+  bench::Sweep sweep(options, "Replica — directory failover under churn (LAN)");
   int index = 0;
-  std::vector<bench::CellTask> tasks;
   for (const Regime& regime : regimes) {
     if (options.replicas && *options.replicas != regime.replicas) continue;
     ScenarioConfig config;
@@ -68,29 +65,20 @@ ScenarioReport RunDirectoryFailover(const ScenarioRunOptions& options) {
                                   static_cast<std::uint64_t>(index) * 100 +
                                       clients);
     ++index;
-    tasks.push_back([config = std::move(config), &options, regime] {
-      const auto metrics = bench::RunCell(
-          config, options, bench::ScaledSeconds(options, 3),
-          bench::ScaledSeconds(options, 15));
-      ScenarioCell cell;
-      cell.labels.emplace_back("regime", regime.label);
-      cell.dims.emplace_back("replicas",
-                             static_cast<double>(regime.replicas));
-      metrics.Select(bench::kStandard | bench::kFault | bench::kReplica,
-                     &cell);
-      return cell;
-    });
+    ScenarioCell row;
+    row.labels.emplace_back("regime", regime.label);
+    row.dims.emplace_back("replicas", static_cast<double>(regime.replicas));
+    sweep.Add(std::move(config), std::move(row),
+              kStandard | kFault | kReplica);
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: replica churn triggers failovers (replica 0 — the "
       "preferred LAN replica — is crashed under every seed, so reads are "
       "served by a survivor) and full_syncs (restored replicas refill "
       "via snapshot: the tiny 8-op journal guarantees the survivors' "
       "floors outrun an empty version vector) while success_rate stays "
       "close to the churn-only regime — the failover path, not the "
-      "clients, absorbs the directory faults.";
-  return report;
+      "clients, absorbs the directory faults.");
 }
 
 const ScenarioRegistrar kRegistrar(

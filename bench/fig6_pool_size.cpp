@@ -8,10 +8,8 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunFig6(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "fig6_pool_size";
-  report.title = "Fig. 6 — response time vs clients for pool sizes";
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(options,
+                    "Fig. 6 — response time vs clients for pool sizes");
   for (const std::size_t machines :
        bench::SweepOr(options.machines, {800, 1600, 3200})) {
     for (const std::size_t clients : bench::SweepOr(
@@ -21,25 +19,16 @@ ScenarioReport RunFig6(const ScenarioRunOptions& options) {
       config.clusters = 1;  // a single pool of the given size
       config.clients = clients;
       config.seed = bench::CellSeed(options, 6000, machines + clients);
-      tasks.push_back(
-          [config = std::move(config), &options, machines, clients] {
-            const auto metrics = bench::RunCell(
-                config, options, bench::ScaledSeconds(options, 3),
-                bench::ScaledSeconds(options, 15));
-            ScenarioCell cell;
-            cell.dims.emplace_back("machines", static_cast<double>(machines));
-            cell.dims.emplace_back("clients", static_cast<double>(clients));
-            metrics.Select(bench::kStandard, &cell);
-            return cell;
-          });
+      ScenarioCell row;
+      row.dims.emplace_back("machines", static_cast<double>(machines));
+      row.dims.emplace_back("clients", static_cast<double>(clients));
+      sweep.Add(std::move(config), std::move(row), kStandard);
     }
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: for each pool size the response time grows linearly "
       "with the number of clients (single-server queue, linear scan); the "
-      "slope grows with pool size (scan cost per query ~ machines).";
-  return report;
+      "slope grows with pool size (scan cost per query ~ machines).");
 }
 
 const ScenarioRegistrar kRegistrar(

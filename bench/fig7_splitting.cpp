@@ -8,11 +8,8 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunFig7(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "fig7_splitting";
-  report.title = "Fig. 7 — splitting a 3,200-machine pool";
   const std::size_t machines = options.machines.value_or(3200);
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(options, "Fig. 7 — splitting a 3,200-machine pool");
   for (const std::uint32_t segments : {1u, 2u, 4u}) {
     for (const std::size_t clients : bench::SweepOr(
              options.clients, {1, 10, 20, 30, 40, 50, 60, 70})) {
@@ -22,25 +19,16 @@ ScenarioReport RunFig7(const ScenarioRunOptions& options) {
       config.pool_segments = segments;
       config.clients = clients;
       config.seed = bench::CellSeed(options, 7000, segments * 100 + clients);
-      tasks.push_back(
-          [config = std::move(config), &options, segments, clients] {
-            const auto metrics = bench::RunCell(
-                config, options, bench::ScaledSeconds(options, 3),
-                bench::ScaledSeconds(options, 15));
-            ScenarioCell cell;
-            cell.dims.emplace_back("segments", static_cast<double>(segments));
-            cell.dims.emplace_back("clients", static_cast<double>(clients));
-            metrics.Select(bench::kStandard, &cell);
-            return cell;
-          });
+      ScenarioCell row;
+      row.dims.emplace_back("segments", static_cast<double>(segments));
+      row.dims.emplace_back("clients", static_cast<double>(clients));
+      sweep.Add(std::move(config), std::move(row), kStandard);
     }
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: splitting improves response time at every client "
       "count; 4x800 beats 2x1600 beats 1x3200 (concurrent partial scans, "
-      "paper Fig. 7).";
-  return report;
+      "paper Fig. 7).");
 }
 
 const ScenarioRegistrar kRegistrar(

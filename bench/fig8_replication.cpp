@@ -14,11 +14,8 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunFig8(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "fig8_replication";
-  report.title = "Fig. 8 — replicating a 3,200-machine pool";
   const std::size_t machines = options.machines.value_or(3200);
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(options, "Fig. 8 — replicating a 3,200-machine pool");
   for (const bool replicated_dir : {false, true}) {
     // --replicas pins the directory dimension: 1 keeps only the seed
     // (single-directory) cells, >1 only the replicated ones — the label
@@ -49,33 +46,23 @@ ScenarioReport RunFig8(const ScenarioRunOptions& options) {
             bench::CellSeed(options, 8000,
                             (replicated_dir ? 10000 : 0) + replicas * 100 +
                                 clients);
-        tasks.push_back([config = std::move(config), &options, replicas,
-                         clients, replicated_dir] {
-          const auto metrics = bench::RunCell(
-              config, options, bench::ScaledSeconds(options, 3),
-              bench::ScaledSeconds(options, 15));
-          ScenarioCell cell;
-          cell.labels.emplace_back("directory",
-                                   replicated_dir ? "replicated" : "single");
-          cell.dims.emplace_back("replicas", static_cast<double>(replicas));
-          cell.dims.emplace_back("clients", static_cast<double>(clients));
-          metrics.Select(replicated_dir ? bench::kStandard | bench::kReplica
-                                        : bench::kStandard,
-                         &cell);
-          return cell;
-        });
+        ScenarioCell row;
+        row.labels.emplace_back("directory",
+                                replicated_dir ? "replicated" : "single");
+        row.dims.emplace_back("replicas", static_cast<double>(replicas));
+        row.dims.emplace_back("clients", static_cast<double>(clients));
+        sweep.Add(std::move(config), std::move(row),
+                  replicated_dir ? kStandard | kReplica : kStandard);
       }
     }
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: replication improves throughput for a fixed machine "
       "set — the response-time-vs-clients slope drops roughly with the "
       "number of concurrent pool processes (paper Fig. 8); the "
       "replicated-directory cells track the seed curves with a small "
       "constant anti-entropy overhead (sync_bytes), the fig8 claim that "
-      "yellow-pages replication does not cost scheduling quality.";
-  return report;
+      "yellow-pages replication does not cost scheduling quality.");
 }
 
 const ScenarioRegistrar kRegistrar(

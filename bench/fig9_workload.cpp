@@ -20,7 +20,6 @@ constexpr int kPaperRuns = 236222;  // the paper's sample count
 
 ScenarioReport RunFig9(const ScenarioRunOptions& options) {
   ScenarioReport report;
-  report.scenario = "fig9_workload";
   report.title = "Fig. 9 — CPU-time distribution of synthetic PUNCH runs";
 
   // Clamp in the double domain: a huge --time-scale must not overflow

@@ -13,15 +13,13 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunOndemandChurn(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "ondemand_churn";
-  report.title =
-      "Fault — on-demand pool creation under pool churn, 4 categories (LAN)";
   const std::size_t machines = options.machines.value_or(1600);
   const std::size_t clients = options.clients.value_or(16);
 
+  bench::Sweep sweep(
+      options,
+      "Fault — on-demand pool creation under pool churn, 4 categories (LAN)");
   int index = 0;
-  std::vector<bench::CellTask> tasks;
   for (const double rate : {0.0, 0.2, 0.5, 1.0}) {
     ScenarioConfig config;
     config.machines = machines;
@@ -34,25 +32,20 @@ ScenarioReport RunOndemandChurn(const ScenarioRunOptions& options) {
                                   static_cast<std::uint64_t>(index) * 100 +
                                       clients);
     ++index;
-    tasks.push_back([config = std::move(config), &options, rate] {
-      const auto metrics =
-          bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
-                         bench::ScaledSeconds(options, 15));
-      ScenarioCell cell;
-      cell.dims.emplace_back("rate", rate);
-      metrics.Select(bench::kStandard | bench::kFault, &cell);
-      metrics.Select({"pools_created"}, &cell);
-      return cell;
-    });
+    ScenarioCell row;
+    row.dims.emplace_back("rate", rate);
+    sweep.Add(std::move(config), std::move(row),
+              [](const CellMetrics& metrics, ScenarioCell* cell) {
+                metrics.Select(kStandard | kFault, cell);
+                metrics.Select({"pools_created"}, cell);
+              });
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: rate=0 pays only the cold-start burst (queries racing "
       "an unbuilt category can spawn duplicate replicas); under churn every "
       "kill is followed by an on-demand rebuild, and success rate dips only "
       "for the queries in flight during one — on-demand aggregation makes "
-      "pool death a transient, not an outage.";
-  return report;
+      "pool death a transient, not an outage.");
 }
 
 const ScenarioRegistrar kRegistrar(

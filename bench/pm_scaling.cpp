@@ -11,12 +11,10 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunPmScaling(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "pm_scaling";
-  report.title =
-      "PM scaling — pool managers vs response time, indexed least-load";
   const std::size_t machines = options.machines.value_or(1600);
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(
+      options,
+      "PM scaling — pool managers vs response time, indexed least-load");
   for (const std::size_t clients :
        bench::SweepOr(options.clients, {16, 64})) {
     for (const std::size_t pms : {1, 2, 4, 8}) {
@@ -28,25 +26,17 @@ ScenarioReport RunPmScaling(const ScenarioRunOptions& options) {
       config.clients = clients;
       config.policy = "least-load";  // the indexed fast path
       config.seed = bench::CellSeed(options, 220000, pms * 1000 + clients);
-      tasks.push_back([config = std::move(config), &options, pms, clients] {
-        const auto metrics =
-            bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
-                           bench::ScaledSeconds(options, 15));
-        ScenarioCell cell;
-        cell.dims.emplace_back("pms", static_cast<double>(pms));
-        cell.dims.emplace_back("clients", static_cast<double>(clients));
-        metrics.Select(bench::kStandard | bench::kEngine, &cell);
-        return cell;
-      });
+      ScenarioCell row;
+      row.dims.emplace_back("pms", static_cast<double>(pms));
+      row.dims.emplace_back("clients", static_cast<double>(clients));
+      sweep.Add(std::move(config), std::move(row), kStandard | kEngine);
     }
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: response time is flat or falling in pool managers "
       "for each client count (the PM stage pipelines; the pools bound "
       "throughput once PMs stop queueing), and sel_cost stays O(1)-flat "
-      "thanks to the indexed policy.";
-  return report;
+      "thanks to the indexed policy.");
 }
 
 const ScenarioRegistrar kRegistrar(

@@ -15,9 +15,6 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunPoolChurn(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "pool_churn";
-  report.title = "Fault — machine & pool-process churn, 4 pools (LAN)";
   const std::size_t machines = options.machines.value_or(1600);
   const std::size_t clients = options.clients.value_or(16);
 
@@ -36,8 +33,9 @@ ScenarioReport RunPoolChurn(const ScenarioRunOptions& options) {
       {"pools", "pool.*", 1.0, 3.0},
   };
 
+  bench::Sweep sweep(options,
+                     "Fault — machine & pool-process churn, 4 pools (LAN)");
   int index = 0;
-  std::vector<bench::CellTask> tasks;
   for (const Regime& regime : regimes) {
     ScenarioConfig config;
     config.machines = machines;
@@ -52,24 +50,16 @@ ScenarioReport RunPoolChurn(const ScenarioRunOptions& options) {
                                   static_cast<std::uint64_t>(index) * 100 +
                                       clients);
     ++index;
-    tasks.push_back([config = std::move(config), &options, regime] {
-      const auto metrics =
-          bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
-                         bench::ScaledSeconds(options, 15));
-      ScenarioCell cell;
-      cell.labels.emplace_back("churn", regime.label);
-      cell.dims.emplace_back("rate", regime.rate);
-      metrics.Select(bench::kStandard | bench::kFault | bench::kChurn, &cell);
-      return cell;
-    });
+    ScenarioCell row;
+    row.labels.emplace_back("churn", regime.label);
+    row.dims.emplace_back("rate", regime.rate);
+    sweep.Add(std::move(config), std::move(row), kStandard | kFault | kChurn);
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: machine churn barely moves the needle (pools bench the "
       "down machine and pick another of the ~400 per pool), while pool-"
       "process churn costs real failures during each instance's downtime — "
-      "success rate falls as churn rate rises.";
-  return report;
+      "success rate falls as churn rate rises.");
 }
 
 const ScenarioRegistrar kRegistrar(

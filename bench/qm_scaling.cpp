@@ -15,12 +15,10 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunQmScaling(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "qm_scaling";
-  report.title =
-      "QM scaling — query managers vs response time, indexed least-load";
   const std::size_t machines = options.machines.value_or(1600);
-  std::vector<bench::CellTask> tasks;
+  bench::Sweep sweep(
+      options,
+      "QM scaling — query managers vs response time, indexed least-load");
   for (const std::size_t clients :
        bench::SweepOr(options.clients, {16, 64})) {
     for (const std::size_t qms : {1, 2, 4, 8}) {
@@ -32,25 +30,17 @@ ScenarioReport RunQmScaling(const ScenarioRunOptions& options) {
       config.clients = clients;
       config.policy = "least-load";  // the indexed fast path
       config.seed = bench::CellSeed(options, 210000, qms * 1000 + clients);
-      tasks.push_back([config = std::move(config), &options, qms, clients] {
-        const auto metrics =
-            bench::RunCell(config, options, bench::ScaledSeconds(options, 3),
-                           bench::ScaledSeconds(options, 15));
-        ScenarioCell cell;
-        cell.dims.emplace_back("qms", static_cast<double>(qms));
-        cell.dims.emplace_back("clients", static_cast<double>(clients));
-        metrics.Select(bench::kStandard | bench::kEngine, &cell);
-        return cell;
-      });
+      ScenarioCell row;
+      row.dims.emplace_back("qms", static_cast<double>(qms));
+      row.dims.emplace_back("clients", static_cast<double>(clients));
+      sweep.Add(std::move(config), std::move(row), kStandard | kEngine);
     }
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: with the indexed policy sel_cost stays O(1)-flat "
       "(a few entries per allocation, vs ~machines/pools for linear-*), "
       "and adding query managers keeps response flat or better while the "
-      "64-client curve improves until the pool/PM tiers saturate.";
-  return report;
+      "64-client curve improves until the pool/PM tiers saturate.");
 }
 
 const ScenarioRegistrar kRegistrar(

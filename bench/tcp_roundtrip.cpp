@@ -23,7 +23,6 @@ namespace {
 
 ScenarioReport RunTcpRoundtrip(const ScenarioRunOptions& options) {
   ScenarioReport report;
-  report.scenario = "tcp_roundtrip";
   report.title = "TCP transport — loopback roundtrips through the pipeline";
 
   // --- simulated pipeline, pools created on demand, no sim clients ---

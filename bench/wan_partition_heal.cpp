@@ -19,9 +19,6 @@ namespace actyp {
 namespace {
 
 ScenarioReport RunWanPartitionHeal(const ScenarioRunOptions& options) {
-  ScenarioReport report;
-  report.scenario = "wan_partition_heal";
-  report.title = "Replica — WAN partition, divergence, heal-to-convergence";
   const std::size_t machines = options.machines.value_or(800);
   const std::size_t clients = options.clients.value_or(16);
   const double ts = options.time_scale;
@@ -40,8 +37,9 @@ ScenarioReport RunWanPartitionHeal(const ScenarioRunOptions& options) {
   std::vector<std::uint32_t> replica_sweep = {1, 2};
   if (options.replicas) replica_sweep = {*options.replicas};
 
+  bench::Sweep sweep(
+      options, "Replica — WAN partition, divergence, heal-to-convergence");
   int index = 0;
-  std::vector<bench::CellTask> tasks;
   for (const std::uint32_t replicas : replica_sweep) {
     for (const Regime& regime : regimes) {
       ScenarioConfig config;
@@ -92,29 +90,20 @@ ScenarioReport RunWanPartitionHeal(const ScenarioRunOptions& options) {
                                     static_cast<std::uint64_t>(index) * 100 +
                                         clients);
       ++index;
-      tasks.push_back([config = std::move(config), &options, regime,
-                       replicas] {
-        const auto metrics = bench::RunCell(
-            config, options, bench::ScaledSeconds(options, 3),
-            bench::ScaledSeconds(options, 15));
-        ScenarioCell cell;
-        cell.labels.emplace_back("regime", regime.label);
-        cell.dims.emplace_back("replicas", static_cast<double>(replicas));
-        metrics.Select(bench::kStandard | bench::kFault | bench::kReplica,
-                       &cell);
-        return cell;
-      });
+      ScenarioCell row;
+      row.labels.emplace_back("regime", regime.label);
+      row.dims.emplace_back("replicas", static_cast<double>(replicas));
+      sweep.Add(std::move(config), std::move(row),
+                kStandard | kFault | kReplica);
     }
   }
-  bench::RunCellTasks(options, std::move(tasks), &report);
-  report.note =
+  return sweep.Run(
       "shape check: with replicas=2 the partition regime diverges the two "
       "directory replicas (registrations land on each side) and "
       "converge_time_s > 0 records the post-heal anti-entropy "
       "reconciliation; the purdue-side stack keeps serving its clients "
       "through its own replica, so success_rate beats the replicas=1 run, "
-      "where the cut severs every client from the only directory.";
-  return report;
+      "where the cut severs every client from the only directory.");
 }
 
 const ScenarioRegistrar kRegistrar(

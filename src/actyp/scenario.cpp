@@ -19,6 +19,21 @@ constexpr const char* kClientHost = "clients";
 // service stack (replica + pool manager + query manager + pools).
 constexpr const char* kRemoteHost = "beta";
 
+// Retires a dead pool instance: drops its directory registration, then
+// frees its claim when the claim is its own (a segment's) or the pool's
+// last live instance is gone (every other instance shares the pool
+// name's claim, which must survive while a sibling holds it).
+void RetirePool(const std::string& pool_name, std::uint32_t instance,
+                bool segment, directory::DirectoryApi* dir,
+                db::ResourceDatabase* database) {
+  dir->UnregisterPool(pool_name, instance);
+  if (segment) {
+    database->ReleaseAllFrom(pipeline::SegmentClaimName(pool_name, instance));
+  } else if (dir->Lookup(pool_name).empty()) {
+    database->ReleaseAllFrom(pool_name);
+  }
+}
+
 }  // namespace
 
 // One service stack: white pages, shadow accounts, monitor,
@@ -362,9 +377,6 @@ void SimScenario::Build() {
                             const pipeline::ResourcePoolConfig& pool_config,
                             bool remote) {
     const Placement at = place(*owner, remote);
-    const std::string claim = pool_config.claim_name.empty()
-                                  ? pool_config.pool_name
-                                  : pool_config.claim_name;
     add_service(
         address, at,
         [this, address, pool_config, owner, dir = at.dir] {
@@ -376,14 +388,8 @@ void SimScenario::Build() {
           return pool;
         },
         [pool_name = pool_config.pool_name, instance = pool_config.instance,
-         claim, segment = pool_config.segment, dir = at.dir, owner] {
-          dir->UnregisterPool(pool_name, instance);
-          // A segment's claim is its own (distinct claim names partition
-          // the machines), so free it immediately; replicas share one
-          // claim that must survive until the last live instance dies.
-          if (segment || dir->Lookup(pool_name).empty()) {
-            owner->database.ReleaseAllFrom(claim);
-          }
+         segment = pool_config.segment, dir = at.dir, owner] {
+          RetirePool(pool_name, instance, segment, dir, &owner->database);
         });
   };
   for (std::size_t k = 0; k < stack_count; ++k) {
@@ -430,7 +436,7 @@ void SimScenario::Build() {
         pool_config.segment = true;
         for (std::uint32_t s = 0; s < segments; ++s) {
           pool_config.instance = s;
-          pool_config.claim_name = pool_name + "#" + std::to_string(s);
+          pool_config.claim_name = pipeline::SegmentClaimName(pool_name, s);
           pool_config.claim_limit =
               s + 1 == segments ? 0 : per_cluster / segments;
           add_pool(&stack, prefix + ".s" + std::to_string(s), pool_config,
@@ -560,18 +566,10 @@ void SimScenario::InstallFaultHooks() {
     const directory::PoolInstance& victim =
         instances[rng.NextBounded(instances.size())];
     network_->RemoveNode(victim.address);
-    dir->UnregisterPool(victim.pool_name, victim.instance);
-    // Proxy-created pools and replicas claim under the pool name
-    // (freed when the last live instance dies, so the next query can
-    // re-create the pool from scratch); a segment claims under the
-    // "<pool>#<instance>" name Build assigned it and owns that claim
-    // alone, so it is freed immediately.
-    if (victim.segment) {
-      home->database.ReleaseAllFrom(victim.pool_name + "#" +
-                                    std::to_string(victim.instance));
-    } else if (dir->Lookup(victim.pool_name).empty()) {
-      home->database.ReleaseAllFrom(victim.pool_name);
-    }
+    // Proxy-created pools retire like Build's: once the last instance is
+    // gone, the next query can re-create the pool from scratch.
+    RetirePool(victim.pool_name, victim.instance, victim.segment, dir,
+               &home->database);
     return true;
   });
 
@@ -611,21 +609,15 @@ void SimScenario::ResetMeasurement() {
   }
 }
 
-void SimScenario::Measure(SimDuration warmup, SimDuration duration,
-                          const std::vector<Sampler>& samplers) {
-  RunUntil(kernel_.Now() + warmup);
-  ResetMeasurement();
-  for (const auto& recorder : recorders_) recorder->Reset();
-  // Each sampler's boundaries are absolute offsets from the window
-  // start, so its grid is drift-free however its interval divides
-  // duration; a switched-off sampler is never due.
+void SimScenario::RunUntil(SimTime end, const std::vector<Sampler>& samplers) {
+  // Each sampler's boundaries are absolute offsets from the current
+  // time, so its grid is drift-free however its interval divides the
+  // span; a switched-off sampler is never due.
   const SimTime start = kernel_.Now();
-  const SimTime end = start + duration;
   std::vector<SimTime> due(samplers.size(),
                            std::numeric_limits<SimTime>::max());
   for (std::size_t i = 0; i < samplers.size(); ++i) {
     if (samplers[i].interval <= 0 || !samplers[i].sample) continue;
-    samplers[i].sample(start);
     due[i] = std::min<SimTime>(end, start + samplers[i].interval);
   }
   for (SimTime now = start; now < end;) {
@@ -638,6 +630,18 @@ void SimScenario::Measure(SimDuration warmup, SimDuration duration,
       due[i] = std::min<SimTime>(end, now + samplers[i].interval);
     }
   }
+}
+
+void SimScenario::Measure(SimDuration warmup, SimDuration duration,
+                          const std::vector<Sampler>& samplers) {
+  RunUntil(kernel_.Now() + warmup);
+  ResetMeasurement();
+  for (const auto& recorder : recorders_) recorder->Reset();
+  const SimTime start = kernel_.Now();
+  for (const Sampler& sampler : samplers) {
+    if (sampler.interval > 0 && sampler.sample) sampler.sample(start);
+  }
+  RunUntil(start + duration, samplers);
 }
 
 std::vector<obs::FlightEvent> SimScenario::FlightSnapshot() const {
@@ -730,12 +734,6 @@ pipeline::ProxyStats SimScenario::proxy_stats() const {
     total.create_failures += s.create_failures;
   }
   return total;
-}
-
-std::uint64_t SimScenario::total_client_failures() const {
-  std::uint64_t n = 0;
-  for (const auto& client : clients_) n += client->stats().failures;
-  return n;
 }
 
 std::uint64_t SimScenario::total_client_retries() const {

@@ -159,29 +159,36 @@ class SimScenario {
   // Advances the simulation to `until` (absolute sim time).
   void RunUntil(SimTime until);
 
-  // A periodic read of the measurement window: `sample(t)` runs at the
-  // window's start, every `interval` after it, and at its end. An
-  // interval <= 0 switches the sampler off.
+  // A periodic read of a running simulation: `sample(t)` runs every
+  // `interval` of simulated time. An interval <= 0 switches the sampler
+  // off.
   struct Sampler {
     SimDuration interval = 0;
     std::function<void(SimTime)> sample;
   };
 
-  // Runs a measurement: `warmup` is excluded (the collector is reset
-  // after it), then `duration` of steady state is measured. With
-  // samplers the window advances in chunks, each to the earliest next
-  // boundary of any sampler, and the samplers due there run between
-  // chunks (workers idle, so deterministic reads of any scenario state
-  // are safe). Chunked advancement never reorders events, so the run is
-  // byte-identical whatever the samplers and their intervals.
+  // Advances the simulation to `end` in chunks, each to the earliest
+  // next boundary of any sampler, and runs the samplers due there
+  // between chunks (workers idle, so deterministic reads of any
+  // scenario state are safe). Each sampler fires every `interval` after
+  // the current time and at `end`, never at the current time itself, so
+  // consecutive calls never sample their shared boundary twice. Chunked
+  // advancement never reorders events, so the run is byte-identical
+  // whatever the samplers and their intervals.
+  void RunUntil(SimTime end, const std::vector<Sampler>& samplers);
+
+  // Runs a measurement: `warmup` is excluded (ResetMeasurement and the
+  // flight recorders' reset follow it), then `duration` of steady state
+  // is measured. Each sampler reads the window's start, then
+  // RunUntil(window end, samplers) takes the rest.
   void Measure(SimDuration warmup, SimDuration duration,
                const std::vector<Sampler>& samplers = {});
 
   // The warmup-boundary reset Measure applies, minus the flight
   // recorders: collector(s) and profiler(s) start the measurement
   // clean. Callers driving the timeline with RunUntil (the chaos
-  // capture path) use this to keep warmup-time flight events — fault
-  // strikes often land there — while reporting identical metrics.
+  // trials) use this to keep warmup-time flight events — fault strikes
+  // often land there — while reporting identical metrics.
   void ResetMeasurement();
 
   // Merged flight-event view: per-shard rings merged and sorted by
@@ -213,7 +220,6 @@ class SimScenario {
   // Aggregated pipeline statistics, summed over every pool instance:
   // precreated, restarted and proxy-created, crashed ones included.
   [[nodiscard]] pipeline::PoolStats TotalPoolStats() const;
-  [[nodiscard]] std::uint64_t total_client_failures() const;
   [[nodiscard]] std::uint64_t total_client_retries() const;
 
   // Replicated-directory subsystem; null when directory_replicas <= 1.

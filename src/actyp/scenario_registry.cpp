@@ -51,8 +51,14 @@ std::vector<const ScenarioInfo*> ScenarioRegistry::List() const {
 
 ScenarioRegistrar::ScenarioRegistrar(std::string name, std::string summary,
                                      ScenarioFn fn, bool wall_clock) {
+  ScenarioFn run = [name, fn = std::move(fn)](
+                       const ScenarioRunOptions& options) {
+    ScenarioReport report = fn(options);
+    report.scenario = name;
+    return report;
+  };
   ScenarioRegistry::Instance().Register(
-      {std::move(name), std::move(summary), std::move(fn), wall_clock});
+      {std::move(name), std::move(summary), std::move(run), wall_clock});
 }
 
 namespace {

@@ -1,9 +1,11 @@
 // ScenarioRegistry: the single front door to every experiment the repo
 // reproduces. Each paper figure (fig4_pools_lan ... fig9_workload) and
 // ablation (abl_baselines ... abl_sched_policy) registers itself by
-// name; the `actyp_sim` driver lists, configures, and runs them and
-// emits either an aligned table or machine-readable JSON. CI smoke
-// tests and the BENCH_baseline.json perf gate run through this layer.
+// name through a ScenarioRegistrar, which stamps that name on every
+// report the scenario returns; the `actyp_sim` driver lists,
+// configures, and runs them and emits either an aligned table or
+// machine-readable JSON. CI smoke tests and the BENCH_baseline.json
+// perf gate run through this layer.
 #pragma once
 
 #include <cstddef>
@@ -153,7 +155,9 @@ class ScenarioRegistry {
   std::map<std::string, ScenarioInfo> scenarios_;
 };
 
-// File-scope registrar: construct one per scenario translation unit.
+// File-scope registrar: construct one per registered scenario. It
+// stamps every report `fn` returns with `name`, so a scenario never
+// writes its own name.
 struct ScenarioRegistrar {
   ScenarioRegistrar(std::string name, std::string summary, ScenarioFn fn,
                     bool wall_clock = false);

@@ -71,9 +71,7 @@ std::vector<Violation> InvariantChecker::Check(
     // the pool name).
     std::set<std::string, std::less<>> valid;
     for (const auto& [address, pool] : live_pools) {
-      const auto& config = pool->config();
-      valid.insert(config.claim_name.empty() ? config.pool_name
-                                             : config.claim_name);
+      valid.insert(pool->config().claim());
     }
     std::size_t leaked = 0;
     std::string first;

@@ -94,6 +94,7 @@ TrialOutcome RunTrial(const ChaosTrial& trial, const TrialParams& params,
     // hook): surface it instead of reporting a silently fault-free run.
     outcome.violations.push_back(
         {"fault-plan-arm", scenario.fault_status().ToString()});
+    outcome.metrics = CollectCell(scenario);
     return outcome;
   }
 
@@ -102,70 +103,37 @@ TrialOutcome RunTrial(const ChaosTrial& trial, const TrialParams& params,
       scenario.config().message_loss_probability > 0) {
     invariants.check_sessions = false;  // lost releases leak by design
   }
-  if (scenario.config().directory_replicas > 1 ||
-      !scenario.config().precreate_pools) {
-    // Stale replica lookups can defer the last-instance claim release,
-    // and on-demand pools live outside the scenario's pool registry.
+  if (scenario.config().directory_replicas > 1) {
+    // Stale replica lookups can defer the last-instance claim release.
     invariants.check_claims = false;
   }
 
-  InvariantChecker checker;
-  const SimDuration quiet = Seconds(params.quiesce_fraction *
-                                    params.measure_s * params.time_scale);
-  if (capture == nullptr) {
-    scenario.Measure(warmup, quiet);
-    checker.BeginQuiesce(scenario);  // generated faults all recovered here
-    scenario.RunUntil(warmup + measure);
-    scenario.RunUntil(warmup + measure +
-                      Seconds(DrainSeconds(trial, params)));
-  } else {
-    // Drive the same timeline by hand: warmup, the Measure-equivalent
-    // reset (keeping the flight ring — generated faults often strike
-    // during warmup and the post-mortem needs those events), then
-    // gauge samples every ~1/50 of the measure window through the end
-    // of the drain. Chunked advancement never reorders events.
-    const auto interval = std::max<SimDuration>(
-        Seconds(params.measure_s * params.time_scale / 50.0), 1);
-    const auto sample = [&](SimTime t) {
-      capture->telemetry.push_back(obs::TelemetrySample(scenario, t));
-    };
-    scenario.RunUntil(warmup);
-    scenario.ResetMeasurement();
-    sample(warmup);
-    const SimTime quiet_end = warmup + quiet;
-    for (SimTime next = warmup; next < quiet_end;) {
-      next = std::min<SimTime>(quiet_end, next + interval);
-      scenario.RunUntil(next);
-      sample(next);
-    }
-    checker.BeginQuiesce(scenario);  // generated faults all recovered here
-    const SimTime drain_end =
-        warmup + measure + Seconds(DrainSeconds(trial, params));
-    for (SimTime next = quiet_end; next < drain_end;) {
-      next = std::min<SimTime>(drain_end, next + interval);
-      scenario.RunUntil(next);
-      sample(next);
-    }
-    capture->flight = scenario.FlightSnapshot();
+  // A capture samples the gauges every ~1/50 of the measure window,
+  // from the warmup boundary through the end of the drain.
+  std::vector<SimScenario::Sampler> samplers;
+  if (capture != nullptr) {
+    samplers.push_back(
+        {std::max<SimDuration>(
+             Seconds(params.measure_s * params.time_scale / 50.0), 1),
+         [&](SimTime t) {
+           capture->telemetry.push_back(obs::TelemetrySample(scenario, t));
+         }});
   }
+  InvariantChecker checker;
+  scenario.RunUntil(warmup);
+  // Measure's reset, keeping the flight ring: generated faults often
+  // strike during warmup, and the post-mortem needs those events.
+  scenario.ResetMeasurement();
+  for (const SimScenario::Sampler& sampler : samplers) sampler.sample(warmup);
+  scenario.RunUntil(warmup + Seconds(params.quiesce_fraction *
+                                     params.measure_s * params.time_scale),
+                    samplers);
+  checker.BeginQuiesce(scenario);  // generated faults all recovered here
+  scenario.RunUntil(warmup + measure + Seconds(DrainSeconds(trial, params)),
+                    samplers);
+  if (capture != nullptr) capture->flight = scenario.FlightSnapshot();
   outcome.violations = checker.Check(scenario, invariants);
-
-  outcome.mean_s = scenario.collector().response_stats().mean();
-  outcome.p50_s = scenario.collector().QuantileSeconds(0.50);
-  outcome.p95_s = scenario.collector().QuantileSeconds(0.95);
-  outcome.completed = scenario.collector().completed();
-  outcome.failures = scenario.collector().failures();
-  const std::uint64_t attempts = outcome.completed + outcome.failures;
-  outcome.success_rate = attempts == 0
-                             ? 0.0
-                             : static_cast<double>(outcome.completed) /
-                                   static_cast<double>(attempts);
-  outcome.lost = scenario.network().lost_messages() +
-                 scenario.network().partition_dropped();
-  outcome.retries = scenario.total_client_retries();
-  outcome.machines_crashed = scenario.fault_stats().machines_crashed;
-  outcome.services_crashed = scenario.fault_stats().services_crashed +
-                             scenario.fault_stats().pools_killed;
+  outcome.metrics = CollectCell(scenario);
   return outcome;
 }
 

@@ -11,12 +11,17 @@
 //   clients stop issuing at the measure end (client_horizon);
 //   the drain is sized so every in-flight interaction reaches a
 //   terminal state and replicas converge before invariants are judged.
+//
+// The trial advances through SimScenario::RunUntil(end, samplers), the
+// loop behind Measure, and reports through the scenario cells' metric
+// list (CollectCell), so a trial row and a sweep row name and compute
+// every metric the same way.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "actyp/cell_metrics.hpp"
 #include "chaos/chaos_plan.hpp"
 #include "chaos/invariants.hpp"
 #include "obs/flight_recorder.hpp"
@@ -38,16 +43,9 @@ struct TrialParams {
 
 struct TrialOutcome {
   std::vector<Violation> violations;
-  double mean_s = 0;
-  double p50_s = 0;
-  double p95_s = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failures = 0;
-  double success_rate = 0;
-  std::uint64_t lost = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t machines_crashed = 0;
-  std::uint64_t services_crashed = 0;
+  // The trial's metric list, collected after the drain (all zeros when
+  // the plan could not be armed).
+  CellMetrics metrics;
 };
 
 // Absolute sim seconds (scaled) by which generated faults must have

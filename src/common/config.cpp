@@ -44,10 +44,6 @@ void Config::Set(const std::string& key, std::string value) {
   entries_[key] = std::move(value);
 }
 
-bool Config::Has(const std::string& key) const {
-  return entries_.count(key) > 0;
-}
-
 std::optional<std::string> Config::Get(const std::string& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;

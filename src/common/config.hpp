@@ -23,7 +23,6 @@ class Config {
 
   void Set(const std::string& key, std::string value);
 
-  [[nodiscard]] bool Has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> Get(const std::string& key) const;
   [[nodiscard]] std::string GetOr(const std::string& key,
                                   std::string fallback) const;

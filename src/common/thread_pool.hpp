@@ -1,5 +1,6 @@
-// Fixed-size worker pool. The scenario driver runs independent sweep
-// cells on one, and the LP engine runs a window's shards on another.
+// Fixed-size worker pool over one blocking task queue. The scenario
+// driver runs independent sweep cells on one, and the LP engine runs a
+// window's shards on another.
 //
 // Semantics (audited for lost wakeups and shutdown races):
 //   - Submit is safe from any number of producer threads. After the
@@ -16,13 +17,55 @@
 //     accepted, then joins the workers.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/mpsc_queue.hpp"
-
 namespace actyp {
+
+// The pool's task queue: any number of producers Push, every worker
+// Pops concurrently. Close() wakes all waiters; Pop returns nullopt once
+// the queue is closed and drained.
+template <typename T>
+class BlockingQueue {
+ public:
+  // Returns false if the queue is closed.
+  bool Push(T item) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_) return false;
+    items_.push_back(std::move(item));
+    not_empty_.notify_one();
+    return true;
+  }
+
+  // Blocks until an item is available or the queue is closed and empty.
+  std::optional<T> Pop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
+    return item;
+  }
+
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+    not_empty_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable not_empty_;
+  std::deque<T> items_;
+  bool closed_ = false;
+};
 
 class ThreadPool {
  public:

@@ -51,13 +51,6 @@ void FaultInjector::RegisterService(const std::string& name,
   services_[name] = Service{std::move(crash), std::move(restart), site, false};
 }
 
-std::vector<std::string> FaultInjector::ServiceNames() const {
-  std::vector<std::string> names;
-  names.reserve(services_.size());
-  for (const auto& [name, service] : services_) names.push_back(name);
-  return names;
-}
-
 void FaultInjector::RegisterSite(const std::string& site) {
   if (!site.empty()) known_sites_.insert(site);
 }

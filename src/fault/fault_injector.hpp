@@ -82,7 +82,6 @@ class FaultInjector {
   void RegisterService(const std::string& name, std::function<void()> crash,
                        std::function<void()> restart,
                        const std::string& site = "");
-  [[nodiscard]] std::vector<std::string> ServiceNames() const;
 
   // Declares a site name events may reference. Validation is opt-in:
   // once any site is registered, Arm rejects plans whose site-crash/

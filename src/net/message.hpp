@@ -29,9 +29,7 @@ inline constexpr std::string_view kAllocation = "allocation";  // pool -> reinte
 inline constexpr std::string_view kFailure = "failure";        // any stage -> reintegrator/client
 inline constexpr std::string_view kRelease = "release";        // client -> pool (job done)
 inline constexpr std::string_view kCreatePool = "create-pool"; // PM -> proxy server
-inline constexpr std::string_view kPoolCreated = "pool-created";
 inline constexpr std::string_view kTick = "tick";              // self-scheduled timer
-inline constexpr std::string_view kShutdown = "shutdown";
 }  // namespace msg
 
 // Common header keys.

@@ -41,13 +41,11 @@ void ResourcePool::OnStart(net::NodeContext& ctx) {
 }
 
 void ResourcePool::Initialize(net::NodeContext& ctx) {
-  const std::string claim_name =
-      config_.claim_name.empty() ? config_.pool_name : config_.claim_name;
   // First instance claims machines; replicas adopt the existing claim so
   // all instances of a pool see the same machine set (Fig. 8).
-  std::vector<db::MachineId> ids = database_->ListTakenBy(claim_name);
+  std::vector<db::MachineId> ids = database_->ListTakenBy(config_.claim());
   if (ids.empty()) {
-    ids = database_->ClaimMatching(config_.criteria, claim_name,
+    ids = database_->ClaimMatching(config_.criteria, config_.claim(),
                                    config_.claim_limit);
   }
 
@@ -105,7 +103,6 @@ void ResourcePool::Initialize(net::NodeContext& ctx) {
     instance.machine_count = cache_.size();
     instance.segment = config_.segment;
     const Status status = directory_->RegisterPool(instance);
-    registered_ = status.ok();
     if (!status.ok()) {
       ACTYP_WARN << "pool '" << config_.pool_name
                  << "' failed directory registration: " << status.ToString();
@@ -127,13 +124,6 @@ void ResourcePool::OnMessage(const net::Envelope& envelope,
     HandleRelease(envelope, ctx);
   } else if (message.type == net::msg::kTick) {
     HandleTick(ctx);
-  } else if (message.type == net::msg::kShutdown) {
-    if (registered_ && directory_ != nullptr) {
-      directory_->UnregisterPool(config_.pool_name, config_.instance);
-      registered_ = false;
-    }
-    database_->ReleaseAllFrom(
-        config_.claim_name.empty() ? config_.pool_name : config_.claim_name);
   } else {
     ACTYP_DEBUG << "pool '" << config_.pool_name
                 << "': ignoring message type '" << message.type << "'";
@@ -450,6 +440,11 @@ std::string ResourcePool::MakeSessionKey(net::NodeContext& ctx) {
     }
   }
   return key;
+}
+
+std::string SegmentClaimName(const std::string& pool_name,
+                             std::uint32_t segment) {
+  return pool_name + "#" + std::to_string(segment);
 }
 
 }  // namespace actyp::pipeline

@@ -54,8 +54,8 @@ struct ResourcePoolConfig {
   std::uint32_t instance_count = 1;  // for the replication bias
   // Name under which machines are marked taken in the white pages.
   // Replicas share it (they adopt each other's claim); segments of a
-  // split pool use distinct claim names so they partition the machines.
-  // Empty = pool_name.
+  // split pool use distinct claim names (SegmentClaimName) so they
+  // partition the machines. Empty = pool_name; read it through claim().
   std::string claim_name;
   // Registered as a segment of a split pool (Fig. 7).
   bool segment = false;
@@ -79,7 +79,17 @@ struct ResourcePoolConfig {
   // Flight-event sink for claim/release events (same ownership rules as
   // the profiler). Null — the default — records nothing.
   obs::FlightRecorder* recorder = nullptr;
+
+  // The name this instance claims under.
+  [[nodiscard]] const std::string& claim() const {
+    return claim_name.empty() ? pool_name : claim_name;
+  }
 };
+
+// The claim name of segment `segment` of split pool `pool_name`:
+// "<pool>#<segment>". Every other instance claims under the pool name.
+[[nodiscard]] std::string SegmentClaimName(const std::string& pool_name,
+                                           std::uint32_t segment);
 
 struct PoolStats {
   std::uint64_t queries = 0;
@@ -192,7 +202,6 @@ class ResourcePool final : public net::Node {
   std::vector<std::size_t> sort_order_;
   std::vector<std::size_t> sort_new_index_;
   PoolStats stats_;
-  bool registered_ = false;
   bool initialized_ = false;
 };
 

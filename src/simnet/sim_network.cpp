@@ -174,7 +174,6 @@ Status SimNetwork::AddNode(const net::Address& address,
   runtime->placement.servers = std::max(1, placement.servers);
   runtime->host = GetOrCreateHost(placement.host);
   runtime->rng = seeder_.Fork();
-  runtime->host->node_addresses.push_back(address);
   nodes_[address] = runtime;
   node_host_[address] = placement.host;
 
@@ -198,9 +197,6 @@ Status SimNetwork::RemoveNode(const net::Address& address) {
     kernel->Cancel(kernel_id);
   }
   it->second->timers.clear();
-  auto& addresses = it->second->host->node_addresses;
-  addresses.erase(std::remove(addresses.begin(), addresses.end(), address),
-                  addresses.end());
   nodes_.erase(it);
   return Status::Ok();
 }

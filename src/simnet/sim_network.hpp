@@ -122,7 +122,6 @@ class SimNetwork final : public net::Network {
     int cores = 1;
     int busy = 0;
     std::uint32_t shard = 0;
-    std::vector<std::string> node_addresses;
     // Nodes with queued work that could not start because every core was
     // busy, in blocking order. Freed cores go to these nodes directly
     // instead of polling every node on the host.

@@ -7,8 +7,10 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "actyp/cell_metrics.hpp"
 #include "actyp/scenario.hpp"
 #include "actyp/scenario_registry.hpp"
 #include "chaos/chaos_plan.hpp"
@@ -51,6 +53,22 @@ std::string DetailOf(const std::vector<Violation>& violations,
     if (violation.invariant == name) return violation.detail;
   }
   return "";
+}
+
+// Every metric of a trial's list, in list order.
+std::vector<std::pair<std::string, double>> AllMetrics(
+    const CellMetrics& metrics) {
+  ScenarioCell cell;
+  metrics.Select(~0u, &cell);
+  return cell.metrics;
+}
+
+// One metric of a trial's list, by name.
+double Metric(const CellMetrics& metrics, std::string_view name) {
+  ScenarioCell cell;
+  metrics.Select({name}, &cell);
+  EXPECT_EQ(cell.metrics.size(), 1u) << name;
+  return cell.metrics.empty() ? 0.0 : cell.metrics.front().second;
 }
 
 // A regime small enough that a full trial (warmup + measure + drain)
@@ -203,7 +221,7 @@ TEST(ChaosTrial, CleanTrialReportsNoViolations) {
   const auto outcome = chaos::RunTrial(trial, FastParams());
   EXPECT_TRUE(outcome.violations.empty())
       << chaos::FormatViolations(outcome.violations);
-  EXPECT_GT(outcome.completed, 0u);
+  EXPECT_GT(Metric(outcome.metrics, "completed"), 0.0);
 }
 
 // The seeded known violation: a zero give-up timer under total loss
@@ -234,6 +252,11 @@ TEST(ChaosTrial, UnarmablePlanIsItselfAViolation) {
   trial.plan = plan.value();
   const auto outcome = chaos::RunTrial(trial, FastParams());
   ASSERT_TRUE(HasInvariant(outcome.violations, "fault-plan-arm"));
+  // The unrun trial still lists every metric, so its report row keeps
+  // its columns, all zero.
+  const auto metrics = AllMetrics(outcome.metrics);
+  EXPECT_FALSE(metrics.empty());
+  for (const auto& [name, value] : metrics) EXPECT_EQ(value, 0.0) << name;
 }
 
 TEST(InvariantChecker, DetectsLeakedClaim) {
@@ -371,11 +394,9 @@ TEST(ChaosTrial, ReplaysByteIdentically) {
   const auto first = chaos::RunTrial(trial, FastParams());
   const auto second = chaos::RunTrial(trial, FastParams());
   EXPECT_EQ(first.violations, second.violations);
-  EXPECT_EQ(first.completed, second.completed);
-  EXPECT_EQ(first.failures, second.failures);
-  EXPECT_EQ(first.lost, second.lost);
-  EXPECT_EQ(first.retries, second.retries);
-  EXPECT_DOUBLE_EQ(first.mean_s, second.mean_s);
+  const auto metrics = AllMetrics(first.metrics);
+  EXPECT_GT(Metric(first.metrics, "completed"), 0.0);
+  EXPECT_EQ(metrics, AllMetrics(second.metrics));
 }
 
 TEST(ChaosTrial, ReproBundleCarriesTheFullTrial) {

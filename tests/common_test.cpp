@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/mpsc_queue.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "common/stats.hpp"
@@ -214,7 +213,7 @@ TEST(Config, ParsesSectionsAndComments) {
   EXPECT_EQ(config->GetInt("top", 0), 1);
   EXPECT_EQ(config->GetInt("pool.size", 0), 3200);
   EXPECT_EQ(config->GetOr("pool.policy", ""), "least-load");
-  EXPECT_FALSE(config->Has("missing"));
+  EXPECT_FALSE(config->Get("missing").has_value());
 }
 
 TEST(Config, TypedAccessorsFallBack) {
@@ -413,20 +412,6 @@ TEST(BlockingQueue, CloseDrainsThenEnds) {
   EXPECT_FALSE(q.Push(2));
   EXPECT_EQ(q.Pop(), 1);
   EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BlockingQueue, TryPopEmpty) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(BlockingQueue, BoundedTryPushRejectsWhenFull) {
-  BlockingQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  q.Pop();
-  EXPECT_TRUE(q.TryPush(3));
 }
 
 TEST(BlockingQueue, CrossThreadDelivery) {

@@ -182,6 +182,24 @@ TEST(ScenarioRegistry, AllPaperScenariosRegistered) {
   EXPECT_GE(registry.List().size(), 12u);
 }
 
+// A scenario never names its report: the registrar stamps every report
+// with the registered name, whatever the function left in it.
+TEST(ScenarioRegistry, RegistrarStampsTheRegisteredName) {
+  static const ScenarioRegistrar kProbe(
+      "registrar_probe", "returns an unnamed report",
+      [](const ScenarioRunOptions&) {
+        ScenarioReport report;
+        report.title = "probe";
+        return report;
+      });
+  const ScenarioInfo* info =
+      ScenarioRegistry::Instance().Find("registrar_probe");
+  ASSERT_NE(info, nullptr);
+  const ScenarioReport report = info->run(ScenarioRunOptions{});
+  EXPECT_EQ(report.scenario, "registrar_probe");
+  EXPECT_EQ(report.title, "probe");
+}
+
 TEST(ScenarioRegistry, ListIsSortedAndFindRejectsUnknown) {
   auto& registry = ScenarioRegistry::Instance();
   const auto list = registry.List();
@@ -366,8 +384,8 @@ TEST(ProfileToggle, ProfiledParallelSweepMatchesSerial) {
 }
 
 // The two ablations that once built their scenarios by hand run through
-// bench::RunCell like every other simulated scenario, so the driver's
-// sinks and fault overrides reach them.
+// bench::Sweep's RunCell cells like every other simulated scenario, so
+// the driver's sinks and fault overrides reach them.
 TEST(DriverOverrides, AblationsHonorSinksAndFaults) {
   for (const char* name : {"abl_sched_policy", "abl_dynamic_aggregation"}) {
     const auto* info = ScenarioRegistry::Instance().Find(name);

@@ -231,6 +231,30 @@ TEST(Telemetry, SampledMeasureDoesNotPerturbTheRun) {
   }
 }
 
+// RunUntil(end, samplers) samples every interval after the current
+// time and at `end`, never at the current time: consecutive calls each
+// restart the grid at their own start, sample their shared boundary
+// once, and leave the run exactly as one plain RunUntil leaves it.
+TEST(Telemetry, ConsecutiveSampledRunsShareTheirBoundaryOnce) {
+  ScenarioConfig config = SmallConfig();
+  SimScenario plain(config);
+  plain.RunUntil(Seconds(12));
+  SimScenario sampled(config);
+  std::vector<SimTime> seen;
+  const std::vector<SimScenario::Sampler> samplers = {
+      {Seconds(2), [&](SimTime t) { seen.push_back(t); }},
+      {0, [](SimTime) { ADD_FAILURE() << "a switched-off sampler ran"; }}};
+  sampled.RunUntil(Seconds(2));
+  sampled.RunUntil(Seconds(7), samplers);
+  sampled.RunUntil(Seconds(12), samplers);
+  EXPECT_EQ(seen, (std::vector<SimTime>{Seconds(4), Seconds(6), Seconds(7),
+                                        Seconds(9), Seconds(11),
+                                        Seconds(12)}));
+  EXPECT_GT(sampled.collector().completed(), 0u);
+  EXPECT_EQ(plain.collector().completed(), sampled.collector().completed());
+  EXPECT_EQ(plain.total_events(), sampled.total_events());
+}
+
 TEST(Telemetry, SampleStreamIsDeterministic) {
   const auto run = [](std::size_t cell_jobs) {
     ScenarioConfig config = WanConfig(cell_jobs);

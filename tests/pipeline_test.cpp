@@ -507,18 +507,6 @@ TEST_F(PipelineTest, DownedMachineExcludedAfterRefresh) {
   }
 }
 
-TEST_F(PipelineTest, PoolShutdownUnregistersAndReleasesClaims) {
-  AddMachines(5, "sun");
-  auto pool = MakePool("punch.rsrc.arch = sun\n");
-  network_.AddNode("pool0", pool, {"alpha", 1});
-  EXPECT_EQ(database_.free_count(), 0u);
-
-  network_.Post("probe", "pool0", net::Message{net::msg::kShutdown});
-  kernel_.Run();
-  EXPECT_TRUE(directory_.Lookup(pool->config().pool_name).empty());
-  EXPECT_EQ(database_.free_count(), 5u);
-}
-
 // A pool reads only the sched hints, never the body: a query that
 // carries none fails, however well-formed its text.
 TEST_F(PipelineTest, PoolFailsQueryWithoutSchedHints) {

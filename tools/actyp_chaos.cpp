@@ -120,45 +120,33 @@ int main(int argc, char** argv) {
     trials[i] = generator.Generate(args.seed + i);
   }
 
-  // Run the budget in parallel; every trial owns its simulation, and
-  // cells land in trial order, so the report is independent of --jobs.
+  // Run the budget on the scenarios' cell runner; every trial owns its
+  // simulation, and rows land in trial order, so the report is
+  // independent of --jobs.
   std::vector<actyp::chaos::TrialOutcome> outcomes(budget);
-  std::vector<actyp::bench::CellTask> tasks;
-  tasks.reserve(budget);
+  ScenarioRunOptions options;
+  options.jobs = args.jobs;
+  actyp::bench::Sweep sweep(
+      options, "Chaos sweep — " + std::to_string(budget) +
+                   " seeded fault x workload trials");
   for (std::size_t i = 0; i < budget; ++i) {
-    tasks.push_back([&trials, &outcomes, &params, i] {
+    sweep.Add([&trials, &outcomes, &params, i] {
       outcomes[i] = actyp::chaos::RunTrial(trials[i], params);
-      const auto& outcome = outcomes[i];
       ScenarioCell cell;
       cell.labels.emplace_back("seed", std::to_string(trials[i].seed));
       cell.dims.emplace_back(
           "events", static_cast<double>(trials[i].plan.events.size()));
-      cell.metrics.emplace_back("completed",
-                                static_cast<double>(outcome.completed));
-      cell.metrics.emplace_back("failures",
-                                static_cast<double>(outcome.failures));
-      cell.metrics.emplace_back("success_rate", outcome.success_rate);
-      cell.metrics.emplace_back("lost", static_cast<double>(outcome.lost));
-      cell.metrics.emplace_back("retries",
-                                static_cast<double>(outcome.retries));
+      outcomes[i].metrics.Select(
+          {"completed", "failures", "success_rate", "lost", "retries",
+           "machines_crashed", "services_crashed"},
+          &cell);
       cell.metrics.emplace_back(
-          "machines_crashed",
-          static_cast<double>(outcome.machines_crashed));
-      cell.metrics.emplace_back(
-          "services_crashed",
-          static_cast<double>(outcome.services_crashed));
-      cell.metrics.emplace_back(
-          "violations", static_cast<double>(outcome.violations.size()));
+          "violations", static_cast<double>(outcomes[i].violations.size()));
       return cell;
     });
   }
-  ScenarioReport report;
+  ScenarioReport report = sweep.Run("");
   report.scenario = "chaos";
-  report.title = "Chaos sweep — " + std::to_string(budget) +
-                 " seeded fault x workload trials";
-  ScenarioRunOptions options;
-  options.jobs = args.jobs;
-  actyp::bench::RunCellTasks(options, std::move(tasks), &report);
 
   std::size_t violating = 0;
   for (const auto& outcome : outcomes) {
