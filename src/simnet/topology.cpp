@@ -3,6 +3,14 @@
 #include <algorithm>
 
 namespace actyp::simnet {
+namespace {
+
+const std::string& DefaultSite() {
+  static const std::string kDefaultSite = "local";
+  return kDefaultSite;
+}
+
+}  // namespace
 
 Topology::Topology() {
   intra_site_ = LinkSpec{Micros(150), Micros(50), 12.5};
@@ -14,9 +22,13 @@ void Topology::SetHostSite(const std::string& host, const std::string& site) {
 }
 
 const std::string& Topology::SiteOf(const std::string& host) const {
-  static const std::string kDefaultSite = "local";
   auto it = host_site_.find(host);
-  return it == host_site_.end() ? kDefaultSite : it->second;
+  return it == host_site_.end() ? DefaultSite() : it->second;
+}
+
+const std::string& Topology::BindSite(const std::string& host) {
+  // SetHostSite assigns into this entry, so the reference follows it.
+  return host_site_.try_emplace(host, DefaultSite()).first->second;
 }
 
 void Topology::SetLink(const std::string& site_a, const std::string& site_b,
@@ -35,12 +47,18 @@ const LinkSpec& Topology::LinkBetween(const std::string& site_a,
 SimDuration Topology::SampleLatency(const std::string& host_a,
                                     const std::string& host_b,
                                     std::size_t bytes, Rng& rng) const {
-  if (host_a == host_b) {
+  return SampleSiteLatency(host_a == host_b, SiteOf(host_a), SiteOf(host_b),
+                           bytes, rng);
+}
+
+SimDuration Topology::SampleSiteLatency(bool same_host,
+                                        const std::string& site_a,
+                                        const std::string& site_b,
+                                        std::size_t bytes, Rng& rng) const {
+  if (same_host) {
     // Loopback: negligible, but keep event ordering strictly causal.
     return Micros(5);
   }
-  const std::string site_a = SiteOf(host_a);
-  const std::string site_b = SiteOf(host_b);
   const LinkSpec& link = LinkBetween(site_a, site_b);
   SimDuration latency = link.base_latency;
   if (link.jitter > 0) {

@@ -5,6 +5,10 @@
 //   - inter-site (WAN): 30 ms +/- 5 ms one-way, 10 Mbit/s
 // The WAN default approximates the paper's Purdue (US) <-> UPC (Spain)
 // link circa 2001.
+//
+// Hot callers resolve a host's site once (BindSite) and sample per site
+// pair (SampleSiteLatency); the host-named calls are wrappers that look
+// both sites up on every call.
 #pragma once
 
 #include <map>
@@ -30,6 +34,10 @@ class Topology {
   // Site management. Hosts default to site "local".
   void SetHostSite(const std::string& host, const std::string& site);
   [[nodiscard]] const std::string& SiteOf(const std::string& host) const;
+  // SiteOf for a caller that keeps the reference: it stays valid for the
+  // topology's lifetime and follows later SetHostSite calls. A host with
+  // no site yet is bound to the default one.
+  [[nodiscard]] const std::string& BindSite(const std::string& host);
 
   void SetIntraSiteLink(LinkSpec spec) { intra_site_ = spec; }
   void SetDefaultInterSiteLink(LinkSpec spec) { inter_site_ = spec; }
@@ -41,6 +49,14 @@ class Topology {
   [[nodiscard]] SimDuration SampleLatency(const std::string& host_a,
                                           const std::string& host_b,
                                           std::size_t bytes, Rng& rng) const;
+  // The same draw for two hosts whose sites the caller already knows:
+  // `same_host` is loopback (no draw), otherwise the link between the
+  // sites plus any latency penalty.
+  [[nodiscard]] SimDuration SampleSiteLatency(bool same_host,
+                                              const std::string& site_a,
+                                              const std::string& site_b,
+                                              std::size_t bytes,
+                                              Rng& rng) const;
 
   // Lower bound on any latency SampleLatency can return between two
   // distinct sites: the link's base latency (jitter, bandwidth, and

@@ -215,7 +215,13 @@ void ClientNode::PostInflightQuery(net::NodeContext& ctx) {
   query.headers.reserve(2);
   query.SetHeader(net::hdr::kReplyTo, ctx.self());
   query.SetHeader(net::hdr::kRequestId, std::to_string(inflight_request_));
-  query.body = inflight_body_;
+  // Only the give-up timer can resend the text, so without one the
+  // message takes it instead of a copy.
+  if (config_.request_timeout > 0) {
+    query.body = inflight_body_;
+  } else {
+    query.body = std::move(inflight_body_);
+  }
   ctx.Send(EntryForAttempt(), std::move(query));
 
   if (config_.request_timeout > 0) {

@@ -114,7 +114,7 @@ class ClientNode final : public net::Node {
   std::uint64_t next_seq_ = 1;
   std::uint64_t inflight_request_ = 0;
   SimTime inflight_sent_at_ = 0;
-  std::string inflight_body_;   // kept for retries
+  std::string inflight_body_;   // kept for retries when they can happen
   std::size_t attempt_ = 0;     // retries used on the in-flight request
   // Give-up timer for the in-flight request; cancelled when the reply
   // arrives so lossy runs do not drown in dead timeout events.

@@ -8,14 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <set>
 
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "counting_new.hpp"
 #include "db/database.hpp"
 #include "db/policy.hpp"
 #include "db/shadow.hpp"
@@ -29,39 +27,6 @@
 #include "query/parser.hpp"
 #include "simnet/kernel.hpp"
 #include "simnet/sim_network.hpp"
-
-// The *AllocationBudget tests count heap allocations through a replaced
-// global operator new, which only sees every allocation where no
-// sanitizer replaces the allocator.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define ACTYP_COUNT_ALLOCATIONS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define ACTYP_COUNT_ALLOCATIONS 0
-#endif
-#endif
-#if !defined(ACTYP_COUNT_ALLOCATIONS)
-#define ACTYP_COUNT_ALLOCATIONS 1
-#endif
-
-#if ACTYP_COUNT_ALLOCATIONS
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// Array and nothrow forms forward to this one in libstdc++. The deletes
-// stay out of line: inlined, GCC would see free() on new'd pointers.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-#endif
 
 namespace actyp::pipeline {
 namespace {
@@ -570,18 +535,19 @@ class ReleaseCoordinates final : public net::Node {
 // A ratchet on the heap work of the pool's per-query path: allocations
 // per warm query + release pair through a pool with shadow accounts,
 // counting the pool, the network and this loop's own two messages.
-// Measured with GCC 12 (Release): 17 per pair, with the session key
-// reserved, the release's session looked up in place and the reply's
-// header list sized once; without those the pool made 24, and with
-// co-allocation, reservations and two session maps 29. The bound is 17
-// plus 10%.
+// Measured with GCC 12 (Release): 9 per pair once the network parks
+// envelopes and handler effects in recycled slots; it made 17 with a
+// closure per message, 24 before the session key was reserved, the
+// release's session looked up in place and the reply's header list
+// sized once, and 29 with co-allocation, reservations and two session
+// maps. The bound is 9 plus 10%.
 TEST_F(PipelineTest, PoolQueryAllocationBudget) {
 #if !ACTYP_COUNT_ALLOCATIONS
   GTEST_SKIP() << "allocation counter unavailable (sanitizer build)";
 #else
   constexpr int kWarmPairs = 100;
   constexpr int kPairs = 1000;
-  constexpr double kBoundPerPair = 18.7;
+  constexpr double kBoundPerPair = 9.9;
   AddMachines(8, "sun");
   auto pool = MakePool("punch.rsrc.arch = sun\n");
   network_.AddNode("pool0", pool, {"alpha", 1});
@@ -1002,16 +968,18 @@ class Discard final : public net::Node {
 // A ratchet on the heap work of the query manager's per-query path:
 // allocations per warm client query through a QM that routes three
 // texts over two pool managers, counting the QM, the network and this
-// loop's own message. Measured with GCC 12 (Release): 9.67 per query,
-// where the QM that parsed, routed and rendered the hints of every
-// query made 28.67. The bound is 9.67 plus 10%.
+// loop's own message. Measured with GCC 12 (Release): 4 per query once
+// the network parks envelopes and handler effects in recycled slots;
+// 9.67 with a closure per message, and 28.67 where the QM parsed,
+// routed and rendered the hints of every query. The bound is 4 plus
+// 10%.
 TEST_F(PipelineTest, QueryManagerAllocationBudget) {
 #if !ACTYP_COUNT_ALLOCATIONS
   GTEST_SKIP() << "allocation counter unavailable (sanitizer build)";
 #else
   constexpr int kWarmQueries = 300;
   constexpr int kQueries = 3000;
-  constexpr double kBoundPerQuery = 10.63;
+  constexpr double kBoundPerQuery = 4.4;
   network_.AddNode("pm0", std::make_shared<Discard>(), {"alpha", 1});
   network_.AddNode("pm1", std::make_shared<Discard>(), {"alpha", 1});
   QueryManagerConfig config;

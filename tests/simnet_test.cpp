@@ -1,19 +1,43 @@
 // Tests for the discrete-event kernel, the topology/latency model, the
 // simulated network's queueing behaviour (service times, node
-// serialization, host core limits), and the call gateway that drives it
-// from outside threads.
+// serialization, host core limits), its delivery path (no allocation
+// once warm, node removal and re-adding), and the call gateway that
+// drives it from outside threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <thread>
 
+#include "counting_new.hpp"
 #include "simnet/call_gateway.hpp"
 #include "simnet/kernel.hpp"
 #include "simnet/sim_network.hpp"
 #include "simnet/topology.hpp"
 
 namespace actyp::simnet {
+
+// Reads SimNetwork's slabs, summed over every shard (a friend of the
+// class).
+struct SlabProbe {
+  // Parcel and effects slots ever created.
+  static std::size_t Slots(const SimNetwork& network) {
+    std::size_t total = 0;
+    for (const auto& shard : network.shards_) {
+      total += shard.parcels.slots.size() + shard.effects.slots.size();
+    }
+    return total;
+  }
+  // Parcel and effects slots that hold nothing.
+  static std::size_t FreeSlots(const SimNetwork& network) {
+    std::size_t total = 0;
+    for (const auto& shard : network.shards_) {
+      total += shard.parcels.free.size() + shard.effects.free.size();
+    }
+    return total;
+  }
+};
+
 namespace {
 
 // --- kernel ---
@@ -512,6 +536,191 @@ TEST(SimNetwork, RemoveNodeCancelsItsSelfTimers) {
   // with the removed node instead of being delivered (or dropped).
   EXPECT_EQ(first->times.size(), 1u);
   EXPECT_EQ(second->times.size(), 3u);
+  EXPECT_EQ(network.dropped_messages(), 0u);
+}
+
+// Answers each "ping" with a "pong" to its sender, and arms a short
+// "tick" on every message it serves. Its messages carry only a short
+// type, so the nodes themselves never allocate.
+class PingPongNode final : public net::Node {
+ public:
+  void OnMessage(const net::Envelope& env, net::NodeContext& ctx) override {
+    if (env.message.type == "tick") {
+      ++ticks;
+      return;
+    }
+    ++served;
+    ctx.Consume(Micros(20));
+    if (env.message.type == "ping") ctx.Send(env.from, net::Message{"pong"});
+    ctx.ScheduleSelf(Millis(1), net::Message{"tick"});
+  }
+  int served = 0;
+  int ticks = 0;
+};
+
+TEST(SimNetwork, DeliveryAllocatesNothingOnceWarm) {
+#if !ACTYP_COUNT_ALLOCATIONS
+  GTEST_SKIP() << "allocation counter unavailable (sanitizer build)";
+#else
+  constexpr int kWarmRounds = 100;
+  constexpr int kRounds = 1000;
+  // Longer than std::string's inline buffer: a recycled slot must keep
+  // its address strings' capacity.
+  const net::Address ping = "ping-node.east.example.org";
+  const net::Address pong = "pong-node.west.example.org";
+  // One round: a ping posted by move from one node to the other on
+  // another host, its pong, and a self-timer per handler.
+  const auto measure = [&](SimNetwork& network, const auto& run_round) {
+    auto a = std::make_shared<PingPongNode>();
+    auto b = std::make_shared<PingPongNode>();
+    network.AddNode(ping, a, {"host-a", 1});
+    network.AddNode(pong, b, {"host-b", 1});
+    const auto round = [&] {
+      network.Post(ping, pong, net::Message{"ping"});
+      run_round();
+    };
+    for (int i = 0; i < kWarmRounds; ++i) round();
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < kRounds; ++i) round();
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(a->served, kWarmRounds + kRounds);
+    EXPECT_EQ(b->served, kWarmRounds + kRounds);
+    EXPECT_EQ(a->ticks + b->ticks, 2 * (kWarmRounds + kRounds));
+    return after - before;
+  };
+
+  SimKernel kernel;
+  SimNetwork network(&kernel, Topology{}, 5);
+  network.AddHost("host-a", 2);
+  network.AddHost("host-b", 2);
+  EXPECT_EQ(measure(network, [&] { kernel.Run(); }), 0u)
+      << "allocations over " << kRounds << " warm serial rounds";
+
+  // The LP path: every ping and pong crosses shards through the outboxes
+  // and the merge between windows.
+  SimKernel lp_kernel;
+  SimNetwork sharded(&lp_kernel,
+                     Topology::WanTwoSites("east", "west", Millis(10),
+                                           Millis(2)),
+                     5);
+  sharded.EnableSharding({"east", "west"});
+  sharded.AddHost("host-a", 2, "east");
+  sharded.AddHost("host-b", 2, "west");
+  SimTime until = 0;
+  EXPECT_EQ(measure(sharded,
+                    [&] {
+                      until += Millis(100);
+                      sharded.RunShardedUntil(until);
+                    }),
+            0u)
+      << "allocations over " << kRounds << " warm sharded rounds";
+#endif
+}
+
+// Serves each "work" message for 10 ms and arms a 50 ms "tick" on start
+// and on every message it serves; journals both as "<name>:<n>" and
+// "<name>:tick".
+class JournalNode final : public net::Node {
+ public:
+  JournalNode(std::string name, std::vector<std::string>* journal)
+      : name_(std::move(name)), journal_(journal) {}
+  void OnStart(net::NodeContext& ctx) override {
+    ctx.ScheduleSelf(Millis(50), net::Message{"tick"});
+  }
+  void OnMessage(const net::Envelope& env, net::NodeContext& ctx) override {
+    if (env.message.type == "tick") {
+      if (journal_ != nullptr) journal_->push_back(name_ + ":tick");
+      return;
+    }
+    if (journal_ != nullptr) {
+      journal_->push_back(name_ + ":" + env.message.Header("n"));
+    }
+    ctx.Consume(Millis(10));
+    ctx.ScheduleSelf(Millis(50), net::Message{"tick"});
+  }
+
+ private:
+  std::string name_;
+  std::vector<std::string>* journal_;
+};
+
+net::Message Work(const std::string& n) {
+  net::Message message{"work"};
+  message.SetHeader("n", n);
+  return message;
+}
+
+TEST(SimNetwork, RemoveAndReaddKeepsDeliverySemantics) {
+  SimKernel kernel;
+  Topology topology;
+  topology.SetIntraSiteLink(LinkSpec{Micros(100), 0, 0});
+  SimNetwork network(&kernel, topology, 3);
+  network.AddHost("server", 1);  // one core for both nodes
+  std::vector<std::string> journal;
+  auto old_node = std::make_shared<JournalNode>("old", &journal);
+  const std::weak_ptr<JournalNode> old_weak = old_node;
+  network.AddNode("svc", std::move(old_node), {"server", 2});
+  network.AddNode("nbr", std::make_shared<JournalNode>("nbr", &journal),
+                  {"server", 1});
+
+  // At 0.1 ms "svc" starts serving 0 (until 10.1 ms) on the only core;
+  // 1 and 2 queue behind it, and both nodes wait for the core.
+  for (const char* n : {"0", "1", "2"}) network.Post("client", "svc", Work(n));
+  network.Post("client", "nbr", Work("x"));
+  kernel.RunUntil(Millis(5));
+  ASSERT_EQ(journal, (std::vector<std::string>{"old:0"}));
+
+  // Sent before the removal, landing after the re-add.
+  network.Post("client", "svc", Work("in-flight"));
+  const std::size_t free_before = SlabProbe::FreeSlots(network);
+  ASSERT_TRUE(network.RemoveNode("svc").ok());
+  // Its two queued messages and its armed start tick went back.
+  EXPECT_EQ(SlabProbe::FreeSlots(network), free_before + 3);
+  network.AddNode("svc", std::make_shared<JournalNode>("new", &journal),
+                  {"server", 2});
+
+  // The old node's handler is still in service, so its Node lives.
+  kernel.RunUntil(Millis(10));
+  EXPECT_FALSE(old_weak.expired());
+  kernel.RunUntil(Millis(10) + Micros(100));
+  EXPECT_TRUE(old_weak.expired());
+
+  kernel.Run();
+  // The core goes to the neighbour first, then to the new node for the
+  // in-flight message. The old node's queued messages are dropped with
+  // it, uncounted, and its timers never fire.
+  EXPECT_EQ(journal,
+            (std::vector<std::string>{"old:0", "nbr:x", "new:in-flight",
+                                      "nbr:tick", "new:tick", "nbr:tick",
+                                      "new:tick"}));
+  EXPECT_EQ(network.dropped_messages(), 0u);
+  EXPECT_EQ(network.StatsFor("svc").messages, 3u);  // with two ticks
+  EXPECT_EQ(SlabProbe::FreeSlots(network), SlabProbe::Slots(network));
+
+  // The same removal, 10,000 times over: no slab grows, and each old
+  // Node is freed once its completion has run.
+  const auto cycle = [&] {
+    auto node = std::make_shared<JournalNode>("old", nullptr);
+    const std::weak_ptr<JournalNode> weak = node;
+    network.AddNode("svc", std::move(node), {"server", 2});
+    for (const char* n : {"0", "1", "2"}) {
+      network.Post("client", "svc", Work(n));
+    }
+    kernel.RunUntil(kernel.Now() + Millis(5));
+    network.Post("client", "svc", Work("in-flight"));
+    EXPECT_TRUE(network.RemoveNode("svc").ok());
+    network.AddNode("svc", std::make_shared<JournalNode>("new", nullptr),
+                    {"server", 2});
+    kernel.Run();
+    EXPECT_TRUE(weak.expired());
+    EXPECT_TRUE(network.RemoveNode("svc").ok());
+  };
+  ASSERT_TRUE(network.RemoveNode("svc").ok());
+  cycle();
+  const std::size_t slots = SlabProbe::Slots(network);
+  for (int i = 0; i < 10000; ++i) cycle();
+  EXPECT_EQ(SlabProbe::Slots(network), slots);
+  EXPECT_EQ(SlabProbe::FreeSlots(network), slots);
   EXPECT_EQ(network.dropped_messages(), 0u);
 }
 

@@ -225,12 +225,13 @@ TEST(Collector, AggregatesAndResets) {
 // --- client node against a scripted allocator ---
 
 // Minimal allocator: returns an allocation for every query after a fixed
-// service delay; counts releases.
+// service delay; keeps the query bodies and counts releases.
 class ScriptedPool final : public net::Node {
  public:
   explicit ScriptedPool(SimDuration service) : service_(service) {}
   void OnMessage(const net::Envelope& env, net::NodeContext& ctx) override {
     if (env.message.type == net::msg::kQuery) {
+      bodies.push_back(env.message.body);
       ctx.Consume(service_);
       pipeline::Allocation allocation;
       allocation.machine_name = "m0";
@@ -252,6 +253,18 @@ class ScriptedPool final : public net::Node {
   int seq_ = 0;
   int queries = 0;
   int releases = 0;
+  std::vector<std::string> bodies;
+};
+
+// Keeps the body of every query it is sent and never answers.
+class SilentEntry final : public net::Node {
+ public:
+  void OnMessage(const net::Envelope& env, net::NodeContext&) override {
+    if (env.message.type == net::msg::kQuery) {
+      bodies.push_back(env.message.body);
+    }
+  }
+  std::vector<std::string> bodies;
 };
 
 TEST(ClientNode, ClosedLoopIssuesAndReleases) {
@@ -280,6 +293,62 @@ TEST(ClientNode, ClosedLoopIssuesAndReleases) {
   EXPECT_EQ(collector.completed(), 10u);
   // Response time at least the 5ms service.
   EXPECT_GE(collector.response_stats().min(), 0.005);
+}
+
+// Without a give-up timer nothing can resend a query, so the client
+// sends the generator's text itself; with one, a retry resends the same
+// text.
+TEST(ClientNode, SendsTheGeneratedTextAndRetriesResendIt) {
+  std::vector<std::string> generated;
+  const auto make_query = [&generated](Rng&) {
+    generated.push_back("punch.rsrc.cluster = c" +
+                        std::to_string(generated.size()) +
+                        "\npunch.user.login = client\n");
+    return generated.back();
+  };
+  {
+    simnet::SimKernel kernel;
+    simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), 10);
+    network.AddHost("alpha", 4);
+    auto pool = std::make_shared<ScriptedPool>(Millis(1));
+    network.AddNode("pool", pool, {"alpha", 1});
+    ClientConfig config;
+    config.client_id = 1;
+    config.entry = "pool";
+    config.make_query = make_query;
+    config.max_requests = 4;
+    network.AddNode("client", std::make_shared<ClientNode>(config),
+                    {"alpha", 2});
+    kernel.RunUntil(Seconds(10));
+    ASSERT_EQ(generated.size(), 4u);
+    EXPECT_EQ(pool->bodies, generated);
+  }
+  generated.clear();
+  {
+    simnet::SimKernel kernel;
+    simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), 10);
+    network.AddHost("alpha", 4);
+    auto entry = std::make_shared<SilentEntry>();
+    network.AddNode("pool", entry, {"alpha", 1});
+    ClientConfig config;
+    config.client_id = 1;
+    config.entry = "pool";
+    config.make_query = make_query;
+    config.max_requests = 3;
+    config.request_timeout = Seconds(1);
+    config.retry_max = 1;
+    auto client = std::make_shared<ClientNode>(config);
+    network.AddNode("client", client, {"alpha", 2});
+    kernel.RunUntil(Seconds(30));
+    ASSERT_EQ(generated.size(), 3u);
+    EXPECT_EQ(client->stats().retries, 3u);
+    std::vector<std::string> expected;
+    for (const std::string& text : generated) {
+      expected.push_back(text);  // the first attempt
+      expected.push_back(text);  // its retry
+    }
+    EXPECT_EQ(entry->bodies, expected);
+  }
 }
 
 TEST(ClientNode, JobDurationHoldsMachine) {

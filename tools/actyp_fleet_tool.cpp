@@ -10,6 +10,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/strings.hpp"
 #include "db/database.hpp"
@@ -54,33 +55,38 @@ int Generate(int argc, char** argv) {
   return 0;
 }
 
-// Reads the whole file into one string (the snapshot's only copy).
-bool ReadFile(const char* path, std::string* out) {
+// Loads a snapshot 64 KiB at a time: each chunk's complete lines go to
+// LoadFrom, and a partial last line waits for the next chunk, so the
+// file is never held whole while the database grows. Returns false when
+// the file cannot be read; a bad record sets `*status`.
+bool LoadSnapshot(const char* path, actyp::db::ResourceDatabase* database,
+                  actyp::Status* status) {
   std::FILE* file = std::fopen(path, "rb");
   if (file == nullptr) return false;
-  if (std::fseek(file, 0, SEEK_END) == 0) {
-    const long size = std::ftell(file);
-    if (size > 0) out->reserve(static_cast<std::size_t>(size));
-    std::rewind(file);
-  }
+  std::string pending;
   char buf[1 << 16];
   std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) out->append(buf, n);
+  while (status->ok() && (n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
+    pending.append(buf, n);
+    const std::size_t end = pending.rfind('\n');
+    if (end == std::string::npos) continue;
+    *status = database->LoadFrom(std::string_view(pending).substr(0, end + 1));
+    pending.erase(0, end + 1);
+  }
   const bool ok = std::ferror(file) == 0;
   std::fclose(file);
+  if (ok && status->ok()) *status = database->LoadFrom(pending);
   return ok;
 }
 
 int Info(int argc, char** argv) {
   if (argc < 3) return Usage();
-  std::string text;
-  if (!ReadFile(argv[2], &text)) {
+  actyp::db::ResourceDatabase database;
+  actyp::Status status = actyp::Status::Ok();
+  if (!LoadSnapshot(argv[2], &database, &status)) {
     std::fprintf(stderr, "cannot open '%s'\n", argv[2]);
     return 1;
   }
-
-  actyp::db::ResourceDatabase database;
-  const actyp::Status status = database.LoadFrom(text);
   if (!status.ok()) {
     std::fprintf(stderr, "parse error: %s\n", status.ToString().c_str());
     return 1;
