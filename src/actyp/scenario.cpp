@@ -519,13 +519,13 @@ void SimScenario::InstallFaultHooks() {
 
   // Machine churn: crash picks uniformly among currently-up machines
   // and flips them down in the white pages; pools notice on their next
-  // refresh sweep and stop handing them out until they come back.
+  // refresh sweep and stop handing them out until they come back. The
+  // up-list is read from the white pages' up flags into a buffer the
+  // hook keeps across strikes.
   fault_->SetMachineHooks(
-      [home](std::size_t n, Rng& rng) {
-        std::vector<db::MachineId> up;
-        home->database.VisitAll([&up](const db::MachineRecord& rec) {
-          if (rec.state == db::MachineState::kUp) up.push_back(rec.id);
-        });
+      [home, up = std::vector<db::MachineId>()](std::size_t n,
+                                                Rng& rng) mutable {
+        home->database.ListUp(&up);
         std::vector<db::MachineId> victims;
         victims.reserve(std::min(n, up.size()));
         for (std::size_t k = 0; k < n && !up.empty(); ++k) {

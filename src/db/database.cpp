@@ -1,6 +1,7 @@
 #include "db/database.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/strings.hpp"
 
@@ -27,6 +28,24 @@ void ResourceDatabase::MarkDirtyLocked(MachineRecord& rec) {
   journal_.emplace_back(version_, rec.id);
 }
 
+std::size_t ResourceDatabase::LowerSlot(MachineId id) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(
+          slots_.begin(), slots_.end(), id,
+          [](const Slot& slot, MachineId want) { return slot.id < want; }) -
+      slots_.begin());
+}
+
+std::size_t ResourceDatabase::SlotOf(MachineId id) const {
+  // Dense ids (all Add assigns) sit at id - 1; sparse ones are searched.
+  if (id != kInvalidMachine && id - 1 < slots_.size() &&
+      slots_[id - 1].id == id) {
+    return id - 1;
+  }
+  const std::size_t slot = LowerSlot(id);
+  return slot < slots_.size() && slots_[slot].id == id ? slot : kNoSlot;
+}
+
 std::uint64_t ResourceDatabase::version() const {
   std::lock_guard<std::mutex> lock(mu_);
   return version_;
@@ -39,14 +58,24 @@ std::optional<std::uint64_t> ResourceDatabase::ChangesSince(
   const auto begin = std::upper_bound(
       journal_.begin(), journal_.end(), since,
       [](std::uint64_t v, const auto& entry) { return v < entry.first; });
-  const std::size_t mark = out->size();
+  if (begin == journal_.end()) return version_;
+  // Mark each journaled record's slot (records are never removed, so
+  // every journaled id has one), then emit the marked slots in slot
+  // order, which is ascending id order, clearing the words read.
+  changed_.resize((slots_.size() + 63) / 64);
+  std::size_t lo = kNoSlot, hi = 0;
   for (auto it = begin; it != journal_.end(); ++it) {
-    out->push_back(it->second);
+    const std::size_t slot = SlotOf(it->second);
+    changed_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    lo = std::min(lo, slot);
+    hi = std::max(hi, slot);
   }
-  std::sort(out->begin() + static_cast<std::ptrdiff_t>(mark), out->end());
-  out->erase(std::unique(out->begin() + static_cast<std::ptrdiff_t>(mark),
-                         out->end()),
-             out->end());
+  for (std::size_t word = lo / 64; word <= hi / 64; ++word) {
+    for (std::uint64_t bits = changed_[word]; bits != 0; bits &= bits - 1) {
+      out->push_back(slots_[word * 64 + std::countr_zero(bits)].id);
+    }
+    changed_[word] = 0;
+  }
   return version_;
 }
 
@@ -58,30 +87,39 @@ Result<MachineId> ResourceDatabase::Add(MachineRecord record) {
   if (by_name_.count(record.name)) {
     return AlreadyExists("machine '" + record.name + "' already registered");
   }
+  // Assigned ids exceed every id in the store, so they append.
+  std::size_t slot = records_.size();
   if (record.id == kInvalidMachine) {
     record.id = next_id_++;
   } else {
-    if (records_.count(record.id)) {
+    slot = LowerSlot(record.id);
+    if (slot < slots_.size() && slots_[slot].id == record.id) {
       return AlreadyExists("machine id " + std::to_string(record.id) +
                            " already registered");
     }
     next_id_ = std::max(next_id_, record.id + 1);
   }
   const MachineId id = record.id;
-  by_name_[record.name] = id;
-  auto& stored = records_[id];
-  stored = std::move(record);
-  MarkDirtyLocked(stored);
+  const auto where = static_cast<std::ptrdiff_t>(slot);
+  slots_.insert(slots_.begin() + where,
+                Slot{id, record.state == MachineState::kUp,
+                     by_name_.emplace(record.name, id).first});
+  MarkDirtyLocked(*records_.insert(records_.begin() + where,
+                                   std::move(record)));
   return id;
+}
+
+void ResourceDatabase::Reserve(std::size_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  records_.reserve(n);
+  slots_.reserve(n);
 }
 
 Result<MachineRecord> ResourceDatabase::Get(MachineId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    return NotFound("machine id " + std::to_string(id));
-  }
-  return it->second;
+  const std::size_t slot = SlotOf(id);
+  if (slot == kNoSlot) return NotFound("machine id " + std::to_string(id));
+  return records_[slot];
 }
 
 Result<MachineRecord> ResourceDatabase::GetByName(
@@ -89,39 +127,34 @@ Result<MachineRecord> ResourceDatabase::GetByName(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_name_.find(name);
   if (it == by_name_.end()) return NotFound("machine '" + name + "'");
-  return records_.at(it->second);
+  return records_[SlotOf(it->second)];
 }
 
 Status ResourceDatabase::Update(
     MachineId id, const std::function<void(MachineRecord&)>& mutate) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    return NotFound("machine id " + std::to_string(id));
+  const std::size_t index = SlotOf(id);
+  if (index == kNoSlot) return NotFound("machine id " + std::to_string(id));
+  MachineRecord& rec = records_[index];
+  Slot& slot = slots_[index];
+  mutate(rec);
+  rec.id = id;  // id is immutable
+  slot.up = rec.state == MachineState::kUp;
+  const bool indexed = slot.name != by_name_.end();
+  if (!indexed || rec.name != slot.name->first) {
+    if (indexed) by_name_.erase(slot.name);
+    const auto [entry, added] = by_name_.try_emplace(rec.name, id);
+    slot.name = added ? entry : by_name_.end();
   }
-  const std::string old_name = it->second.name;
-  mutate(it->second);
-  it->second.id = id;  // id is immutable
-  if (it->second.name != old_name) {
-    by_name_.erase(old_name);
-    by_name_[it->second.name] = id;
-  }
-  MarkDirtyLocked(it->second);
+  MarkDirtyLocked(rec);
   return Status::Ok();
 }
 
-Status ResourceDatabase::UpdateDynamic(MachineId id, const DynamicState& dyn) {
-  return Update(id, [&dyn](MachineRecord& rec) { rec.dyn = dyn; });
-}
-
-void ResourceDatabase::ApplyDynamic(
-    const std::vector<std::pair<MachineId, DynamicState>>& batch) {
+void ResourceDatabase::ListUp(std::vector<MachineId>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, dyn] : batch) {
-    auto it = records_.find(id);
-    if (it == records_.end()) continue;
-    it->second.dyn = dyn;
-    MarkDirtyLocked(it->second);
+  out->clear();
+  for (const Slot& slot : slots_) {
+    if (slot.up) out->push_back(slot.id);
   }
 }
 
@@ -131,7 +164,7 @@ std::vector<MachineId> ResourceDatabase::ClaimMatching(
   const Symbol claim = Intern(pool_name);
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MachineId> claimed;
-  for (auto& [id, rec] : records_) {
+  for (MachineRecord& rec : records_) {
     if (limit > 0 && claimed.size() >= limit) break;
     if (!rec.taken_by.empty() || !rec.IsUsable()) continue;
     const MachineRecord& snapshot = rec;
@@ -142,7 +175,7 @@ std::vector<MachineId> ResourceDatabase::ClaimMatching(
     }
     rec.taken_by = claim;
     MarkDirtyLocked(rec);
-    claimed.push_back(id);
+    claimed.push_back(rec.id);
   }
   return claimed;
 }
@@ -151,7 +184,7 @@ std::size_t ResourceDatabase::ReleaseAllFrom(const std::string& pool_name) {
   const Symbol claim = Intern(pool_name);
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t released = 0;
-  for (auto& [id, rec] : records_) {
+  for (MachineRecord& rec : records_) {
     if (rec.taken_by == claim) {
       rec.taken_by = Symbol();
       MarkDirtyLocked(rec);
@@ -163,16 +196,15 @@ std::size_t ResourceDatabase::ReleaseAllFrom(const std::string& pool_name) {
 
 Status ResourceDatabase::Release(MachineId id, const std::string& pool_name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    return NotFound("machine id " + std::to_string(id));
-  }
-  if (it->second.taken_by.text() != pool_name) {
+  const std::size_t slot = SlotOf(id);
+  if (slot == kNoSlot) return NotFound("machine id " + std::to_string(id));
+  MachineRecord& rec = records_[slot];
+  if (rec.taken_by.text() != pool_name) {
     return PermissionDenied("machine " + std::to_string(id) +
                             " is not taken by '" + pool_name + "'");
   }
-  it->second.taken_by = Symbol();
-  MarkDirtyLocked(it->second);
+  rec.taken_by = Symbol();
+  MarkDirtyLocked(rec);
   return Status::Ok();
 }
 
@@ -181,8 +213,8 @@ std::vector<MachineId> ResourceDatabase::ListTakenBy(
   const Symbol claim = Intern(pool_name);
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MachineId> out;
-  for (const auto& [id, rec] : records_) {
-    if (rec.taken_by == claim) out.push_back(id);
+  for (const MachineRecord& rec : records_) {
+    if (rec.taken_by == claim) out.push_back(rec.id);
   }
   return out;
 }
@@ -192,8 +224,8 @@ void ResourceDatabase::VisitRecords(
     const std::function<void(std::size_t, const MachineRecord*)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto it = records_.find(ids[i]);
-    fn(i, it == records_.end() ? nullptr : &it->second);
+    const std::size_t slot = SlotOf(ids[i]);
+    fn(i, slot == kNoSlot ? nullptr : &records_[slot]);
   }
 }
 
@@ -202,8 +234,7 @@ void ResourceDatabase::ForEach(
   std::vector<MachineRecord> snapshot;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    snapshot.reserve(records_.size());
-    for (const auto& [id, rec] : records_) snapshot.push_back(rec);
+    snapshot = records_;
   }
   for (const auto& rec : snapshot) fn(rec);
 }
@@ -211,7 +242,7 @@ void ResourceDatabase::ForEach(
 void ResourceDatabase::VisitAll(
     const std::function<void(const MachineRecord&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, rec] : records_) fn(rec);
+  for (const MachineRecord& rec : records_) fn(rec);
 }
 
 std::size_t ResourceDatabase::size() const {
@@ -222,7 +253,7 @@ std::size_t ResourceDatabase::size() const {
 std::size_t ResourceDatabase::free_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [id, rec] : records_) {
+  for (const MachineRecord& rec : records_) {
     if (rec.taken_by.empty() && rec.IsUsable()) ++n;
   }
   return n;
@@ -231,7 +262,7 @@ std::size_t ResourceDatabase::free_count() const {
 std::string ResourceDatabase::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  for (const auto& [id, rec] : records_) {
+  for (const MachineRecord& rec : records_) {
     out += rec.Serialize();
     out += '\n';
   }
@@ -240,6 +271,10 @@ std::string ResourceDatabase::Serialize() const {
 
 Status ResourceDatabase::LoadFrom(std::string_view text) {
   // Walks the text's lines in place; only the parsed records are kept.
+  const auto lines = static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n') +
+      (!text.empty() && text.back() != '\n'));
+  Reserve(size() + lines);
   while (!text.empty()) {
     const std::size_t end = text.find('\n');
     const std::string_view line = text.substr(0, end);

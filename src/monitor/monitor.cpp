@@ -9,31 +9,36 @@ ResourceMonitor::ResourceMonitor(db::ResourceDatabase* database,
                                  MonitorConfig config, Rng rng)
     : database_(database), config_(config), rng_(rng) {}
 
-void ResourceMonitor::EnsureTracked(db::MachineId id,
-                                    const db::MachineRecord& rec) {
-  auto it = machines_.find(id);
-  if (it != machines_.end()) return;
-  PerMachine pm;
+ResourceMonitor::PerMachine& ResourceMonitor::Track(
+    const db::MachineRecord& rec) {
+  if (rec.id >= machines_.size()) machines_.resize(rec.id + 1);
+  PerMachine& pm = machines_[rec.id];
+  if (pm.tracked) return pm;
   pm.background_load =
       std::max(0.0, config_.background_load_mean + rng_.Gaussian(0.0, 0.1));
   pm.base_memory_mb = rec.dyn.available_memory_mb;
   pm.base_swap_mb = rec.dyn.available_swap_mb;
   pm.last_update = rec.dyn.last_update;
-  machines_.emplace(id, pm);
+  pm.tracked = true;
+  return pm;
 }
 
 std::size_t ResourceMonitor::Step(SimTime now) {
   std::lock_guard<std::mutex> lock(mu_);
-  // One no-copy walk of the white pages computes the rewrites, then one
-  // batched write applies them: the sweep no longer snapshots every
-  // record, and only the machines actually rewritten are marked dirty
-  // (version-bumped), so pool refreshes stay proportional to churn.
-  batch_.clear();
-  database_->VisitAll([&](const db::MachineRecord& rec) {
-    EnsureTracked(rec.id, rec);
-    PerMachine& pm = machines_.at(rec.id);
+  // Room for every id the white pages assigns up front, so the first
+  // sweep grows the table once.
+  if (machines_.size() <= database_->size()) {
+    machines_.resize(database_->size() + 1);
+  }
+  // One in-place walk: each due record is rewritten where it lies and
+  // marked dirty (version-bumped) in walk order, so pool refreshes stay
+  // proportional to churn.
+  std::size_t rewritten = 0;
+  database_->SweepDynamic([&](const db::MachineRecord& rec,
+                              db::DynamicState& dyn) {
+    PerMachine& pm = Track(rec);
     const SimDuration since = now - pm.last_update;
-    if (since < config_.update_period) return;
+    if (since < config_.update_period) return false;
     const double dt = ToSeconds(since);
 
     // Euler-Maruyama step of dX = k(mean - X)dt + sigma dW, clamped >= 0.
@@ -44,16 +49,18 @@ std::size_t ResourceMonitor::Step(SimTime now) {
     pm.background_load = std::max(0.0, pm.background_load + drift + diffusion);
     pm.last_update = now;
 
-    db::DynamicState dyn;
-    dyn.load = pm.background_load;
-    dyn.available_memory_mb = std::max(0.0, pm.base_memory_mb);
-    dyn.available_swap_mb = pm.base_swap_mb;
-    dyn.last_update = now;
-    dyn.service_flags = rec.dyn.service_flags;
-    batch_.emplace_back(rec.id, dyn);
+    // Fields 2-6 are the monitor's; the service flags (field 7) stay.
+    dyn = db::DynamicState{.load = pm.background_load,
+                           .active_jobs = 0,
+                           .available_memory_mb =
+                               std::max(0.0, pm.base_memory_mb),
+                           .available_swap_mb = pm.base_swap_mb,
+                           .last_update = now,
+                           .service_flags = dyn.service_flags};
+    ++rewritten;
+    return true;
   });
-  database_->ApplyDynamic(batch_);
-  return batch_.size();
+  return rewritten;
 }
 
 }  // namespace actyp::monitor

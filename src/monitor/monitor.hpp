@@ -9,9 +9,7 @@
 // cached view of the machine.
 #pragma once
 
-#include <map>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -37,25 +35,33 @@ class ResourceMonitor {
   // update, mirroring a periodic monitoring daemon. Returns the number
   // of machines rewritten — the sweep's work, which the profiler's
   // monitor_sweep span models its cost from.
+  //
+  // Cost: one in-place walk of the white pages (SweepDynamic) that
+  // reads this machine's state by index and rewrites each due record
+  // where it lies, with no lookup, copy or allocation once every
+  // machine is tracked.
   std::size_t Step(SimTime now);
 
  private:
   struct PerMachine {
-    double background_load;
-    double base_memory_mb;
-    double base_swap_mb;
+    double background_load = 0.0;
+    double base_memory_mb = 0.0;
+    double base_swap_mb = 0.0;
     SimTime last_update = 0;
+    bool tracked = false;  // seeded at the machine's first sweep
   };
 
-  void EnsureTracked(db::MachineId id, const db::MachineRecord& rec);
+  // The state of `rec`'s machine, seeded on first sight (one Gaussian
+  // draw, in the sweep's ascending id order).
+  PerMachine& Track(const db::MachineRecord& rec);
 
   db::ResourceDatabase* database_;
   MonitorConfig config_;
   Rng rng_;
   std::mutex mu_;
-  std::map<db::MachineId, PerMachine> machines_;
-  // Scratch for Step's batched write-back, reused across sweeps.
-  std::vector<std::pair<db::MachineId, db::DynamicState>> batch_;
+  // Indexed by machine id, so it spans the largest id seen: dense for
+  // every fleet the white pages assign ids to.
+  std::vector<PerMachine> machines_;
 };
 
 }  // namespace actyp::monitor

@@ -51,11 +51,10 @@ void ResourcePool::Initialize(net::NodeContext& ctx) {
 
   cache_.clear();
   meta_.clear();
-  cache_ids_.clear();
-  id_index_.clear();
+  meta_row_.clear();
   cache_.reserve(ids.size());
   meta_.reserve(ids.size());
-  cache_ids_.reserve(ids.size());
+  meta_row_.reserve(ids.size());
   any_user_groups_ = false;
   any_usage_policy_ = false;
   // Cursor first, read second: changes landing between the two are
@@ -74,9 +73,8 @@ void ResourcePool::Initialize(net::NodeContext& ctx) {
     entry.max_allowed_load = rec->max_allowed_load;
     entry.active_jobs = 0;
     entry.updated = rec->dyn.last_update;
-    id_index_[rec->id] = cache_.size();
-    cache_.push_back(std::move(entry));
-    cache_ids_.push_back(rec->id);
+    meta_row_.push_back(static_cast<std::uint32_t>(cache_.size()));
+    cache_.push_back(entry);
 
     EntryMeta meta;
     meta.name = Intern(rec->name);
@@ -92,6 +90,12 @@ void ResourcePool::Initialize(net::NodeContext& ctx) {
     any_usage_policy_ |= meta.policy_view != nullptr;
     meta_.push_back(std::move(meta));
   });
+  entry_of_.assign(
+      ids.empty() ? 0 : *std::max_element(ids.begin(), ids.end()) + 1,
+      kNoEntry);
+  for (std::size_t i = 0; i < cache_.size(); ++i) {
+    entry_of_[cache_[i].id] = static_cast<std::uint32_t>(i);
+  }
   if (index_) index_->Rebuild(cache_);
 
   initialized_ = true;
@@ -164,7 +168,7 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
   if ((any_user_groups_ && !access_group.empty()) || any_usage_policy_) {
     meta_filter = [this, &access_group](std::size_t i,
                                         const sched::CacheEntry& entry) {
-      EntryMeta& meta = meta_[i];
+      EntryMeta& meta = Meta(i);
       if (!access_group.empty() &&
           !db::GroupListAdmits(meta.user_groups, access_group)) {
         return false;
@@ -239,10 +243,11 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
   chosen.load += 1.0;
   TouchIndex(index);
 
+  const EntryMeta& meta = Meta(index);
   Allocation allocation;
-  allocation.machine_name = meta_[index].name.text();
+  allocation.machine_name = meta.name.text();
   allocation.machine_id = chosen.id;
-  allocation.port = meta_[index].execution_port;
+  allocation.port = meta.execution_port;
   allocation.session_key = session_key;
   allocation.pool_name = config_.pool_name;
   allocation.pool_address = ctx.self();
@@ -251,8 +256,8 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
   allocation.fragment_index = frag_index;
   allocation.fragment_total = frag_total;
 
-  Session session{index, std::nullopt};
-  if (auto* accounts = meta_[index].shadow_accounts; accounts != nullptr) {
+  Session session{chosen.id, std::nullopt};
+  if (auto* accounts = meta.shadow_accounts; accounts != nullptr) {
     if (auto uid = accounts->Acquire(session_key); uid.ok()) {
       allocation.shadow_uid = *uid;
       session.shadow_uid = *uid;
@@ -265,7 +270,7 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
     config_.recorder->Record(ctx.Now(), obs::FlightKind::kPoolClaim,
                              request_id, ctx.self(),
                              config_.pool_name + " -> " +
-                                 std::string(meta_[index].name.text()));
+                                 std::string(meta.name.text()));
   }
   if (!reply_to.empty()) {
     net::Message out = MakeAllocationMessage(allocation);
@@ -287,12 +292,13 @@ void ResourcePool::HandleRelease(const net::Envelope& envelope,
                 << "': release for unknown session";
     return;
   }
-  const auto [index, shadow_uid] = it->second;
+  const auto [machine, shadow_uid] = it->second;
+  const std::uint32_t index = entry_of_[machine];
   sched::CacheEntry& entry = cache_[index];
   entry.active_jobs = std::max(0, entry.active_jobs - 1);
   entry.load = std::max(0.0, entry.load - 1.0);
   TouchIndex(index);
-  if (auto* accounts = meta_[index].shadow_accounts;
+  if (auto* accounts = Meta(index).shadow_accounts;
       accounts != nullptr && shadow_uid.has_value()) {
     accounts->Release(*shadow_uid, *session);
   }
@@ -324,7 +330,7 @@ void ResourcePool::HandleTick(net::NodeContext& ctx) {
 
 void ResourcePool::ApplyRecord(std::size_t index,
                                const db::MachineRecord& rec) {
-  if (meta_[index].policy_view != nullptr) *meta_[index].policy_view = rec;
+  if (auto& view = Meta(index).policy_view; view != nullptr) *view = rec;
   sched::CacheEntry& entry = cache_[index];
   if (!rec.IsUsable()) {
     // The machine went down or was blocked since the last sweep: make
@@ -351,10 +357,9 @@ std::size_t ResourcePool::RefreshFromDatabase() {
       fetch_ids_.clear();
       fetch_index_.clear();
       for (const db::MachineId id : dirty_ids_) {
-        const auto it = id_index_.find(id);
-        if (it == id_index_.end()) continue;
+        if (id >= entry_of_.size() || entry_of_[id] == kNoEntry) continue;
         fetch_ids_.push_back(id);
-        fetch_index_.push_back(it->second);
+        fetch_index_.push_back(entry_of_[id]);
       }
       if (!fetch_ids_.empty()) {
         database_->VisitRecords(
@@ -364,7 +369,7 @@ std::size_t ResourcePool::RefreshFromDatabase() {
             });
         // Linear pools rebuild the whole index after the re-sort.
         if (policy_->indexed()) {
-          for (const std::size_t index : fetch_index_) TouchIndex(index);
+          for (const std::uint32_t index : fetch_index_) TouchIndex(index);
         }
       }
       stats_.entries_refreshed += fetch_ids_.size();
@@ -375,8 +380,10 @@ std::size_t ResourcePool::RefreshFromDatabase() {
     db_cursor_ = database_->version();
   }
   // Legacy path: one locked sweep over every cached record, no copies.
+  fetch_ids_.clear();
+  for (const sched::CacheEntry& entry : cache_) fetch_ids_.push_back(entry.id);
   database_->VisitRecords(
-      cache_ids_, [this](std::size_t i, const db::MachineRecord* rec) {
+      fetch_ids_, [this](std::size_t i, const db::MachineRecord* rec) {
         if (rec != nullptr) ApplyRecord(i, *rec);
       });
   if (index_) index_->Rebuild(cache_);
@@ -391,40 +398,19 @@ void ResourcePool::TouchIndex(std::size_t index) {
 void ResourcePool::Resort(net::NodeContext& ctx) {
   ctx.Consume(config_.costs.pool_sort_per_machine *
               static_cast<SimDuration>(cache_.size()));
-  // Sort cache and keep meta and the session table consistent via an
-  // index permutation; the permutation buffers persist across ticks.
-  sort_order_.resize(cache_.size());
-  for (std::size_t i = 0; i < sort_order_.size(); ++i) sort_order_[i] = i;
-  std::stable_sort(sort_order_.begin(), sort_order_.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return policy_->Better(cache_[a], cache_[b]);
-                   });
-  const bool identity =
-      std::is_sorted(sort_order_.begin(), sort_order_.end());
-  if (identity) return;  // already in objective order; nothing to move
-
-  std::vector<sched::CacheEntry> new_cache;
-  std::vector<EntryMeta> new_meta;
-  std::vector<db::MachineId> new_ids;
-  new_cache.reserve(cache_.size());
-  new_meta.reserve(meta_.size());
-  new_ids.reserve(cache_ids_.size());
-  sort_new_index_.resize(cache_.size());
+  if (!sched::ObjectiveOrder(*policy_, cache_, &sort_order_)) return;
+  // Permute through scratch arrays that keep their capacity; metadata
+  // rows stay put and only their row numbers move.
+  sort_cache_.resize(cache_.size());
+  sort_rows_.resize(cache_.size());
   for (std::size_t rank = 0; rank < sort_order_.size(); ++rank) {
-    sort_new_index_[sort_order_[rank]] = rank;
-    new_cache.push_back(std::move(cache_[sort_order_[rank]]));
-    new_meta.push_back(std::move(meta_[sort_order_[rank]]));
-    new_ids.push_back(cache_ids_[sort_order_[rank]]);
+    const std::uint32_t from = sort_order_[rank].index;
+    sort_cache_[rank] = cache_[from];
+    sort_rows_[rank] = meta_row_[from];
+    entry_of_[cache_[from].id] = static_cast<std::uint32_t>(rank);
   }
-  cache_ = std::move(new_cache);
-  meta_ = std::move(new_meta);
-  cache_ids_ = std::move(new_ids);
-  for (auto& [key, session] : sessions_) {
-    session.index = sort_new_index_[session.index];
-  }
-  for (std::size_t i = 0; i < cache_ids_.size(); ++i) {
-    id_index_[cache_ids_[i]] = i;
-  }
+  cache_.swap(sort_cache_);
+  meta_row_.swap(sort_rows_);
 }
 
 std::string ResourcePool::MakeSessionKey(net::NodeContext& ctx) {

@@ -10,6 +10,14 @@
 // every entry the scan would examine and still re-sort the cache every
 // resort_period; the bare policy names are charged per index node.
 //
+// Host cost of the periodic tick: the white pages' change feed names
+// the machines dirtied since the last tick, a dense id -> entry table
+// routes each to its cache entry, and only those records are re-read.
+// A linear pool's re-sort sorts precomputed policy keys, returns early
+// when the cache is already in order, and permutes the cache and a
+// 4-byte metadata row number per entry through scratch arrays that
+// keep their capacity, so a warm tick allocates nothing.
+//
 // Lifecycle: OnStart walks the white pages, claims matching machines
 // (marking them "taken"), loads a local cache, registers itself with the
 // local directory service, and arms a periodic re-sort timer. Each query
@@ -143,10 +151,11 @@ class ResourcePool final : public net::Node {
     std::uint16_t execution_port = 0;
   };
 
-  // An open session: the cache entry its machine sits at (remapped by
-  // every re-sort) and the shadow-account uid it holds, if any.
+  // An open session: its machine (found through entry_of_, so a
+  // re-sort never touches the table) and the shadow-account uid it
+  // holds, if any.
   struct Session {
-    std::size_t index = 0;
+    db::MachineId machine = db::kInvalidMachine;
     std::optional<std::uint32_t> shadow_uid;
   };
 
@@ -165,10 +174,14 @@ class ResourcePool final : public net::Node {
   // rebuilds the index. Returns the number of entries re-read (the
   // simulated refresh cost).
   std::size_t RefreshFromDatabase();
-  // Applies one record to cache entry `index` (shared by the initial
-  // load and both refresh paths).
+  // Applies one record to cache entry `index` (shared by both refresh
+  // paths).
   void ApplyRecord(std::size_t index, const db::MachineRecord& rec);
+  // Orders the cache by the policy's objective (the paper's periodic
+  // sort), stable for ties.
   void Resort(net::NodeContext& ctx);
+  // The metadata of cache entry `index`.
+  EntryMeta& Meta(std::size_t index) { return meta_[meta_row_[index]]; }
   // Re-positions entry `index` in the scheduling index after its load
   // changed (no-op for round-robin and random).
   void TouchIndex(std::size_t index);
@@ -185,22 +198,29 @@ class ResourcePool final : public net::Node {
   // refresh/re-sort, consulted instead of the linear scan.
   std::unique_ptr<sched::SchedulingIndex> index_;
   std::vector<sched::CacheEntry> cache_;
-  std::vector<EntryMeta> meta_;             // parallel to cache_
-  std::vector<db::MachineId> cache_ids_;    // parallel to cache_ (refresh)
-  // machine id -> cache index, for routing dirty ids to entries.
-  std::unordered_map<db::MachineId, std::size_t> id_index_;
+  // Metadata rows in claim order; re-sorts move only meta_row_, the
+  // row of each cache entry (read through Meta).
+  std::vector<EntryMeta> meta_;
+  std::vector<std::uint32_t> meta_row_;     // parallel to cache_
+  // Machine id -> cache index (kNoEntry for machines this pool does not
+  // hold), sized to the largest id held, which the white pages' dense
+  // ids keep near the fleet size: routes dirty ids and releases to
+  // entries without hashing.
+  static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
+  std::vector<std::uint32_t> entry_of_;
   // White-pages change cursor for the incremental refresh sweep.
   std::uint64_t db_cursor_ = 0;
-  // Scratch for the dirty-id refresh, reused across ticks.
+  // Scratch for the refresh, reused across ticks.
   std::vector<db::MachineId> dirty_ids_;
   std::vector<db::MachineId> fetch_ids_;
-  std::vector<std::size_t> fetch_index_;
+  std::vector<std::uint32_t> fetch_index_;
   bool any_user_groups_ = false;            // per-query filter fast path
   bool any_usage_policy_ = false;
   std::unordered_map<std::string, Session> sessions_;  // by session key
   // Scratch for Resort, reused across ticks.
-  std::vector<std::size_t> sort_order_;
-  std::vector<std::size_t> sort_new_index_;
+  std::vector<sched::RankedEntry> sort_order_;
+  std::vector<sched::CacheEntry> sort_cache_;
+  std::vector<std::uint32_t> sort_rows_;
   PoolStats stats_;
   bool initialized_ = false;
 };

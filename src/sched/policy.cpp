@@ -34,34 +34,17 @@ Selection SchedulingPolicy::Select(const std::vector<CacheEntry>& cache,
   return result;
 }
 
-bool LeastLoadPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
-  if (a.load != b.load) return a.load < b.load;
-  return a.effective_speed > b.effective_speed;
-}
-
-bool MostMemoryPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
-  if (a.available_memory_mb != b.available_memory_mb) {
-    return a.available_memory_mb > b.available_memory_mb;
+bool ObjectiveOrder(const SchedulingPolicy& policy,
+                    const std::vector<CacheEntry>& cache,
+                    std::vector<RankedEntry>* order) {
+  order->resize(cache.size());
+  bool moved = false;
+  for (std::size_t i = 0; i < cache.size(); ++i) {
+    (*order)[i] = {policy.Key(cache[i]), static_cast<std::uint32_t>(i)};
+    moved = moved || (i > 0 && (*order)[i].key < (*order)[i - 1].key);
   }
-  return a.load < b.load;
-}
-
-bool FastestPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
-  // Speed discounted by current load per cpu: what matters is the speed
-  // the new job will actually see.
-  const double ea = a.effective_speed /
-                    (1.0 + a.load / static_cast<double>(a.num_cpus));
-  const double eb = b.effective_speed /
-                    (1.0 + b.load / static_cast<double>(b.num_cpus));
-  if (ea != eb) return ea > eb;
-  return a.load < b.load;
-}
-
-bool RoundRobinPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
-  // Sorting is a no-op for round-robin; keep stable order.
-  (void)a;
-  (void)b;
-  return false;
+  if (moved) std::sort(order->begin(), order->end());
+  return moved;
 }
 
 Selection RoundRobinPolicy::Select(const std::vector<CacheEntry>& cache,
@@ -78,12 +61,6 @@ Selection RoundRobinPolicy::Select(const std::vector<CacheEntry>& cache,
     }
   }
   return result;
-}
-
-bool RandomPolicy::Better(const CacheEntry& a, const CacheEntry& b) const {
-  (void)a;
-  (void)b;
-  return false;
 }
 
 Selection RandomPolicy::Select(const std::vector<CacheEntry>& cache,

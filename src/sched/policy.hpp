@@ -63,6 +63,17 @@ struct SelectionContext {
   const std::function<bool(std::size_t, const CacheEntry&)>* filter = nullptr;
 };
 
+// A policy's objective as a pair compared lexicographically; each
+// policy's Better(a, b) is exactly Key(a) < Key(b).
+struct SortKey {
+  double primary = 0.0;
+  double secondary = 0.0;
+  friend bool operator<(const SortKey& a, const SortKey& b) {
+    if (a.primary != b.primary) return a.primary < b.primary;
+    return a.secondary < b.secondary;
+  }
+};
+
 struct Selection {
   std::size_t index = SIZE_MAX;
   std::size_t examined = 0;  // entries visited; drives service-time cost
@@ -87,10 +98,13 @@ class SchedulingPolicy {
   // Select.
   [[nodiscard]] virtual bool ordered() const { return true; }
 
-  // True when `a` should be preferred over `b` (used by the periodic
-  // re-sort process and as the index ordering).
+  // True when `a` should be preferred over `b` (the index ordering and
+  // the linear scan's choice): Key(a) < Key(b).
   [[nodiscard]] virtual bool Better(const CacheEntry& a,
                                     const CacheEntry& b) const = 0;
+  // The entry's objective key, which the periodic re-sort sorts by
+  // (ObjectiveOrder). Unordered policies give every entry one key.
+  [[nodiscard]] virtual SortKey Key(const CacheEntry& entry) const = 0;
 
   // Linear scan for the best *free* usable machine, honouring the
   // replication bias: the instance's preferred stride is scanned first,
@@ -118,7 +132,12 @@ class LeastLoadPolicy final : public SchedulingPolicy {
     return indexed() ? "least-load" : "linear-least-load";
   }
   [[nodiscard]] bool Better(const CacheEntry& a,
-                            const CacheEntry& b) const override;
+                            const CacheEntry& b) const override {
+    return Key(a) < Key(b);
+  }
+  [[nodiscard]] SortKey Key(const CacheEntry& e) const override {
+    return {e.load, -e.effective_speed};
+  }
 };
 
 // Largest available memory wins.
@@ -129,7 +148,12 @@ class MostMemoryPolicy final : public SchedulingPolicy {
     return indexed() ? "most-memory" : "linear-most-memory";
   }
   [[nodiscard]] bool Better(const CacheEntry& a,
-                            const CacheEntry& b) const override;
+                            const CacheEntry& b) const override {
+    return Key(a) < Key(b);
+  }
+  [[nodiscard]] SortKey Key(const CacheEntry& e) const override {
+    return {-e.available_memory_mb, e.load};
+  }
 };
 
 // Highest effective speed wins; ties broken by load.
@@ -140,7 +164,16 @@ class FastestPolicy final : public SchedulingPolicy {
     return indexed() ? "fastest" : "linear-fastest";
   }
   [[nodiscard]] bool Better(const CacheEntry& a,
-                            const CacheEntry& b) const override;
+                            const CacheEntry& b) const override {
+    return Key(a) < Key(b);
+  }
+  [[nodiscard]] SortKey Key(const CacheEntry& e) const override {
+    // Speed discounted by current load per cpu: what matters is the
+    // speed the new job will actually see.
+    return {-(e.effective_speed /
+              (1.0 + e.load / static_cast<double>(e.num_cpus))),
+            e.load};
+  }
 };
 
 // First free machine after a moving cursor (cheap, fair).
@@ -148,8 +181,11 @@ class RoundRobinPolicy final : public SchedulingPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "round-robin"; }
   [[nodiscard]] bool ordered() const override { return false; }
-  [[nodiscard]] bool Better(const CacheEntry& a,
-                            const CacheEntry& b) const override;
+  [[nodiscard]] bool Better(const CacheEntry&,
+                            const CacheEntry&) const override {
+    return false;
+  }
+  [[nodiscard]] SortKey Key(const CacheEntry&) const override { return {}; }
   [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
                                  const SelectionContext& ctx) const override;
 
@@ -162,11 +198,37 @@ class RandomPolicy final : public SchedulingPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "random"; }
   [[nodiscard]] bool ordered() const override { return false; }
-  [[nodiscard]] bool Better(const CacheEntry& a,
-                            const CacheEntry& b) const override;
+  [[nodiscard]] bool Better(const CacheEntry&,
+                            const CacheEntry&) const override {
+    return false;
+  }
+  [[nodiscard]] SortKey Key(const CacheEntry&) const override { return {}; }
   [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
                                  const SelectionContext& ctx) const override;
 };
+
+// One entry of a re-sort: its objective key and its cache index.
+struct RankedEntry {
+  SortKey key;
+  std::uint32_t index = 0;
+  friend bool operator<(const RankedEntry& a, const RankedEntry& b) {
+    if (a.key.primary != b.key.primary) return a.key.primary < b.key.primary;
+    if (a.key.secondary != b.key.secondary) {
+      return a.key.secondary < b.key.secondary;
+    }
+    return a.index < b.index;
+  }
+};
+
+// The periodic re-sort's permutation: fills `order` (reused, so no
+// allocation once warm) with the cache's entries ranked by the policy's
+// objective, ties in cache order — exactly what std::stable_sort by
+// Better yields. (key, index) is a total order, so a plain sort is
+// exact. Returns false, with `order` in cache order, when the cache is
+// already in objective order and nothing would move.
+bool ObjectiveOrder(const SchedulingPolicy& policy,
+                    const std::vector<CacheEntry>& cache,
+                    std::vector<RankedEntry>* order);
 
 // Factory by name. Charged per index node visited: "least-load",
 // "most-memory", "fastest". Charged as the paper's linear scan:

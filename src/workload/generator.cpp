@@ -50,6 +50,7 @@ void BuildFleet(const FleetSpec& spec, Rng& rng,
     stripe.emplace_back(Intern("c" + id), Intern("lab" + id));
   }
 
+  database->Reserve(database->size() + spec.machine_count);
   std::string text;  // scratch for the per-machine strings
   for (std::size_t i = 0; i < spec.machine_count; ++i) {
     db::MachineRecord rec;

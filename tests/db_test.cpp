@@ -3,7 +3,11 @@
 // accounts, usage policies, and the fleet's heap budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -15,6 +19,7 @@
 #include "db/machine.hpp"
 #include "db/policy.hpp"
 #include "db/shadow.hpp"
+#include "monitor/monitor.hpp"
 #include "query/parser.hpp"
 #include "workload/generator.hpp"
 
@@ -279,6 +284,40 @@ TEST(ResourceDatabase, UpdateMutatesUnderLock) {
   EXPECT_EQ(rec->params.Get("arch"), "hp");
 }
 
+// Update moves a record's by-name entry only on a real rename. A rename
+// onto a name another machine holds leaves that machine's entry, and
+// the renamed record is found by id only while the name stays taken.
+TEST(ResourceDatabase, UpdateRenamesThroughTheNameIndex) {
+  ResourceDatabase database;
+  const MachineId a = *database.Add(SampleMachine("a.purdue.edu"));
+  const MachineId b = *database.Add(SampleMachine("b.purdue.edu"));
+  const auto rename = [](std::string name) {
+    return [name](MachineRecord& rec) { rec.name = name; };
+  };
+  ASSERT_TRUE(database.Update(a, rename("a2.purdue.edu")).ok());
+  EXPECT_FALSE(database.GetByName("a.purdue.edu").ok());
+  EXPECT_EQ(database.GetByName("a2.purdue.edu")->id, a);
+
+  ASSERT_TRUE(database.Update(a, rename("b.purdue.edu")).ok());
+  EXPECT_EQ(database.GetByName("b.purdue.edu")->id, b);
+  EXPECT_FALSE(database.GetByName("a2.purdue.edu").ok());
+  EXPECT_EQ(database.Get(a)->name, "b.purdue.edu");
+  // Both records keep updating; the name's holder keeps it.
+  const auto flip = [](MachineRecord& rec) {
+    rec.state = MachineState::kDown;
+  };
+  ASSERT_TRUE(database.Update(a, flip).ok());
+  ASSERT_TRUE(database.Update(b, flip).ok());
+  EXPECT_EQ(database.GetByName("b.purdue.edu")->id, b);
+
+  ASSERT_TRUE(database.Update(b, rename("b2.purdue.edu")).ok());
+  ASSERT_TRUE(database.Update(a, rename("a3.purdue.edu")).ok());
+  EXPECT_EQ(database.GetByName("a3.purdue.edu")->id, a);
+  EXPECT_EQ(database.GetByName("b2.purdue.edu")->id, b);
+  EXPECT_FALSE(database.GetByName("b.purdue.edu").ok());
+  EXPECT_TRUE(database.Add(SampleMachine("b.purdue.edu")).ok());
+}
+
 TEST(ResourceDatabase, ClaimMatchingMarksTaken) {
   ResourceDatabase database;
   for (int i = 0; i < 10; ++i) {
@@ -475,6 +514,361 @@ TEST(WhitePagesMemory, FleetStaysWithinItsHeapBudget) {
 #endif
 }
 
+// --- differential oracle: the flat store against a std::map model ---
+
+// The white pages as a std::map store: ids and names in ordered maps,
+// a rename found by copying the old name, a change feed deduped by
+// sort + unique, and a monitor sweep that batches its rewrites and
+// applies them after the walk. Every observable of ResourceDatabase and
+// ResourceMonitor::Step must match it.
+class MapWhitePages {
+ public:
+  explicit MapWhitePages(std::uint64_t monitor_seed) : rng_(monitor_seed) {}
+
+  std::optional<MachineId> Add(MachineRecord rec) {
+    if (rec.name.empty() || by_name_.count(rec.name)) return std::nullopt;
+    if (rec.id == kInvalidMachine) {
+      rec.id = next_id_++;
+    } else {
+      if (records_.count(rec.id)) return std::nullopt;
+      next_id_ = std::max(next_id_, rec.id + 1);
+    }
+    const MachineId id = rec.id;
+    by_name_[rec.name] = id;
+    MachineRecord& stored = records_[id] = std::move(rec);
+    Mark(stored);
+    return id;
+  }
+
+  bool Update(MachineId id, const std::function<void(MachineRecord&)>& fn) {
+    const auto it = records_.find(id);
+    if (it == records_.end()) return false;
+    const std::string old_name = it->second.name;
+    fn(it->second);
+    it->second.id = id;
+    if (it->second.name != old_name) {
+      by_name_.erase(old_name);
+      by_name_[it->second.name] = id;
+    }
+    Mark(it->second);
+    return true;
+  }
+
+  std::vector<MachineId> Claim(const query::Query& query, Symbol pool,
+                               std::size_t limit) {
+    std::vector<MachineId> claimed;
+    for (auto& [id, rec] : records_) {
+      if (limit > 0 && claimed.size() >= limit) break;
+      if (!rec.taken_by.empty() || !rec.IsUsable()) continue;
+      const MachineRecord& view = rec;
+      if (!query.Matches([&view](const std::string& name) {
+            return view.Attribute(name);
+          })) {
+        continue;
+      }
+      rec.taken_by = pool;
+      Mark(rec);
+      claimed.push_back(id);
+    }
+    return claimed;
+  }
+
+  bool Release(MachineId id, Symbol pool) {
+    const auto it = records_.find(id);
+    if (it == records_.end() || it->second.taken_by != pool) return false;
+    it->second.taken_by = Symbol();
+    Mark(it->second);
+    return true;
+  }
+
+  std::size_t ReleaseAllFrom(Symbol pool) {
+    std::size_t released = 0;
+    for (auto& [id, rec] : records_) {
+      if (rec.taken_by != pool) continue;
+      rec.taken_by = Symbol();
+      Mark(rec);
+      ++released;
+    }
+    return released;
+  }
+
+  // ResourceMonitor::Step with the default MonitorConfig.
+  std::size_t Sweep(SimTime now) {
+    const monitor::MonitorConfig config;
+    std::vector<std::pair<MachineId, DynamicState>> batch;
+    for (const auto& [id, rec] : records_) {
+      auto it = monitor_.find(id);
+      if (it == monitor_.end()) {
+        Tracked t;
+        t.load = std::max(0.0, config.background_load_mean +
+                                   rng_.Gaussian(0.0, 0.1));
+        t.memory = rec.dyn.available_memory_mb;
+        t.swap = rec.dyn.available_swap_mb;
+        t.last_update = rec.dyn.last_update;
+        it = monitor_.emplace(id, t).first;
+      }
+      Tracked& t = it->second;
+      const SimDuration since = now - t.last_update;
+      if (since < config.update_period) continue;
+      const double dt = ToSeconds(since);
+      const double drift = config.reversion_rate *
+                           (config.background_load_mean - t.load) * dt;
+      const double diffusion = config.volatility *
+                               std::sqrt(std::max(dt, 0.0)) * rng_.Gaussian();
+      t.load = std::max(0.0, t.load + drift + diffusion);
+      t.last_update = now;
+      DynamicState dyn;
+      dyn.load = t.load;
+      dyn.available_memory_mb = std::max(0.0, t.memory);
+      dyn.available_swap_mb = t.swap;
+      dyn.last_update = now;
+      dyn.service_flags = rec.dyn.service_flags;
+      batch.emplace_back(id, dyn);
+    }
+    for (const auto& [id, dyn] : batch) {
+      records_.at(id).dyn = dyn;
+      Mark(records_.at(id));
+    }
+    return batch.size();
+  }
+
+  std::optional<std::uint64_t> ChangesSince(
+      std::uint64_t since, std::vector<MachineId>* out) const {
+    if (since < floor_) return std::nullopt;
+    for (const auto& [version, id] : journal_) {
+      if (version > since) out->push_back(id);
+    }
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+    return version_;
+  }
+
+  const std::map<MachineId, MachineRecord>& records() const {
+    return records_;
+  }
+  std::string Serialize() const {
+    std::string out;
+    for (const auto& [id, rec] : records_) out += rec.Serialize() + "\n";
+    return out;
+  }
+  std::optional<MachineId> IdOf(const std::string& name) const {
+    const auto it = by_name_.find(name);
+    if (it == by_name_.end()) return std::nullopt;
+    return it->second;
+  }
+  std::uint64_t version() const { return version_; }
+
+ private:
+  struct Tracked {
+    double load, memory, swap;
+    SimTime last_update;
+  };
+
+  void Mark(MachineRecord& rec) {
+    rec.version = ++version_;
+    if (!journal_.empty() && journal_.back().second == rec.id) {
+      journal_.back().first = version_;
+      return;
+    }
+    if (journal_.size() >= kJournalCapacity) {
+      const std::size_t keep = kJournalCapacity / 2;
+      floor_ = journal_[journal_.size() - keep - 1].first;
+      journal_.erase(journal_.begin(),
+                     journal_.end() - static_cast<std::ptrdiff_t>(keep));
+    }
+    journal_.emplace_back(version_, rec.id);
+  }
+
+  static constexpr std::size_t kJournalCapacity = 1 << 16;
+  std::map<MachineId, MachineRecord> records_;
+  std::map<std::string, MachineId> by_name_;
+  MachineId next_id_ = 1;
+  std::uint64_t version_ = 0;
+  std::uint64_t floor_ = 0;
+  std::vector<std::pair<std::uint64_t, MachineId>> journal_;
+  std::map<MachineId, Tracked> monitor_;
+  Rng rng_;
+};
+
+// Everything a reader can see of one record.
+using RecordView = std::tuple<MachineId, std::string, std::uint64_t,
+                              std::string, double, SimTime>;
+RecordView View(const MachineRecord& rec) {
+  return {rec.id, rec.Serialize(), rec.version, std::string(rec.taken_by.text()),
+          rec.dyn.load, rec.dyn.last_update};
+}
+
+void ExpectSameWhitePages(const ResourceDatabase& db,
+                          const MapWhitePages& model, Rng& probe,
+                          const std::vector<std::string>& names) {
+  ASSERT_EQ(db.version(), model.version());
+  ASSERT_EQ(db.size(), model.records().size());
+  std::vector<RecordView> walked, expected;
+  std::vector<MachineId> up, expected_up;
+  std::size_t free = 0;
+  db.VisitAll([&](const MachineRecord& rec) { walked.push_back(View(rec)); });
+  for (const auto& [id, rec] : model.records()) {
+    expected.push_back(View(rec));
+    if (rec.state == MachineState::kUp) expected_up.push_back(id);
+    free += rec.taken_by.empty() && rec.IsUsable();
+  }
+  ASSERT_EQ(walked, expected);
+  db.ListUp(&up);
+  EXPECT_EQ(up, expected_up);
+  EXPECT_EQ(db.free_count(), free);
+
+  // The change feed at random cursors, the current one included.
+  for (int k = 0; k < 4; ++k) {
+    const std::uint64_t since =
+        k == 0 ? model.version() : probe.NextBounded(model.version() + 1);
+    std::vector<MachineId> got{kInvalidMachine}, want{kInvalidMachine};
+    const auto cursor = db.ChangesSince(since, &got);
+    const auto want_cursor = model.ChangesSince(since, &want);
+    ASSERT_EQ(cursor, want_cursor) << "since " << since;
+    if (cursor) {
+      EXPECT_EQ(got, want) << "since " << since;
+    }
+  }
+
+  // Point lookups by id (present or not) and by name.
+  for (int k = 0; k < 4; ++k) {
+    const auto id = static_cast<MachineId>(probe.NextBounded(1100));
+    const auto got = db.Get(id);
+    const auto it = model.records().find(id);
+    ASSERT_EQ(got.ok(), it != model.records().end()) << "id " << id;
+    if (got.ok()) {
+      EXPECT_EQ(View(*got), View(it->second));
+    }
+    const std::string& name = names[probe.NextBounded(names.size())];
+    const auto by_name = db.GetByName(name);
+    const auto want_id = model.IdOf(name);
+    ASSERT_EQ(by_name.ok(), want_id.has_value()) << name;
+    if (by_name.ok()) {
+      EXPECT_EQ(View(*by_name), View(model.records().at(*want_id)));
+    }
+  }
+}
+
+// Seeded sequences of every mutation against the map model: auto and
+// explicit sparse ids, state flips and renames, claims and releases,
+// monitor sweeps and snapshot loads, then enough sweeps to trim the
+// change journal so stale cursors get nullopt.
+class WhitePagesOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(WhitePagesOracle, FlatStoreMatchesMapModel) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  Rng rng(seed * 7919 + 1);
+  Rng probe(seed);
+  ResourceDatabase db;
+  monitor::ResourceMonitor monitor(&db, monitor::MonitorConfig{},
+                                   Rng(seed + 100));
+  MapWhitePages model(seed + 100);
+  const auto sun = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
+  ASSERT_TRUE(sun.ok());
+  const std::vector<std::string> pools = {"poolA", "poolB", "poolC"};
+  // Every name ever used, for lookups, and one never registered.
+  std::vector<std::string> names = {"unknown.edu"};
+  const MachineId sparse[] = {50, 3, 17, 1000, 4};
+  SimTime now = 0;
+  int fresh = 0;
+
+  auto machine = [&](MachineId id) {
+    MachineRecord rec = SampleMachine(
+        "h" + std::to_string(rng.NextBounded(400)) + ".site" +
+        std::to_string(seed) + ".edu");  // collisions are rejected
+    rec.id = id;
+    rec.state = rng.Bernoulli(0.2) ? MachineState::kDown : MachineState::kUp;
+    rec.dyn.load = 0.25 * static_cast<double>(rng.NextBounded(8));
+    rec.params.Set("arch", rng.Bernoulli(0.7) ? "sun" : "hp");
+    names.push_back(rec.name);
+    return rec;
+  };
+  auto any_id = [&] {
+    return static_cast<MachineId>(rng.Bernoulli(0.2) ? rng.NextBounded(1100)
+                                                     : 1 + rng.NextBounded(80));
+  };
+
+  for (int op = 0; op < 500; ++op) {
+    const std::uint64_t kind = rng.NextBounded(100);
+    if (kind < 30) {
+      MachineRecord rec = machine(kInvalidMachine);
+      EXPECT_EQ(db.Add(rec).ok(), model.Add(rec).has_value());
+    } else if (kind < 38) {
+      const MachineId id = rng.Bernoulli(0.6) ? sparse[rng.NextBounded(5)]
+                                              : any_id();
+      MachineRecord rec = machine(id == kInvalidMachine ? 1 : id);
+      EXPECT_EQ(db.Add(rec).ok(), model.Add(rec).has_value());
+    } else if (kind < 58) {
+      const MachineId id = any_id();
+      const auto state = static_cast<MachineState>(rng.NextBounded(3));
+      const double load = rng.NextDouble();
+      std::string rename;
+      if (rng.Bernoulli(0.1)) {
+        rename = "renamed" + std::to_string(fresh++) + ".edu";
+        names.push_back(rename);
+      }
+      const auto mutate = [&](MachineRecord& rec) {
+        rec.state = state;
+        rec.dyn.load = load;
+        if (!rename.empty()) rec.name = rename;
+      };
+      EXPECT_EQ(db.Update(id, mutate).ok(), model.Update(id, mutate));
+    } else if (kind < 68) {
+      const std::string& pool = pools[rng.NextBounded(pools.size())];
+      const std::size_t limit = rng.NextBounded(6);
+      EXPECT_EQ(db.ClaimMatching(*sun, pool, limit),
+                model.Claim(*sun, Intern(pool), limit));
+    } else if (kind < 76) {
+      const MachineId id = any_id();
+      const std::string& pool = pools[rng.NextBounded(pools.size())];
+      EXPECT_EQ(db.Release(id, pool).ok(), model.Release(id, Intern(pool)));
+    } else if (kind < 80) {
+      const std::string& pool = pools[rng.NextBounded(pools.size())];
+      EXPECT_EQ(db.ReleaseAllFrom(pool), model.ReleaseAllFrom(Intern(pool)));
+    } else if (kind < 94) {
+      now += Seconds(1.0 + static_cast<double>(rng.NextBounded(7)));
+      EXPECT_EQ(monitor.Step(now), model.Sweep(now));
+    } else {
+      // A snapshot of fresh records with explicit ids, some of them
+      // colliding or below ids already loaded; LoadFrom stops at the
+      // first rejected record, having kept the ones before it.
+      std::string text;
+      for (std::uint64_t k = 0, n = 1 + rng.NextBounded(4); k < n; ++k) {
+        text += machine(static_cast<MachineId>(1 + rng.NextBounded(1200)))
+                    .Serialize() +
+                "\n";
+      }
+      const bool ok = db.LoadFrom(text).ok();
+      bool model_ok = true;
+      for (std::size_t at = 0; model_ok && at < text.size();) {
+        const std::size_t end = text.find('\n', at);
+        auto rec = MachineRecord::Deserialize(text.substr(at, end - at));
+        ASSERT_TRUE(rec.ok());
+        model_ok = model.Add(std::move(*rec)).has_value();
+        at = end + 1;
+      }
+      EXPECT_EQ(ok, model_ok);
+    }
+    ExpectSameWhitePages(db, model, probe, names);
+    if (HasFatalFailure()) return;
+    if (op % 50 == 0) {
+      EXPECT_EQ(db.Serialize(), model.Serialize());
+    }
+  }
+
+  // Sweep until the journal trims past the early cursors.
+  const std::uint64_t early = model.version() / 2;
+  while (model.version() < (std::uint64_t{1} << 17)) {
+    now += Seconds(5.0);
+    ASSERT_EQ(monitor.Step(now), model.Sweep(now));
+  }
+  std::vector<MachineId> dirty;
+  EXPECT_FALSE(db.ChangesSince(early, &dirty).has_value());
+  ExpectSameWhitePages(db, model, probe, names);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WhitePagesOracle, ::testing::Range(1, 7));
+
 // --- shadow accounts ---
 
 // --- change tracking (dirty-id refresh) ---
@@ -488,7 +882,9 @@ TEST(ResourceDatabase, VersionsAdvanceOnEveryMutation) {
   EXPECT_GT(after_add, 0u);
   EXPECT_EQ(database.Get(*id)->version, after_add);
 
-  ASSERT_TRUE(database.UpdateDynamic(*id, DynamicState{}).ok());
+  ASSERT_TRUE(database.Update(*id, [](MachineRecord& rec) {
+    rec.dyn = DynamicState{};
+  }).ok());
   EXPECT_GT(database.version(), after_add);
   EXPECT_EQ(database.Get(*id)->version, database.version());
 }
@@ -511,9 +907,10 @@ TEST(ResourceDatabase, ChangesSinceReportsOnlyDirtyIds) {
 
   // Touch two machines (one of them twice); exactly those come back,
   // deduplicated and ascending.
-  ASSERT_TRUE(database.UpdateDynamic(ids[5], DynamicState{}).ok());
-  ASSERT_TRUE(database.UpdateDynamic(ids[2], DynamicState{}).ok());
-  ASSERT_TRUE(database.UpdateDynamic(ids[5], DynamicState{}).ok());
+  const auto touch = [](MachineRecord& rec) { rec.dyn.load += 0.5; };
+  ASSERT_TRUE(database.Update(ids[5], touch).ok());
+  ASSERT_TRUE(database.Update(ids[2], touch).ok());
+  ASSERT_TRUE(database.Update(ids[5], touch).ok());
   dirty.clear();
   cursor = database.ChangesSince(*cursor, &dirty);
   ASSERT_TRUE(cursor.has_value());
@@ -563,7 +960,10 @@ TEST(ResourceDatabase, StaleCursorSignalsFullRefresh) {
   EXPECT_EQ(*cursor, database.version());
 }
 
-TEST(ResourceDatabase, ApplyDynamicBatchesAndJournals) {
+// The monitor's sweep rewrites records in place: only the records `fn`
+// reports rewritten get a version, stamped and journaled in ascending
+// id order, and the others keep theirs.
+TEST(ResourceDatabase, SweepDynamicRewritesInPlaceAndJournals) {
   ResourceDatabase database;
   std::vector<MachineId> ids;
   for (int i = 0; i < 4; ++i) {
@@ -573,11 +973,22 @@ TEST(ResourceDatabase, ApplyDynamicBatchesAndJournals) {
   const auto cursor = database.ChangesSince(0, &dirty);
   ASSERT_TRUE(cursor.has_value());
 
-  DynamicState dyn;
-  dyn.load = 2.25;
-  database.ApplyDynamic({{ids[1], dyn}, {ids[3], dyn}, {9999, dyn}});
+  std::vector<MachineId> walked;
+  database.SweepDynamic([&](const MachineRecord& rec, DynamicState& dyn) {
+    walked.push_back(rec.id);
+    if (rec.id != ids[1] && rec.id != ids[3]) return false;
+    dyn.load = 2.25;
+    EXPECT_DOUBLE_EQ(rec.dyn.load, 2.25);  // the record itself
+    return true;
+  });
+  EXPECT_EQ(walked, ids);
   EXPECT_DOUBLE_EQ(database.Get(ids[1])->dyn.load, 2.25);
   EXPECT_DOUBLE_EQ(database.Get(ids[3])->dyn.load, 2.25);
+  EXPECT_DOUBLE_EQ(database.Get(ids[2])->dyn.load, 0.4);
+  EXPECT_EQ(database.Get(ids[1])->version, *cursor + 1);
+  EXPECT_EQ(database.Get(ids[3])->version, *cursor + 2);
+  EXPECT_EQ(database.Get(ids[2])->version, *cursor - 1);
+  EXPECT_EQ(database.version(), *cursor + 2);
 
   dirty.clear();
   const auto cursor2 = database.ChangesSince(*cursor, &dirty);

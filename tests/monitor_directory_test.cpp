@@ -76,36 +76,61 @@ TEST(Monitor, LoadRevertsTowardMean) {
   EXPECT_NEAR(total / 50.0, 0.25, 0.15);
 }
 
+// The sweep rewrites each due record in place and marks exactly those
+// dirty, in ascending id order; a machine that is not due keeps every
+// field and its version, so pool refreshes stay proportional to churn.
 TEST(Monitor, StepMarksOnlyRewrittenMachinesDirty) {
   db::ResourceDatabase database;
-  std::vector<db::MachineId> ids;
+  std::vector<db::MachineId> ids, even, odd;
   for (int i = 0; i < 10; ++i) {
-    ids.push_back(*database.Add(Machine("m" + std::to_string(i))));
+    db::MachineRecord rec = Machine("m" + std::to_string(i));
+    // Odd machines last reported 3 s in, so they fall due 3 s later.
+    rec.dyn.last_update = i % 2 == 1 ? Seconds(3) : 0;
+    rec.dyn.active_jobs = 2;
+    rec.dyn.service_flags = db::kExecutionUnitUp;
+    ids.push_back(*database.Add(std::move(rec)));
+    (i % 2 == 1 ? odd : even).push_back(ids.back());
   }
   monitor::MonitorConfig config;
   config.update_period = Seconds(5);
   monitor::ResourceMonitor monitor(&database, config, Rng(11));
-
-  // First sweep rewrites everything (all records are period-stale).
-  monitor.Step(Seconds(10));
   std::vector<db::MachineId> dirty;
   auto cursor = database.ChangesSince(0, &dirty);
   ASSERT_TRUE(cursor.has_value());
+  const auto sweep = [&](SimTime now, std::size_t rewritten) {
+    EXPECT_EQ(monitor.Step(now), rewritten);
+    dirty.clear();
+    const std::uint64_t since = *cursor;
+    cursor = database.ChangesSince(since, &dirty);
+    EXPECT_EQ(database.version(), since + rewritten);
+  };
 
-  // A sweep inside the update period rewrites nothing: no machine may
-  // gain a version bump, so pool refreshes see zero dirty ids.
-  monitor.Step(Seconds(12));
-  dirty.clear();
-  cursor = database.ChangesSince(*cursor, &dirty);
-  ASSERT_TRUE(cursor.has_value());
+  // At 5 s only the even machines are due.
+  const std::uint64_t before = *cursor;
+  sweep(Seconds(5), even.size());
+  EXPECT_EQ(dirty, even);
+  for (std::size_t k = 0; k < even.size(); ++k) {
+    const auto rec = database.Get(even[k]);
+    EXPECT_EQ(rec->version, before + 1 + k);  // journaled in walk order
+    EXPECT_EQ(rec->dyn.last_update, Seconds(5));
+    EXPECT_EQ(rec->dyn.active_jobs, 0);
+    EXPECT_EQ(rec->dyn.service_flags, db::kExecutionUnitUp);
+  }
+  for (const db::MachineId id : odd) {
+    const auto rec = database.Get(id);
+    EXPECT_LE(rec->version, before);
+    EXPECT_EQ(rec->dyn.last_update, Seconds(3));
+    EXPECT_EQ(rec->dyn.active_jobs, 2);
+  }
+
+  // A sweep inside every machine's period rewrites nothing.
+  sweep(Seconds(7), 0);
   EXPECT_TRUE(dirty.empty());
-
-  // Past the period, the sweep rewrites the whole (due) fleet again.
-  monitor.Step(Seconds(16));
-  dirty.clear();
-  cursor = database.ChangesSince(*cursor, &dirty);
-  ASSERT_TRUE(cursor.has_value());
-  EXPECT_EQ(dirty.size(), ids.size());
+  // Then the odd machines fall due, and later the whole fleet.
+  sweep(Seconds(8), odd.size());
+  EXPECT_EQ(dirty, odd);
+  sweep(Seconds(13), ids.size());
+  EXPECT_EQ(dirty, ids);
 }
 
 // --- directory ---

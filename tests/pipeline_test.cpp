@@ -27,6 +27,7 @@
 #include "query/parser.hpp"
 #include "simnet/kernel.hpp"
 #include "simnet/sim_network.hpp"
+#include "workload/generator.hpp"
 
 namespace actyp::pipeline {
 namespace {
@@ -580,6 +581,105 @@ TEST_F(PipelineTest, PoolQueryAllocationBudget) {
 #endif
 }
 
+// A ratchet on the periodic fleet work: once warm, a monitor sweep
+// that rewrites the whole fleet, the refresh tick right after it in an
+// indexed pool and in a linear pool (whose re-sort then moves nearly
+// every entry), and a crash strike's white-pages work (the up-list, the
+// victim's flip down) plus its restore make no heap allocation. Host
+// names pass 15 characters, so a copied name would allocate. Warm means
+// every buffer has reached its steady size, the white pages' change
+// journal included: it grows to its bound once, then trims in place.
+TEST(PeriodicFleetWork, AllocatesNothingOnceWarm) {
+#if !ACTYP_COUNT_ALLOCATIONS
+  GTEST_SKIP() << "allocation counter unavailable (sanitizer build)";
+#else
+  simnet::SimKernel kernel;
+  simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), 7);
+  network.AddHost("alpha", 12);
+  db::ResourceDatabase database;
+  db::ShadowAccountRegistry shadows;
+  directory::DirectoryService directory;
+  workload::FleetSpec spec;
+  spec.machine_count = 400;
+  spec.cluster_count = 2;
+  spec.domain = "cs.purdue";
+  Rng fleet_rng(5);
+  workload::BuildFleet(spec, fleet_rng, &database, &shadows);
+  ASSERT_GT(database.Get(1)->name.size(), 15u);
+  monitor::ResourceMonitor monitor(&database, monitor::MonitorConfig{},
+                                   Rng(6));
+
+  // Ticks every 5 s: the indexed pool's on the sweep's period, the
+  // linear pool's half a second later.
+  auto make_pool = [&](const std::string& criteria_text,
+                       const std::string& policy) {
+    auto criteria = query::Parser::ParseBasic(criteria_text);
+    EXPECT_TRUE(criteria.ok());
+    ResourcePoolConfig config;
+    config.criteria = *criteria;
+    config.pool_name = criteria->PoolName();
+    config.policy = policy;
+    config.resort_period = Seconds(5);
+    return std::make_shared<ResourcePool>(config, &database, &directory,
+                                          &shadows, nullptr);
+  };
+  auto indexed = make_pool("punch.rsrc.cluster = c0\n", "least-load");
+  auto linear = make_pool("punch.rsrc.cluster = c1\n", "linear-least-load");
+  network.AddNode("indexed", indexed, {"alpha", 1});
+  kernel.RunUntil(Millis(500));
+  network.AddNode("linear", linear, {"alpha", 1});
+  ASSERT_EQ(indexed->cache_size(), 200u);
+  ASSERT_EQ(linear->cache_size(), 200u);
+
+  Rng strike_rng(8);
+  std::vector<db::MachineId> up;
+  auto strike_and_restore = [&] {
+    database.ListUp(&up);
+    const db::MachineId victim = up[strike_rng.NextBounded(up.size())];
+    database.Update(victim, [](db::MachineRecord& rec) {
+      rec.state = db::MachineState::kDown;
+    });
+    database.Update(victim, [](db::MachineRecord& rec) {
+      rec.state = db::MachineState::kUp;
+    });
+  };
+
+  std::uint64_t sweep = 0, indexed_tick = 0, linear_tick = 0, strike = 0;
+  auto count = [](std::uint64_t* into, const std::function<void()>& work) {
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    work();
+    *into += g_allocations.load(std::memory_order_relaxed) - before;
+  };
+  auto cycle = [&](int k) {
+    const SimTime tick = Seconds(5.0 * k);
+    kernel.RunUntil(tick - Millis(250));
+    count(&sweep, [&] { EXPECT_EQ(monitor.Step(tick - Millis(250)), 400u); });
+    const std::uint64_t indexed_read = indexed->stats().entries_refreshed;
+    count(&indexed_tick, [&] { kernel.RunUntil(tick + Millis(250)); });
+    EXPECT_EQ(indexed->stats().entries_refreshed - indexed_read, 200u);
+    const std::uint64_t linear_read = linear->stats().entries_refreshed;
+    count(&linear_tick, [&] { kernel.RunUntil(tick + Millis(750)); });
+    EXPECT_EQ(linear->stats().entries_refreshed - linear_read, 200u);
+    count(&strike, strike_and_restore);
+  };
+  // 400 journal entries per sweep: past 2 x 2^16 versions the journal
+  // has reached its bound and trimmed.
+  int k = 2;  // the first sweep falls a full period after time 0
+  while (database.version() < (std::uint64_t{1} << 17)) cycle(k++);
+  sweep = indexed_tick = linear_tick = strike = 0;
+  for (const int end = k + 20; k < end;) cycle(k++);
+
+  RecordProperty("sweep_allocations", static_cast<int>(sweep));
+  RecordProperty("indexed_tick_allocations", static_cast<int>(indexed_tick));
+  RecordProperty("linear_tick_allocations", static_cast<int>(linear_tick));
+  RecordProperty("strike_allocations", static_cast<int>(strike));
+  EXPECT_EQ(sweep, 0u);
+  EXPECT_EQ(indexed_tick, 0u);
+  EXPECT_EQ(linear_tick, 0u);
+  EXPECT_EQ(strike, 0u);
+#endif
+}
+
 // The indexed policies must grant exactly the allocations the legacy
 // linear scans grant on the same trace: same machines, same queries,
 // same interleaved releases (re-sort off, so the cache order is fixed
@@ -654,14 +754,24 @@ TEST(PoolPolicyEquivalence, IndexedMatchesLinearOnSameTrace) {
 // from the legacy full sweep: same allocations on the same randomized
 // schedule of monitor sweeps, direct white-pages updates, machine
 // down/up churn, and interleaved queries/releases — while re-reading
-// only the records that actually changed.
+// only the records that actually changed. Run for the indexed policy
+// and for each linear one, whose every tick re-sorts the cache (and so
+// moves entries under their sessions and the dirty-id routing), with
+// one pool instance or two (so the stride classes apply), on distinct
+// loads or on many exact ties: loads clamped at 0 or drawn from a few
+// values, equal speeds.
 TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
+  struct RefreshCase {
+    const char* policy;
+    std::uint32_t replicas;
+    bool ties;
+  };
   struct RunResult {
     std::vector<std::string> allocations;
     std::uint64_t entries_refreshed = 0;
     std::uint64_t refresh_ticks = 0;
   };
-  auto run = [](bool incremental) {
+  auto run = [](const RefreshCase& param, bool incremental) {
     simnet::SimKernel kernel;
     simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), 7);
     network.AddHost("alpha", 12);
@@ -676,29 +786,41 @@ TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
       db::MachineRecord rec;
       rec.name = "sun" + std::to_string(i);
       rec.params.Set("arch", "sun");
-      rec.dyn.load = 0.05 * static_cast<double>(i % 9);
-      rec.dyn.available_memory_mb = 256;
+      rec.dyn.load = param.ties ? 0.0 : 0.05 * static_cast<double>(i % 9);
+      rec.dyn.available_memory_mb = param.ties ? 256 : 128 + 32 * (i % 7);
+      rec.effective_speed = param.ties ? 1.0 : 1.0 + 0.25 * (i % 5);
+      rec.num_cpus = param.ties ? 1 : 1 + i % 2;
       ids.push_back(*database.Add(std::move(rec)));
     }
     monitor::MonitorConfig mon_config;
     mon_config.update_period = Seconds(2);
+    if (param.ties) {
+      // Mean-zero background load: most machines clamp at exactly 0.
+      mon_config.background_load_mean = 0.0;
+      mon_config.volatility = 0.5;
+    }
     monitor::ResourceMonitor monitor(&database, mon_config, Rng(99));
 
     auto criteria = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
     EXPECT_TRUE(criteria.ok());
-    ResourcePoolConfig config;
-    config.criteria = *criteria;
-    config.pool_name = criteria->PoolName();
-    config.policy = "least-load";
-    config.resort_period = Seconds(1);
-    config.incremental_refresh = incremental;
-    auto pool = std::make_shared<ResourcePool>(config, &database, &directory,
-                                               &shadows, &policies);
-    network.AddNode("pool0", pool, {"alpha", 1});
+    std::vector<std::shared_ptr<ResourcePool>> pools;
+    for (std::uint32_t r = 0; r < param.replicas; ++r) {
+      ResourcePoolConfig config;
+      config.criteria = *criteria;
+      config.pool_name = criteria->PoolName();
+      config.instance = r;
+      config.instance_count = param.replicas;
+      config.policy = param.policy;
+      config.resort_period = Seconds(1);
+      config.incremental_refresh = incremental;
+      pools.push_back(std::make_shared<ResourcePool>(
+          config, &database, &directory, &shadows, &policies));
+      network.AddNode("pool" + std::to_string(r), pools.back(), {"alpha", 1});
+    }
 
     Rng churn(4242);  // same schedule for both modes
     RunResult result;
-    std::vector<std::pair<db::MachineId, std::string>> held;
+    std::vector<Allocation> held;
     std::vector<db::MachineId> down;
     std::uint64_t request_id = 1;
     for (int step = 0; step < 60; ++step) {
@@ -706,10 +828,12 @@ TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
       // Random churn against the white pages: load nudges, machines
       // flipping down and back up, periodic monitor sweeps.
       if (churn.NextDouble() < 0.4) {
-        const db::MachineId id =
-            ids[churn.NextBounded(ids.size())];
-        database.Update(id, [&churn](db::MachineRecord& rec) {
-          rec.dyn.load = 2.0 * churn.NextDouble();
+        const db::MachineId id = ids[churn.NextBounded(ids.size())];
+        const double load = param.ties
+                                ? 0.5 * static_cast<double>(churn.NextBounded(3))
+                                : 2.0 * churn.NextDouble();
+        database.Update(id, [load](db::MachineRecord& rec) {
+          rec.dyn.load = load;
         });
       }
       if (churn.NextDouble() < 0.15) {
@@ -732,37 +856,57 @@ TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
       query.SetHeader(net::hdr::kRequestId, std::to_string(request_id++));
       StampSchedHints(*criteria, &query);
       query.body = "punch.rsrc.arch = sun\n";
-      network.Post("probe", "pool0", std::move(query));
+      network.Post("probe", "pool" + std::to_string(step % param.replicas),
+                   std::move(query));
       kernel.RunUntil(now);
       if (const auto* m = probe->last(net::msg::kAllocation)) {
-        result.allocations.push_back(m->Header(net::hdr::kMachine));
-        db::MachineId id = 0;
-        if (auto parsed = ParseInt(m->Header(net::hdr::kMachineId))) {
-          id = static_cast<db::MachineId>(*parsed);
-        }
-        held.emplace_back(id, m->Header(net::hdr::kSessionKey));
+        auto allocation = ParseAllocationMessage(*m);
+        EXPECT_TRUE(allocation.ok());
+        result.allocations.push_back(allocation->pool_address + " " +
+                                     allocation->machine_name);
+        held.push_back(*allocation);
+        probe->messages.clear();
       }
       if (held.size() > 4) {
-        const auto [id, session] = held.front();
+        const Allocation& oldest = held.front();
+        network.Post("probe", oldest.pool_address,
+                     MakeReleaseMessage(oldest.machine_id,
+                                        oldest.session_key));
         held.erase(held.begin());
-        network.Post("probe", "pool0", MakeReleaseMessage(id, session));
         kernel.RunUntil(now + Millis(100));
       }
     }
-    result.entries_refreshed = pool->stats().entries_refreshed;
-    result.refresh_ticks = pool->stats().refresh_ticks;
+    for (const auto& pool : pools) {
+      result.entries_refreshed += pool->stats().entries_refreshed;
+      result.refresh_ticks += pool->stats().refresh_ticks;
+      // Every release found its session through the re-sorts.
+      EXPECT_EQ(pool->stats().allocations,
+                pool->stats().releases + pool->active_sessions());
+    }
+    EXPECT_EQ(held.size(), std::size_t{4});
     return result;
   };
 
-  const RunResult inc = run(true);
-  const RunResult full = run(false);
-  EXPECT_EQ(inc.allocations, full.allocations);
-  EXPECT_GT(inc.allocations.size(), 30u);
-  ASSERT_GT(full.refresh_ticks, 0u);
-  // The full sweep re-reads the whole 30-entry cache every tick; the
-  // dirty-id sweep re-reads only what changed.
-  EXPECT_EQ(full.entries_refreshed, full.refresh_ticks * 30u);
-  EXPECT_LT(inc.entries_refreshed, full.entries_refreshed / 2);
+  const RefreshCase cases[] = {
+      {"least-load", 1, false},         {"least-load", 2, true},
+      {"linear-least-load", 1, false},  {"linear-least-load", 2, false},
+      {"linear-least-load", 2, true},   {"linear-most-memory", 1, false},
+      {"linear-most-memory", 2, true},  {"linear-fastest", 1, false},
+      {"linear-fastest", 2, true}};
+  for (const RefreshCase& param : cases) {
+    SCOPED_TRACE(std::string(param.policy) + " x" +
+                 std::to_string(param.replicas) +
+                 (param.ties ? " with ties" : ""));
+    const RunResult inc = run(param, true);
+    const RunResult full = run(param, false);
+    EXPECT_EQ(inc.allocations, full.allocations);
+    EXPECT_EQ(inc.allocations.size(), 60u);
+    ASSERT_GT(full.refresh_ticks, 0u);
+    // The full sweep re-reads the whole 30-entry cache every tick; the
+    // dirty-id sweep re-reads only what changed.
+    EXPECT_EQ(full.entries_refreshed, full.refresh_ticks * 30u);
+    EXPECT_LT(inc.entries_refreshed, full.entries_refreshed / 2);
+  }
 }
 
 // A quiet fleet costs a quiet refresh: with no monitor sweeps and no

@@ -311,6 +311,73 @@ TEST(SchedulingIndex, MatchesLinearScanOnRandomCaches) {
   }
 }
 
+// The periodic re-sort's permutation must be exactly std::stable_sort
+// by Better, ties kept in cache order, on random caches (loads drawn
+// from a few values, so many entries tie exactly), on nearly sorted
+// ones (a stable-sorted cache with a few entries' loads moved, as the
+// allocations between two ticks move them) and on sorted ones, where
+// ObjectiveOrder must report that nothing moves.
+TEST(ObjectiveOrder, EqualsStableSortByBetter) {
+  Rng rng(77);
+  std::vector<RankedEntry> order;
+  for (const char* name :
+       {"least-load", "most-memory", "fastest", "linear-least-load",
+        "linear-most-memory", "linear-fastest", "round-robin", "random"}) {
+    auto made = MakePolicy(name);
+    ASSERT_TRUE(made.ok());
+    const SchedulingPolicy& policy = **made;
+    for (int trial = 0; trial < 120; ++trial) {
+      const int kind = trial % 3;  // random, nearly sorted, sorted
+      const std::size_t n = rng.NextBounded(200);
+      std::vector<CacheEntry> cache;
+      for (std::size_t i = 0; i < n; ++i) {
+        CacheEntry entry = RandomEntry(rng);
+        if (trial % 2 == 0) {
+          entry.load = 0.5 * static_cast<double>(rng.NextBounded(4));
+        }
+        entry.id = static_cast<db::MachineId>(i + 1);
+        cache.push_back(entry);
+      }
+      auto stable = [&policy](std::vector<CacheEntry>* entries) {
+        std::vector<std::uint32_t> ranks(entries->size());
+        for (std::uint32_t i = 0; i < ranks.size(); ++i) ranks[i] = i;
+        std::stable_sort(ranks.begin(), ranks.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                           return policy.Better((*entries)[a], (*entries)[b]);
+                         });
+        return ranks;
+      };
+      if (kind != 0) {
+        std::vector<CacheEntry> sorted;
+        for (const std::uint32_t i : stable(&cache)) sorted.push_back(cache[i]);
+        cache = std::move(sorted);
+      }
+      if (kind == 1 && n > 0) {
+        for (int k = 0, moves = 1 + static_cast<int>(rng.NextBounded(4));
+             k < moves; ++k) {
+          CacheEntry& entry = cache[rng.NextBounded(n)];
+          entry.load = rng.Bernoulli(0.5) ? entry.load + 1.0
+                                          : std::max(0.0, entry.load - 1.0);
+        }
+      }
+
+      const std::vector<std::uint32_t> expected = stable(&cache);
+      const bool moved = ObjectiveOrder(policy, cache, &order);
+      ASSERT_EQ(order.size(), n);
+      bool identity = true;
+      for (std::size_t rank = 0; rank < n; ++rank) {
+        EXPECT_EQ(order[rank].index, expected[rank])
+            << name << " trial=" << trial << " rank=" << rank;
+        identity = identity && expected[rank] == rank;
+      }
+      EXPECT_EQ(moved, !identity) << name << " trial=" << trial;
+      if (kind == 2) {
+        EXPECT_FALSE(moved) << name << " trial=" << trial;
+      }
+    }
+  }
+}
+
 // Least-load ordering that counts its Better calls: the index's host
 // cost on saturated pools.
 class CountingPolicy final : public SchedulingPolicy {
@@ -321,6 +388,9 @@ class CountingPolicy final : public SchedulingPolicy {
                             const CacheEntry& b) const override {
     ++calls;
     return order_.Better(a, b);
+  }
+  [[nodiscard]] SortKey Key(const CacheEntry& entry) const override {
+    return order_.Key(entry);
   }
   mutable std::size_t calls = 0;
 

@@ -6,6 +6,7 @@
 //
 // Snapshots use the line format of db::MachineRecord::Serialize and can
 // be loaded with db::ResourceDatabase::LoadFrom.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -55,7 +56,8 @@ int Generate(int argc, char** argv) {
   return 0;
 }
 
-// Loads a snapshot 64 KiB at a time: each chunk's complete lines go to
+// Loads a snapshot 64 KiB at a time: a first pass counts its lines so
+// the database is sized once, then each chunk's complete lines go to
 // LoadFrom, and a partial last line waits for the next chunk, so the
 // file is never held whole while the database grows. Returns false when
 // the file cannot be read; a bad record sets `*status`.
@@ -63,9 +65,14 @@ bool LoadSnapshot(const char* path, actyp::db::ResourceDatabase* database,
                   actyp::Status* status) {
   std::FILE* file = std::fopen(path, "rb");
   if (file == nullptr) return false;
-  std::string pending;
   char buf[1 << 16];
-  std::size_t n;
+  std::size_t n, lines = 1;
+  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
+    lines += static_cast<std::size_t>(std::count(buf, buf + n, '\n'));
+  }
+  database->Reserve(lines);
+  std::rewind(file);
+  std::string pending;
   while (status->ok() && (n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
     pending.append(buf, n);
     const std::size_t end = pending.rfind('\n');
