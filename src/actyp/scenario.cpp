@@ -595,11 +595,7 @@ void SimScenario::InstallFaultHooks() {
 }
 
 void SimScenario::RunUntil(SimTime until) {
-  if (config_.cell_jobs > 1 && network_->sharded() && !window_pool_) {
-    window_pool_ = std::make_unique<ThreadPool>(
-        std::min(config_.cell_jobs, network_->shard_count()));
-  }
-  network_->RunShardedUntil(until, window_pool_.get());
+  network_->RunShardedUntil(until, config_.cell_jobs);
 }
 
 void SimScenario::ResetMeasurement() {

@@ -116,7 +116,10 @@ struct ScenarioConfig {
   // warns and falls back to the one-stack serial build. Supersedes `wan`
   // when set.
   std::size_t wan_sites = 0;
-  // Worker threads for the LP engine (used only when wan_sites >= 2).
+  // Workers for the LP engine (used only when wan_sites >= 2), the
+  // thread that runs the scenario included: each keeps its share of the
+  // sites for the whole run, so more workers than sites add nothing.
+  // The extra threads start on the first sharded run, not in the build.
   // Purely an execution knob: sharding — and with it every RNG draw and
   // event tie-break — is fixed by wan_sites, so reports and traces are
   // byte-identical for any cell_jobs value.
@@ -292,8 +295,6 @@ class SimScenario {
   Status fault_status_;
   Rng rng_;
 
-  // Lazily-built worker pool for RunShardedUntil (cell_jobs > 1 only).
-  std::unique_ptr<ThreadPool> window_pool_;
   // Merged observable views for LP runs, rebuilt on access.
   workload::ResponseCollector merged_collector_;
   mutable std::unique_ptr<profile::StageProfiler> merged_profiler_;

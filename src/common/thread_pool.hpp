@@ -1,6 +1,6 @@
 // Fixed-size worker pool over one blocking task queue. The scenario
-// driver runs independent sweep cells on one, and the LP engine runs a
-// window's shards on another.
+// driver runs independent sweep cells on one (the LP engine keeps its
+// own fixed crew in simnet::SimNetwork).
 //
 // Semantics (audited for lost wakeups and shutdown races):
 //   - Submit is safe from any number of producer threads. After the

@@ -105,7 +105,7 @@ SimNetwork::SimNetwork(SimKernel* kernel, Topology topology,
   shards_.push_back(std::move(primary));
 }
 
-SimNetwork::~SimNetwork() = default;
+SimNetwork::~SimNetwork() { StopCrew(); }
 
 void SimNetwork::EnableSharding(const std::vector<std::string>& sites) {
   assert(hosts_.empty() && routes_.empty() &&
@@ -128,7 +128,7 @@ void SimNetwork::EnableSharding(const std::vector<std::string>& sites) {
     }
     shard.site = sites[rank];
     shard.rng = ShardStream(base_seed, rank);
-    shard.outbox.resize(sites.size());
+    for (std::vector<Outbox>& boxes : shard.outbox) boxes.resize(sites.size());
     site_shard_[sites[rank]] = static_cast<std::uint32_t>(rank);
     shards_.push_back(std::move(shard));
   }
@@ -313,12 +313,14 @@ void SimNetwork::Transmit(const net::Address& from, const Host* from_host,
         latency, [this, to_shard, slot] { Deliver(to_shard, slot); });
     return;
   }
-  // Cross-shard: park in the outbox for the next inter-window merge.
-  // Safety: latency >= the link's base >= this shard's lookahead, so
-  // deliver_at >= this window's horizon — the destination has not
-  // executed past it.
-  CrossShardMessage& msg = sender.outbox[to_shard].Append();
+  // Cross-shard: park in the outbox the destination drains at the
+  // start of its next window. Safety: latency >= the link's base >= this
+  // shard's lookahead, so deliver_at >= this window's horizon — the
+  // destination has not executed past it.
+  Outbox& box = sender.outbox[parity_][to_shard];
+  CrossShardMessage& msg = box.messages.Append();
   msg.deliver_at = now + latency;
+  box.earliest = std::min(box.earliest, msg.deliver_at);
   msg.seq = sender.out_seq++;
   msg.envelope.from = from;
   msg.envelope.to = to;
@@ -501,45 +503,42 @@ void SimNetwork::WakeHost(Host* host) {
   }
 }
 
-void SimNetwork::DrainMailboxes() {
-  const std::size_t n = shards_.size();
-  for (std::size_t dest = 0; dest < n; ++dest) {
-    merge_scratch_.clear();
-    for (std::size_t src = 0; src < n; ++src) {
-      const auto& box = shards_[src].outbox[dest];
-      for (std::size_t i = 0; i < box.size; ++i) {
-        merge_scratch_.push_back({box.entries[i].deliver_at,
-                                  static_cast<std::uint32_t>(src),
-                                  static_cast<std::uint32_t>(i),
-                                  box.entries[i].seq});
-      }
+void SimNetwork::DrainInbox(std::uint32_t dest, unsigned parity) {
+  Shard& shard = shards_[dest];
+  std::vector<MergeKey>& keys = shard.inbox_keys;
+  keys.clear();
+  for (std::size_t src = 0; src < shards_.size(); ++src) {
+    const Outbox& box = shards_[src].outbox[parity][dest];
+    for (std::size_t i = 0; i < box.messages.size; ++i) {
+      const CrossShardMessage& msg = box.messages.entries[i];
+      keys.push_back({msg.deliver_at, static_cast<std::uint32_t>(src),
+                      static_cast<std::uint32_t>(i), msg.seq});
     }
-    if (merge_scratch_.empty()) continue;
-    // The (deliver_at, source rank, source seq) total order — the
-    // destination kernel then assigns its insertion-order tie-break
-    // seqs in exactly that order, independent of worker count. The key
-    // is unique, so an in-place sort needs no stability.
-    std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-              [](const MergeKey& a, const MergeKey& b) {
-                return std::tie(a.deliver_at, a.source, a.seq) <
-                       std::tie(b.deliver_at, b.source, b.seq);
-              });
-    const auto dest_index = static_cast<std::uint32_t>(dest);
-    Shard& shard = shards_[dest];
-    for (const MergeKey& key : merge_scratch_) {
-      CrossShardMessage& msg =
-          shards_[key.source].outbox[dest].entries[key.index];
-      const std::uint32_t slot =
-          Park(shard, msg.envelope.from, msg.envelope.to,
-               std::move(msg.envelope.message), msg.envelope.sent_at,
-               msg.route, nullptr);
-      shard.kernel->ScheduleAt(msg.deliver_at, [this, dest_index, slot] {
-        Deliver(dest_index, slot);
-      });
-    }
-    for (std::size_t src = 0; src < n; ++src) {
-      shards_[src].outbox[dest].size = 0;
-    }
+  }
+  if (keys.empty()) return;
+  // The (deliver_at, source rank, source seq) total order — the
+  // destination kernel then assigns its insertion-order tie-break seqs
+  // in exactly that order, independent of worker count. The key is
+  // unique, so an in-place sort needs no stability.
+  std::sort(keys.begin(), keys.end(),
+            [](const MergeKey& a, const MergeKey& b) {
+              return std::tie(a.deliver_at, a.source, a.seq) <
+                     std::tie(b.deliver_at, b.source, b.seq);
+            });
+  for (const MergeKey& key : keys) {
+    CrossShardMessage& msg =
+        shards_[key.source].outbox[parity][dest].messages.entries[key.index];
+    const std::uint32_t slot =
+        Park(shard, msg.envelope.from, msg.envelope.to,
+             std::move(msg.envelope.message), msg.envelope.sent_at,
+             msg.route, nullptr);
+    shard.kernel->ScheduleAt(msg.deliver_at,
+                             [this, dest, slot] { Deliver(dest, slot); });
+  }
+  for (Shard& source : shards_) {
+    Outbox& box = source.outbox[parity][dest];
+    box.messages.size = 0;
+    box.earliest = SimKernel::kNoEvent;
   }
 }
 
@@ -555,51 +554,117 @@ void SimNetwork::RefreshLookahead() {
   }
 }
 
-std::size_t SimNetwork::RunShardedUntil(SimTime until, ThreadPool* pool) {
+std::size_t SimNetwork::RunShardedUntil(SimTime until, std::size_t workers) {
   if (!sharded()) return kernel_->RunUntil(until);
+  const std::size_t crew = std::clamp<std::size_t>(workers, 1, shards_.size());
+  if (crew != crew_.size() + 1) {
+    StopCrew();
+    StartCrew(crew);
+  }
   RefreshLookahead();
-  std::size_t executed = 0;
+  const std::uint64_t executed_before = total_executed();
   for (;;) {
-    DrainMailboxes();
     // Safe horizon: no shard can emit a cross-shard message landing
     // before (its next event time + its lookahead), so every event
-    // strictly below W is already fully determined.
+    // strictly below H is already fully determined. A shard's next
+    // event may still wait in an outbox bound for it.
     SimTime min_floor = SimKernel::kNoEvent;
     SimTime horizon = SimKernel::kNoEvent;
-    for (const Shard& shard : shards_) {
-      const SimTime floor = shard.kernel->NextEventTime();
+    for (std::size_t dest = 0; dest < shards_.size(); ++dest) {
+      SimTime floor = shards_[dest].kernel->NextEventTime();
+      for (const Shard& source : shards_) {
+        floor = std::min(floor, source.outbox[parity_][dest].earliest);
+      }
       min_floor = std::min(min_floor, floor);
       if (floor != SimKernel::kNoEvent) {
-        horizon = std::min(horizon, floor + shard.lookahead);
+        horizon = std::min(horizon, floor + shards_[dest].lookahead);
       }
     }
     if (min_floor > until) break;  // nothing left inside this run
-    const SimTime bound = std::min(horizon, until + 1);
-    if (pool != nullptr) {
-      // One task per shard; Drain is the window barrier. Shards touch
-      // only their own kernel/RNG/counters/slabs and their own nodes'
-      // state during the window, and the outboxes are merged after the
-      // barrier, so the window is data-race-free.
-      std::vector<std::size_t> ran(shards_.size(), 0);
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        pool->Submit([this, i, bound, &ran] {
-          ran[i] = shards_[i].kernel->RunBefore(bound);
-        });
-      }
-      pool->Drain();
-      for (const std::size_t n : ran) executed += n;
-    } else {
-      for (Shard& shard : shards_) {
-        executed += shard.kernel->RunBefore(bound);
-      }
+    window_bound_ = std::min(horizon, until + 1);
+    // The window drains what was sent so far and sends into the other
+    // parity. A shard touches only its own kernel, RNG, counters, slabs
+    // and nodes, its outboxes of the new parity and its inboxes of the
+    // old one, so the window is data-race-free.
+    parity_ ^= 1u;
+    if (!crew_.empty()) {
+      window_left_.store(static_cast<std::uint32_t>(crew_.size()),
+                         std::memory_order_relaxed);
+      epoch_.fetch_add(1, std::memory_order_release);
+      epoch_.notify_all();
     }
+    std::exception_ptr error;
+    try {
+      RunWindow(0);
+    } catch (...) {
+      // The crew is still inside this window: unwind only once it is out.
+      error = std::current_exception();
+    }
+    for (std::uint32_t left;
+         (left = window_left_.load(std::memory_order_acquire)) != 0;) {
+      window_left_.wait(left, std::memory_order_acquire);
+    }
+    for (std::exception_ptr& thrown : crew_errors_) {
+      if (error == nullptr) error = thrown;
+      thrown = nullptr;
+    }
+    if (error != nullptr) std::rethrow_exception(error);
+  }
+  // What the last window sent lands beyond `until`: it goes to its
+  // destination kernel now, in destination order, as a future event for
+  // the next call (Measure runs warmup and measurement as two
+  // consecutive calls), so the outboxes are empty between calls.
+  for (std::size_t dest = 0; dest < shards_.size(); ++dest) {
+    DrainInbox(static_cast<std::uint32_t>(dest), parity_);
   }
   for (Shard& shard : shards_) shard.kernel->AdvanceTo(until);
-  // The outboxes are empty here: the exit test runs right after a
-  // drain, so everything beyond `until` already sits in its destination
-  // kernel as a future event for the next call (Measure runs warmup and
-  // measurement as two consecutive calls).
-  return executed;
+  return total_executed() - executed_before;
+}
+
+void SimNetwork::RunWindow(std::size_t worker) {
+  const unsigned drain = parity_ ^ 1u;
+  const std::size_t stride = crew_.size() + 1;
+  for (std::size_t s = worker; s < shards_.size(); s += stride) {
+    const auto shard = static_cast<std::uint32_t>(s);
+    DrainInbox(shard, drain);
+    shards_[s].kernel->RunBefore(window_bound_);
+  }
+}
+
+void SimNetwork::CrewLoop(std::size_t worker, std::uint32_t epoch) {
+  for (;;) {
+    // The calling thread bumps the epoch once per window and waits for
+    // every worker before the next bump, so each bump is seen once.
+    epoch_.wait(epoch, std::memory_order_acquire);
+    ++epoch;
+    if (crew_stopping_) return;
+    try {
+      RunWindow(worker);
+    } catch (...) {
+      crew_errors_[worker] = std::current_exception();
+    }
+    if (window_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      window_left_.notify_one();
+    }
+  }
+}
+
+void SimNetwork::StartCrew(std::size_t workers) {
+  crew_stopping_ = false;
+  crew_errors_.assign(workers, nullptr);
+  const std::uint32_t epoch = epoch_.load(std::memory_order_relaxed);
+  for (std::size_t worker = 1; worker < workers; ++worker) {
+    crew_.emplace_back(&SimNetwork::CrewLoop, this, worker, epoch);
+  }
+}
+
+void SimNetwork::StopCrew() {
+  if (crew_.empty()) return;
+  crew_stopping_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (std::thread& thread : crew_) thread.join();
+  crew_.clear();
 }
 
 std::uint64_t SimNetwork::total_executed() const {

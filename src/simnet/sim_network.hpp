@@ -29,27 +29,39 @@
 // LP-parallel mode (EnableSharding): sites become logical processes,
 // each with its own slab-backed kernel, RNG stream, counters, and parcel
 // and effects slabs. Intra-site traffic stays on the owning shard's
-// kernel; cross-site messages go through per-(source, destination)
-// outboxes that RunShardedUntil merges between windows in a fixed
-// (deliver_at, source rank, source sequence) total order. Shards execute
-// under a conservative window protocol — safe horizon W = min over
-// shards of (next event time + lookahead), lookahead = min outbound
-// cross-site base latency — so a shard never receives a message with a
-// timestamp it has already passed. Every draw and every tie-break is
-// shard-local, which makes fixed-seed replay byte-identical for any
-// worker count (1, 2, 4, ...).
+// kernel. Shards execute under a conservative window protocol — safe
+// horizon H = min over shards of (next event time + lookahead),
+// lookahead = min outbound cross-site base latency — so a shard never
+// receives a message with a timestamp it has already passed.
+//   - A fixed crew runs the windows: with W workers, worker w runs
+//     shards w, w + W, ... in every window, and the calling thread is
+//     worker 0. The other W - 1 threads persist across calls and wait
+//     on an epoch between windows.
+//   - A cross-site message waits in a double-buffered outbox
+//     [parity][destination] of its sender. What a shard sends in one
+//     window, the destination's own worker drains at the start of the
+//     next, in (deliver_at, source rank, source sequence) order and
+//     before the destination runs any event, while senders fill the
+//     other parity. Each outbox keeps its earliest deliver_at, so the
+//     horizon needs no drain.
+// Every draw and every tie-break is shard-local, and each kernel takes
+// the same messages in the same order before each window, which makes
+// fixed-seed replay byte-identical for any worker count (1, 2, 4, ...).
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "net/node.hpp"
 #include "simnet/kernel.hpp"
 #include "simnet/topology.hpp"
@@ -69,7 +81,10 @@ struct NodeStats {
 class SimNetwork final : public net::Network {
  public:
   SimNetwork(SimKernel* kernel, Topology topology, std::uint64_t seed = 42);
+  // Joins the window crew.
   ~SimNetwork() override;
+  SimNetwork(const SimNetwork&) = delete;
+  SimNetwork& operator=(const SimNetwork&) = delete;
 
   // Switches to LP-parallel mode with one shard per listed site. Shard 0
   // reuses the primary kernel; the rest own private kernels. Must be
@@ -95,12 +110,17 @@ class SimNetwork final : public net::Network {
             net::Message message) override;
 
   // Conservative-window execution of a sharded network up to `until`
-  // (inclusive, like SimKernel::RunUntil). Each round merges the cross-
-  // shard outboxes, computes the safe horizon, and runs every shard's
-  // sub-window — on `pool` when given (one task per shard, barrier via
-  // Drain), inline otherwise. Returns events executed. Also valid on an
-  // unsharded network, where it degenerates to kernel().RunUntil.
-  std::size_t RunShardedUntil(SimTime until, ThreadPool* pool = nullptr);
+  // (inclusive, like SimKernel::RunUntil) on min(workers, shards)
+  // workers, the calling thread included. Each window computes the safe
+  // horizon, then every shard drains its inbox and runs up to it. The
+  // crew's threads start on the first multi-worker call, persist across
+  // calls, are rebuilt when a call asks for another count, and are
+  // joined by the destructor. An exception a node handler throws on any
+  // worker is rethrown here once the rest of its window has run; the
+  // network can then only be destroyed. Returns events executed. Also
+  // valid on an unsharded network, where it degenerates to
+  // kernel().RunUntil.
+  std::size_t RunShardedUntil(SimTime until, std::size_t workers = 1);
 
   // Events executed across every shard kernel (== kernel().executed()
   // when unsharded).
@@ -133,8 +153,9 @@ class SimNetwork final : public net::Network {
   [[nodiscard]] std::uint64_t queued_messages() const;
   [[nodiscard]] std::uint64_t busy_cores() const;
 
-  // Tests read the slabs' sizes through this (tests/simnet_test.cpp).
-  friend struct SlabProbe;
+  // Tests read the shards' slabs and kernels through this
+  // (tests/simnet_test.cpp).
+  friend struct ShardProbe;
 
  private:
   struct NodeRuntime;
@@ -291,7 +312,7 @@ class SimNetwork final : public net::Network {
   };
 
   // A message crossing shards, parked in the sender's outbox until the
-  // next inter-window merge. `seq` is the sender's append order — the
+  // destination drains it. `seq` is the sender's append order — the
   // final tie-break of the deterministic merge.
   struct CrossShardMessage {
     SimTime deliver_at = 0;
@@ -300,10 +321,25 @@ class SimNetwork final : public net::Network {
     Route* route = nullptr;
   };
 
+  // One sender's messages for one destination in one parity.
+  struct Outbox {
+    Recycler<CrossShardMessage> messages;
+    SimTime earliest = SimKernel::kNoEvent;  // smallest deliver_at
+  };
+
+  // DrainInbox's sort key for one outbox entry.
+  struct MergeKey {
+    SimTime deliver_at = 0;
+    std::uint32_t source = 0;
+    std::uint32_t index = 0;
+    std::uint64_t seq = 0;
+  };
+
   // One logical process: a site's kernel, RNG stream, counters and
   // slabs. Everything here is touched only by the shard's own execution
-  // (or between windows, single-threaded), so shards share no mutable
-  // state.
+  // (or between windows, on the calling thread), so shards share no
+  // mutable state; an outbox is written by its sender in one window and
+  // drained by its destination in the next.
   struct Shard {
     SimKernel* kernel = nullptr;         // shard 0 aliases kernel_
     std::unique_ptr<SimKernel> owned;    // shards 1..K-1
@@ -317,18 +353,13 @@ class SimNetwork final : public net::Network {
     std::uint64_t partition_dropped = 0;
     Slab<Parcel> parcels;    // envelopes bound for this shard's nodes
     Slab<Effects> effects;   // this shard's handlers in service
-    std::vector<Recycler<CrossShardMessage>> outbox;  // per dest shard
     // Optional flight recorder (not owned); written only from this
     // shard's execution.
     obs::FlightRecorder* recorder = nullptr;
-  };
-
-  // DrainMailboxes' sort key for one outbox entry.
-  struct MergeKey {
-    SimTime deliver_at = 0;
-    std::uint32_t source = 0;
-    std::uint32_t index = 0;
-    std::uint64_t seq = 0;
+    // By [parity][destination shard]: senders fill parity_ while each
+    // destination drains the other.
+    std::array<std::vector<Outbox>, 2> outbox;
+    std::vector<MergeKey> inbox_keys;  // DrainInbox's scratch
   };
 
   class Context;
@@ -341,10 +372,13 @@ class SimNetwork final : public net::Network {
   // entry for it.
   void Transmit(const net::Address& from, const Host* from_host,
                 const net::Address& to, net::Message&& message);
-  // Parks an envelope in `shard`'s slab and returns its slot.
-  std::uint32_t Park(Shard& shard, const net::Address& from,
-                     const net::Address& to, net::Message&& message,
-                     SimTime sent_at, Route* route, NodeRuntime* owner);
+  // Parks an envelope in `shard`'s slab and returns its slot. Declared
+  // inline (defined in sim_network.cpp, its only user) because it sits on
+  // every send and timer, where an out-of-line call shows in the
+  // per-message cost.
+  inline std::uint32_t Park(Shard& shard, const net::Address& from,
+                            const net::Address& to, net::Message&& message,
+                            SimTime sent_at, Route* route, NodeRuntime* owner);
   // Kernel events: a send lands, a self-timer fires, a handler's
   // service time ends. Each names its shard and slot.
   void Deliver(std::uint32_t shard, std::uint32_t slot);
@@ -357,11 +391,20 @@ class SimNetwork final : public net::Network {
   void ApplyEffects(NodeRuntime* runtime, Effects& effects);
   // Frees a removed runtime that no queued event refers to any more.
   void FreeRemoved(NodeRuntime* runtime);
-  // Moves every outbox message into its destination kernel, merged per
-  // destination in (deliver_at, source rank, source seq) order. Single-
-  // threaded: runs only between windows.
-  void DrainMailboxes();
+  // Moves every message parked for `dest` in `parity`'s outboxes into
+  // dest's kernel, in (deliver_at, source rank, source seq) order. Runs
+  // on dest's worker at the start of a window, or on the calling thread
+  // once the last window is done.
+  void DrainInbox(std::uint32_t dest, unsigned parity);
   void RefreshLookahead();
+  // One worker's share of the published window: with W workers, shards
+  // worker, worker + W, ... each drain their inbox and run.
+  void RunWindow(std::size_t worker);
+  // A crew thread: one RunWindow per epoch bump, until told to stop.
+  void CrewLoop(std::size_t worker, std::uint32_t epoch);
+  // Starts the threads of workers 1..workers - 1; StopCrew joins them.
+  void StartCrew(std::size_t workers);
+  void StopCrew();
 
   SimKernel* kernel_;
   Topology topology_;
@@ -377,8 +420,23 @@ class SimNetwork final : public net::Network {
   // Removed runtimes whose handlers are still in service.
   std::vector<std::unique_ptr<NodeRuntime>> removed_;
   double loss_probability_ = 0.0;
-  // Scratch for DrainMailboxes, reused across rounds.
-  std::vector<MergeKey> merge_scratch_;
+  // The outbox parity senders fill; it flips when a window starts. Sends
+  // between calls (OnStart effects, Post) land in it too, and the next
+  // call's first window drains them.
+  unsigned parity_ = 0;
+
+  // The window crew. Between windows the calling thread publishes
+  // window_bound_, sets window_left_ to the number of crew threads and
+  // bumps epoch_; each crew thread runs its share and counts
+  // window_left_ down.
+  SimTime window_bound_ = 0;
+  bool crew_stopping_ = false;
+  std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<std::uint32_t> window_left_{0};
+  // What a window threw on each crew thread, by worker; the calling
+  // thread reads it after the handshake.
+  std::vector<std::exception_ptr> crew_errors_;
+  std::vector<std::thread> crew_;  // workers 1..W - 1
 };
 
 }  // namespace actyp::simnet

@@ -467,13 +467,20 @@ TEST(ScenarioLp, AccessorsReachTheFirstSite) {
 
 TEST(ScenarioLp, WorkerCountNeverChangesResults) {
   // Sharding is a property of the scenario (wan_sites), never of
-  // cell_jobs, so 1, 2 and 4 workers replay the identical schedule.
-  ScenarioConfig config = LpConfig();
-  const RunDigest serial = DigestFor(config);
-  EXPECT_GT(serial.completed, 0u);
-  for (const std::size_t jobs : {2u, 4u}) {
-    config.cell_jobs = jobs;
-    EXPECT_TRUE(DigestFor(config) == serial) << "cell_jobs=" << jobs;
+  // cell_jobs, so any worker count replays the identical schedule: on 2
+  // sites every count above 2 exceeds the shards; on 4 sites, 3 workers
+  // split them unevenly and 8 exceed them.
+  for (const std::size_t sites : {2u, 4u}) {
+    ScenarioConfig config = LpConfig();
+    config.wan_sites = sites;
+    ASSERT_TRUE(SimScenario(config).lp_mode()) << sites << " sites";
+    const RunDigest serial = DigestFor(config);
+    EXPECT_GT(serial.completed, 0u) << sites << " sites";
+    for (const std::size_t jobs : {2u, 3u, 4u, 8u}) {
+      config.cell_jobs = jobs;
+      EXPECT_TRUE(DigestFor(config) == serial)
+          << sites << " sites, cell_jobs=" << jobs;
+    }
   }
 }
 
@@ -517,7 +524,7 @@ TEST(ScenarioLp, RandomizedTopologiesMatchAcrossWorkerCounts) {
     config.seed = 31000 + iteration;
     const RunDigest serial = DigestFor(config, Seconds(2), Seconds(10));
     EXPECT_GT(serial.completed, 0u) << "iteration " << iteration;
-    for (const std::size_t jobs : {2u, 4u}) {
+    for (const std::size_t jobs : {2u, 3u, 4u}) {
       config.cell_jobs = jobs;
       EXPECT_TRUE(DigestFor(config, Seconds(2), Seconds(10)) == serial)
           << "iteration " << iteration << " cell_jobs " << jobs;

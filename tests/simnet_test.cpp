@@ -1,12 +1,17 @@
 // Tests for the discrete-event kernel, the topology/latency model, the
 // simulated network's queueing behaviour (service times, node
 // serialization, host core limits), its delivery path (no allocation
-// once warm, node removal and re-adding), and the call gateway that
-// drives it from outside threads.
+// once warm, node removal and re-adding), its LP window crew (the
+// worker count never changes a delivery, and a throwing handler reaches
+// the caller), and the call gateway that drives it from outside threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <functional>
+#include <map>
+#include <stdexcept>
 #include <thread>
 
 #include "counting_new.hpp"
@@ -17,9 +22,9 @@
 
 namespace actyp::simnet {
 
-// Reads SimNetwork's slabs, summed over every shard (a friend of the
-// class).
-struct SlabProbe {
+// Reads SimNetwork's slabs, summed over every shard, and each shard's
+// kernel counters (a friend of the class).
+struct ShardProbe {
   // Parcel and effects slots ever created.
   static std::size_t Slots(const SimNetwork& network) {
     std::size_t total = 0;
@@ -35,6 +40,16 @@ struct SlabProbe {
       total += shard.parcels.free.size() + shard.effects.free.size();
     }
     return total;
+  }
+  // Scheduled, executed and cancelled events of each shard's kernel.
+  static std::vector<std::array<std::uint64_t, 3>> KernelCounts(
+      const SimNetwork& network) {
+    std::vector<std::array<std::uint64_t, 3>> counts;
+    for (const auto& shard : network.shards_) {
+      counts.push_back({shard.kernel->scheduled(), shard.kernel->executed(),
+                        shard.kernel->cancelled()});
+    }
+    return counts;
   }
 };
 
@@ -597,23 +612,27 @@ TEST(SimNetwork, DeliveryAllocatesNothingOnceWarm) {
       << "allocations over " << kRounds << " warm serial rounds";
 
   // The LP path: every ping and pong crosses shards through the outboxes
-  // and the merge between windows.
-  SimKernel lp_kernel;
-  SimNetwork sharded(&lp_kernel,
-                     Topology::WanTwoSites("east", "west", Millis(10),
-                                           Millis(2)),
-                     5);
-  sharded.EnableSharding({"east", "west"});
-  sharded.AddHost("host-a", 2, "east");
-  sharded.AddHost("host-b", 2, "west");
-  SimTime until = 0;
-  EXPECT_EQ(measure(sharded,
-                    [&] {
-                      until += Millis(100);
-                      sharded.RunShardedUntil(until);
-                    }),
-            0u)
-      << "allocations over " << kRounds << " warm sharded rounds";
+  // and the inbox drains, inline and with a second worker thread, whose
+  // window handshakes must not allocate either.
+  for (const std::size_t workers : {1u, 2u}) {
+    SimKernel lp_kernel;
+    SimNetwork sharded(&lp_kernel,
+                       Topology::WanTwoSites("east", "west", Millis(10),
+                                             Millis(2)),
+                       5);
+    sharded.EnableSharding({"east", "west"});
+    sharded.AddHost("host-a", 2, "east");
+    sharded.AddHost("host-b", 2, "west");
+    SimTime until = 0;
+    EXPECT_EQ(measure(sharded,
+                      [&] {
+                        until += Millis(100);
+                        sharded.RunShardedUntil(until, workers);
+                      }),
+              0u)
+        << "allocations over " << kRounds << " warm sharded rounds on "
+        << workers << " workers";
+  }
 #endif
 }
 
@@ -672,10 +691,10 @@ TEST(SimNetwork, RemoveAndReaddKeepsDeliverySemantics) {
 
   // Sent before the removal, landing after the re-add.
   network.Post("client", "svc", Work("in-flight"));
-  const std::size_t free_before = SlabProbe::FreeSlots(network);
+  const std::size_t free_before = ShardProbe::FreeSlots(network);
   ASSERT_TRUE(network.RemoveNode("svc").ok());
   // Its two queued messages and its armed start tick went back.
-  EXPECT_EQ(SlabProbe::FreeSlots(network), free_before + 3);
+  EXPECT_EQ(ShardProbe::FreeSlots(network), free_before + 3);
   network.AddNode("svc", std::make_shared<JournalNode>("new", &journal),
                   {"server", 2});
 
@@ -695,7 +714,7 @@ TEST(SimNetwork, RemoveAndReaddKeepsDeliverySemantics) {
                                       "new:tick"}));
   EXPECT_EQ(network.dropped_messages(), 0u);
   EXPECT_EQ(network.StatsFor("svc").messages, 3u);  // with two ticks
-  EXPECT_EQ(SlabProbe::FreeSlots(network), SlabProbe::Slots(network));
+  EXPECT_EQ(ShardProbe::FreeSlots(network), ShardProbe::Slots(network));
 
   // The same removal, 10,000 times over: no slab grows, and each old
   // Node is freed once its completion has run.
@@ -717,11 +736,204 @@ TEST(SimNetwork, RemoveAndReaddKeepsDeliverySemantics) {
   };
   ASSERT_TRUE(network.RemoveNode("svc").ok());
   cycle();
-  const std::size_t slots = SlabProbe::Slots(network);
+  const std::size_t slots = ShardProbe::Slots(network);
   for (int i = 0; i < 10000; ++i) cycle();
-  EXPECT_EQ(SlabProbe::Slots(network), slots);
-  EXPECT_EQ(SlabProbe::FreeSlots(network), slots);
+  EXPECT_EQ(ShardProbe::Slots(network), slots);
+  EXPECT_EQ(ShardProbe::FreeSlots(network), slots);
   EXPECT_EQ(network.dropped_messages(), 0u);
+}
+
+// --- the LP window crew ---
+
+// A node of the worker-count oracle. It journals every delivery as
+// "<time> <from> <type> <n>". It answers a "ping" with a "pong" and
+// forwards it with one hop fewer to the next of its peers. Every
+// message it serves re-arms a 3 ms "tick", cancelling the one it armed
+// before, and every third one also arms and cancels a timer within the
+// same invocation. A greeting node pings its first peer on start.
+class RelayNode final : public net::Node {
+ public:
+  RelayNode(std::vector<net::Address> peers, std::vector<std::string>* journal,
+            bool greet)
+      : peers_(std::move(peers)), journal_(journal), greet_(greet) {}
+  void OnStart(net::NodeContext& ctx) override {
+    if (greet_) ctx.Send(peers_.front(), Ping(1));
+  }
+  void OnMessage(const net::Envelope& env, net::NodeContext& ctx) override {
+    const std::string hops = env.message.Header("n");
+    journal_->push_back(std::to_string(ctx.Now()) + " " + env.from + " " +
+                        env.message.type + " " + hops);
+    if (env.message.type == "tick") return;
+    ctx.Consume(Millis(1));
+    ctx.CancelSelf(tick_);
+    tick_ = ctx.ScheduleSelf(Millis(3), net::Message{"tick"});
+    if (++served_ % 3 == 0) {
+      EXPECT_TRUE(ctx.CancelSelf(
+          ctx.ScheduleSelf(Millis(2), net::Message{"tick"})));
+    }
+    if (env.message.type != "ping") return;
+    ctx.Send(env.from, net::Message{"pong"});
+    if (hops != "0") {
+      ctx.Send(peers_[served_ % peers_.size()], Ping(std::stoi(hops) - 1));
+    }
+  }
+
+  static net::Message Ping(int hops) {
+    net::Message ping{"ping"};
+    ping.SetHeader("n", std::to_string(hops));
+    return ping;
+  }
+
+ private:
+  std::vector<net::Address> peers_;
+  std::vector<std::string>* journal_;
+  bool greet_;
+  net::TimerId tick_ = 0;
+  std::size_t served_ = 0;
+};
+
+// What a run of the oracle leaves behind.
+struct CrewOutcome {
+  std::map<std::string, std::vector<std::string>> journals;
+  std::uint64_t total_executed = 0;
+  std::uint64_t pending_events = 0;
+  std::uint64_t returned = 0;  // summed RunShardedUntil results
+  std::vector<std::array<std::uint64_t, 3>> kernels;
+
+  bool operator==(const CrewOutcome&) const = default;
+};
+
+// Four sites, two single-core hosts each with two relays on them. Every
+// WAN hop takes exactly 10 ms and every LAN hop 100 us, so messages
+// from different shards land on one destination at the same instant.
+// The run is 24 calls of 25 ms. Before each call the other fifteen
+// relays ping one relay, and after the twelfth call one relay is
+// removed and re-added with a greeting. `workers(call)` picks each
+// call's worker count.
+CrewOutcome RunCrewOracle(const std::function<std::size_t(int)>& workers) {
+  constexpr int kSites = 4;
+  constexpr int kCalls = 24;
+  Topology topology;
+  topology.SetIntraSiteLink(LinkSpec{Micros(100), 0, 0});
+  topology.SetDefaultInterSiteLink(LinkSpec{Millis(10), 0, 0});
+  SimKernel kernel;
+  SimNetwork network(&kernel, topology, 17);
+  std::vector<std::string> sites;
+  for (int site = 0; site < kSites; ++site) {
+    sites.push_back("site" + std::to_string(site));
+  }
+  network.EnableSharding(sites);
+
+  std::vector<net::Address> relays;
+  std::vector<std::string> relay_hosts;
+  for (int site = 0; site < kSites; ++site) {
+    for (int host = 0; host < 2; ++host) {
+      const std::string name =
+          "host-" + std::to_string(site) + "-" + std::to_string(host);
+      network.AddHost(name, 1, sites[site]);
+      for (const char* suffix : {"-a", "-b"}) {
+        relays.push_back("relay-" + name + suffix);
+        relay_hosts.push_back(name);
+      }
+    }
+  }
+  CrewOutcome outcome;
+  // Relay i's peers are i + 5, i + 10, ... (mod 16): every other relay,
+  // starting with one on another site.
+  const auto add = [&](std::size_t i, const std::string& journal, bool greet) {
+    std::vector<net::Address> peers;
+    for (std::size_t k = 1; k < relays.size(); ++k) {
+      peers.push_back(relays[(i + 5 * k) % relays.size()]);
+    }
+    auto relay = std::make_shared<RelayNode>(
+        std::move(peers), &outcome.journals[journal], greet);
+    EXPECT_TRUE(
+        network.AddNode(relays[i], std::move(relay), {relay_hosts[i], 1}).ok());
+  };
+  for (std::size_t i = 0; i < relays.size(); ++i) add(i, relays[i], false);
+
+  for (int call = 0; call < kCalls; ++call) {
+    if (call == kCalls / 2) {
+      const std::size_t moved = 5;  // relay-host-1-0-b, on site 1
+      EXPECT_TRUE(network.RemoveNode(relays[moved]).ok());
+      add(moved, relays[moved] + "#2", true);
+    }
+    const net::Address& target = relays[call % relays.size()];
+    for (const net::Address& relay : relays) {
+      if (relay != target) network.Post(relay, target, RelayNode::Ping(2));
+    }
+    const SimTime until = kernel.Now() + Millis(25);
+    outcome.returned += network.RunShardedUntil(until, workers(call));
+  }
+  outcome.total_executed = network.total_executed();
+  outcome.pending_events = network.pending_events();
+  outcome.kernels = ShardProbe::KernelCounts(network);
+  return outcome;
+}
+
+TEST(SimNetworkCrew, WorkerCountNeverChangesDelivery) {
+  const CrewOutcome inline_run = RunCrewOracle([](int) { return 1; });
+  // The oracle exercises what it should: traffic on every shard,
+  // deliveries from different sources at one instant, kernel-level
+  // cancellations, the re-added relay's traffic, and work still queued
+  // across the last call.
+  ASSERT_EQ(inline_run.kernels.size(), 4u);
+  for (const auto& counts : inline_run.kernels) EXPECT_GT(counts[1], 100u);
+  std::size_t ties = 0;
+  for (const auto& [name, journal] : inline_run.journals) {
+    for (std::size_t i = 1; i < journal.size(); ++i) {
+      const auto time = [](const std::string& line) {
+        return line.substr(0, line.find(' '));
+      };
+      if (time(journal[i]) == time(journal[i - 1])) ++ties;
+    }
+  }
+  EXPECT_GT(ties, 10u);
+  EXPECT_GT(inline_run.kernels[1][2], 0u);
+  EXPECT_FALSE(inline_run.journals.at("relay-host-1-0-b#2").empty());
+  EXPECT_GT(inline_run.pending_events, 0u);
+  EXPECT_EQ(inline_run.returned, inline_run.total_executed);
+
+  // 2 workers split the shards evenly, 3 unevenly, and 8 exceed them.
+  for (const std::size_t workers : {2u, 3u, 8u}) {
+    const CrewOutcome run = RunCrewOracle([workers](int) { return workers; });
+    EXPECT_TRUE(run == inline_run) << workers << " workers";
+  }
+  // One network whose crew is rebuilt between calls: 1 -> 4 -> 2.
+  const auto one_four_two = [](int call) -> std::size_t {
+    return call < 8 ? 1 : call < 16 ? 4 : 2;
+  };
+  EXPECT_TRUE(RunCrewOracle(one_four_two) == inline_run)
+      << "changing worker counts";
+}
+
+class ThrowingNode final : public net::Node {
+ public:
+  void OnMessage(const net::Envelope&, net::NodeContext&) override {
+    throw std::runtime_error("handler failed");
+  }
+};
+
+TEST(SimNetworkCrew, HandlerExceptionReachesTheCaller) {
+  // A handler throws on the calling thread's shard (east) or on a crew
+  // thread's (west): either way the call rethrows it, and the network
+  // still joins its crew when it goes.
+  for (const char* site : {"east", "west"}) {
+    for (const std::size_t workers : {1u, 2u}) {
+      SimKernel kernel;
+      SimNetwork network(&kernel,
+                         Topology::WanTwoSites("east", "west", Millis(10),
+                                               Millis(2)),
+                         3);
+      network.EnableSharding({"east", "west"});
+      network.AddHost("host", 1, site);
+      network.AddNode("thrower", std::make_shared<ThrowingNode>(), {"host", 1});
+      network.Post("client", "thrower", net::Message{"go"});
+      EXPECT_THROW(network.RunShardedUntil(Millis(50), workers),
+                   std::runtime_error)
+          << site << ", " << workers << " workers";
+    }
+  }
 }
 
 // --- call gateway ---
